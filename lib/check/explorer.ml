@@ -248,7 +248,8 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
      as mount-time recovery would *)
   Fs.recover_image ?observer cfg image;
   let check_exposure = check_exposure_of cfg in
-  let pre = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure in
+  (* repair's first round checks the image as handed over: that is the
+     pre-repair verdict *)
   let outcome = Fsck.repair ?observer ~geom:cfg.Fs.geom ~image ~check_exposure () in
   let v_nested =
     match base with
@@ -262,7 +263,7 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
   {
     v_boundary = boundary;
     v_torn = torn;
-    v_pre_violations = List.length pre.Fsck.violations;
+    v_pre_violations = List.length outcome.Fsck.initial.Fsck.violations;
     v_repair_converged = outcome.Fsck.converged;
     v_post_violations = List.length outcome.Fsck.final.Fsck.violations;
     v_remount_ok = remount_ok;

@@ -81,6 +81,12 @@ type verdict = {
   v_nested : nested option;  (** crash-during-recovery sub-sweep, if run *)
 }
 
+val check_exposure_of : Su_fs.Fs.config -> bool
+(** Whether fsck judges exposure (a file pointing at data never
+    written for it) on this configuration's crash states: never for the
+    journaled scheme, whose log holds metadata only; otherwise exactly
+    when [alloc_init] is on. {!verify_state} checks with it. *)
+
 val verify_state :
   ?nested:bool ->
   ?nested_max_boundaries:int ->

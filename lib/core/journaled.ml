@@ -204,154 +204,6 @@ let replay_rec ?observer geom image = function
         | Types.Indirect arr -> arr.(slot) <- ptr
         | _ -> ())
 
-(* Rebuild the per-group bitmaps from the reachable tree: everything a
-   live inode references is in use, everything else in the data areas
-   is free. Unreachable (leaked) resources are thereby reclaimed — the
-   recovery-time equivalent of fsck's map rebuild. *)
-let rebuild_maps ?observer geom image =
-  let ncg = Geom.cg_count geom in
-  let cgs =
-    Array.init ncg (fun c ->
-        let cg = Types.fresh_cg geom in
-        let base = Geom.cg_base geom c in
-        let data_first, data_count = Geom.cg_data_area geom c in
-        for off = 0 to data_first - base - 1 do
-          Bytes.set cg.Types.frag_map off '\001'
-        done;
-        cg.Types.nffree <- data_count;
-        cg.Types.nifree <- geom.Geom.inodes_per_cg;
-        cg)
-  in
-  let claim_frags start len =
-    if start > 0 && start + len <= geom.Geom.nfrags then begin
-      let c = Geom.cg_of_frag geom start in
-      let cg = cgs.(c) in
-      let base = Geom.cg_base geom c in
-      for i = 0 to len - 1 do
-        if Bytes.get cg.Types.frag_map (start - base + i) = '\000' then begin
-          Bytes.set cg.Types.frag_map (start - base + i) '\001';
-          cg.Types.nffree <- cg.Types.nffree - 1
-        end
-      done
-    end
-  in
-  let claim_inode inum =
-    let c = Geom.cg_of_inode geom inum in
-    let j = inum - Geom.first_inum_of_cg geom c in
-    if Bytes.get cgs.(c).Types.inode_map j = '\000' then begin
-      Bytes.set cgs.(c).Types.inode_map j '\001';
-      cgs.(c).Types.nifree <- cgs.(c).Types.nifree - 1
-    end
-  in
-  let fpb = geom.Geom.frags_per_block in
-  let read_dinode inum =
-    if not (Geom.valid_inum geom inum) then None
-    else
-      match image.(Geom.inode_block_frag geom inum) with
-      | Types.Meta (Types.Inodes dinodes) ->
-        let d = dinodes.(Geom.inode_index_in_block geom inum) in
-        if d.Types.ftype = Types.F_free then None else Some d
-      | _ -> None
-  in
-  let extent_len ~size ~lbn =
-    let bb = Geom.block_bytes geom in
-    let partial =
-      if size <= lbn * bb then 0
-      else if size >= (lbn + 1) * bb then fpb
-      else Geom.frags_of_bytes geom (size - (lbn * bb))
-    in
-    if partial = 0 then fpb
-    else if partial < fpb && Geom.blocks_of_bytes geom size > geom.Geom.ndaddr
-    then fpb
-    else partial
-  in
-  let indirect_slots ptr =
-    match image.(ptr) with
-    | Types.Meta (Types.Indirect arr) -> Some arr
-    | _ -> None
-  in
-  let claim_file (din : Types.dinode) =
-    let size = din.Types.size in
-    Array.iteri
-      (fun i ptr -> if ptr <> 0 then claim_frags ptr (extent_len ~size ~lbn:i))
-      din.Types.db;
-    if din.Types.ib <> 0 then begin
-      claim_frags din.Types.ib fpb;
-      match indirect_slots din.Types.ib with
-      | Some arr ->
-        Array.iter (fun ptr -> if ptr <> 0 then claim_frags ptr fpb) arr
-      | None -> ()
-    end;
-    if din.Types.ib2 <> 0 then begin
-      claim_frags din.Types.ib2 fpb;
-      match indirect_slots din.Types.ib2 with
-      | Some arr2 ->
-        Array.iter
-          (fun l1 ->
-            if l1 <> 0 then begin
-              claim_frags l1 fpb;
-              match indirect_slots l1 with
-              | Some arr1 ->
-                Array.iter (fun ptr -> if ptr <> 0 then claim_frags ptr fpb) arr1
-              | None -> ()
-            end)
-          arr2
-      | None -> ()
-    end
-  in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  Queue.add Geom.root_inum queue;
-  Hashtbl.add seen Geom.root_inum ();
-  while not (Queue.is_empty queue) do
-    let dinum = Queue.pop queue in
-    match read_dinode dinum with
-    | None -> ()
-    | Some din ->
-      claim_inode dinum;
-      claim_file din;
-      if din.Types.ftype = Types.F_dir then begin
-        let nblocks = Geom.blocks_of_bytes geom din.Types.size in
-        let fetch ptr =
-          if ptr <> 0 then
-            match image.(ptr) with
-            | Types.Meta (Types.Dir entries) ->
-              Array.iter
-                (function
-                  | Some { Types.name; inum } ->
-                    if name <> "." && name <> ".." && not (Hashtbl.mem seen inum)
-                    then begin
-                      Hashtbl.add seen inum ();
-                      match read_dinode inum with
-                      | Some child when child.Types.ftype = Types.F_dir ->
-                        Queue.add inum queue
-                      | Some child ->
-                        claim_inode inum;
-                        claim_file child
-                      | None -> ()
-                    end
-                  | None -> ())
-                entries
-            | _ -> ()
-        in
-        for i = 0 to min (nblocks - 1) (geom.Geom.ndaddr - 1) do
-          fetch din.Types.db.(i)
-        done;
-        if nblocks > geom.Geom.ndaddr && din.Types.ib <> 0 then
-          match indirect_slots din.Types.ib with
-          | Some arr ->
-            for i = 0 to nblocks - geom.Geom.ndaddr - 1 do
-              if i < Array.length arr then fetch arr.(i)
-            done
-          | None -> ()
-      end
-  done;
-  Array.iteri
-    (fun c cg ->
-      Imglog.write ?observer image (Geom.cg_header_frag geom c)
-        (Types.Meta (Types.Cgroup cg)))
-    cgs
-
 let recover ?observer ~geom ~log_start ~log_frags image =
   let txns = ref [] in
   for i = 0 to log_frags - 1 do
@@ -379,8 +231,7 @@ let recover ?observer ~geom ~log_start ~log_frags image =
       match image.(frag) with
       | Types.Jlog _ -> Imglog.write ?observer image frag Types.Empty
       | _ -> ())
-    txns;
-  rebuild_maps ?observer geom image
+    txns
 
 (* --- the scheme ----------------------------------------------------------- *)
 

@@ -48,18 +48,6 @@ val make :
     any pending records and terminates the group-commit flusher (so
     the event queue can drain). *)
 
-val rebuild_maps :
-  ?observer:Su_fstypes.Imglog.observer ->
-  Su_fstypes.Geom.t ->
-  Su_fstypes.Types.cell array ->
-  unit
-(** Reconstruct every group's allocation bitmaps from the tree
-    reachable from the root: referenced resources are marked used,
-    everything else in the data areas becomes free (unreachable
-    resources are reclaimed). Shared with {!Su_fs.Fsck}'s repair.
-    Headers that come out identical are not rewritten (and not
-    observed). *)
-
 val recover :
   ?observer:Su_fstypes.Imglog.observer ->
   geom:Su_fstypes.Geom.t ->
@@ -67,13 +55,14 @@ val recover :
   log_frags:int ->
   Su_fstypes.Types.cell array ->
   unit
-(** Replay the journal onto the image (in place), retire the log, and
-    rebuild the per-group allocation bitmaps from the reachable file
-    tree. Every cell the pipeline changes flows through
-    {!Su_fstypes.Imglog.write}, so an [observer] sees recovery's own
-    write stream — the crash-state explorer re-crashes recovery at
-    each of those boundaries. Recovery tolerates re-execution over any
-    prefix of its own effects: replay records are absolute
-    post-images, and the log is retired oldest-sequence-first so a
-    crash mid-retirement leaves only records whose effects are already
-    on the media. *)
+(** Replay the journal onto the image (in place) and retire the log.
+    The allocation maps are left as the crash found them:
+    [Su_fs.Fs.recover_image] rebuilds them afterwards from the
+    reachable tree ([Su_fs.Fsck.rebuild_maps]). Every cell the
+    pipeline changes flows through {!Su_fstypes.Imglog.write}, so an
+    [observer] sees recovery's own write stream record by record — the
+    crash-state explorer re-crashes recovery at each of those
+    boundaries. Recovery tolerates re-execution over any prefix of its
+    own effects: replay records are absolute post-images, and the log
+    is retired oldest-sequence-first so a crash mid-retirement leaves
+    only records whose effects are already on the media. *)

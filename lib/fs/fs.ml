@@ -110,18 +110,10 @@ let recover_image ?observer cfg image =
     (* Replayed cells are acknowledged writes: a captured checksum
        region must follow them, or every fragment recovery touches
        would read back as corrupt after remount. *)
-    let csum =
-      let rec go i =
-        if i < cfg.geom.Geom.nfrags then None
-        else
-          match image.(i) with Types.Csum ca -> Some ca | _ -> go (i - 1)
-      in
-      go (Array.length image - 1)
-    in
     let observer =
-      match csum with
+      match Types.image_csum cfg.geom image with
       | None -> observer
-      | Some ca ->
+      | Some (_, ca) ->
         let lim = Array.length ca in
         Some
           (fun ~lbn ~pre ~post ->
@@ -129,7 +121,8 @@ let recover_image ?observer cfg image =
             match observer with None -> () | Some f -> f ~lbn ~pre ~post)
     in
     Su_core.Journaled.recover ?observer ~geom:cfg.geom ~log_start ~log_frags
-      image
+      image;
+    Fsck.rebuild_maps ?observer cfg.geom image
   | None -> ()
 
 let driver_mode cfg =
@@ -382,7 +375,34 @@ let build ?image cfg =
 
 let make cfg = build cfg
 
-let mount_image cfg image = build ~image cfg
+(* A journaled image whose log still holds records is recovered first,
+   as a real journaling mount does: the new mount's journal restarts at
+   sequence zero, so records left behind would outrank its own at the
+   next recovery and replay over them. Replay is copy-on-write, so a
+   shallow copy keeps the caller's image intact; only the checksum
+   region, which recovery updates in place, is copied too. *)
+let mount_image cfg image =
+  let holds_log =
+    match journal_region cfg with
+    | None -> false
+    | Some (log_start, log_frags) ->
+      let rec scan i =
+        i < min (log_start + log_frags) (Array.length image)
+        && (match image.(i) with Types.Jlog _ -> true | _ -> scan (i + 1))
+      in
+      scan log_start
+  in
+  let image =
+    if not holds_log then image
+    else begin
+      let copy =
+        Array.map (function Types.Csum ca -> Types.Csum (Array.copy ca) | c -> c) image
+      in
+      recover_image cfg copy;
+      copy
+    end
+  in
+  build ~image cfg
 
 let stop w =
   Su_cache.Syncer.stop w.syncer;

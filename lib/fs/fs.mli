@@ -113,7 +113,11 @@ val mount_image : config -> Su_fstypes.Types.cell array -> world
     carry the spare region and remap-table cell past the media; the
     in-core remap table is restored from it and the superblock
     replicas cross-checked (unreadable or invalid copies are restored
-    from a surviving sister, degrading health).
+    from a surviving sister, degrading health). Under a journaled
+    configuration, an image whose log region still holds records is
+    first recovered (replayed, its log retired, its maps rebuilt) on a
+    private copy, so the new mount's transactions are never overtaken
+    by stale ones at the next recovery; the argument is not modified.
     @raise Invalid_argument if the image does not fit the configured
     geometry.
     @raise Mount_failure if no usable superblock replica survives. *)

@@ -1,12 +1,19 @@
 open Su_fstypes
 
+type bad_dir_reason =
+  | Dir_inode_free
+  | Bad_dot
+  | Missing_dots
+  | Unreadable_block of { ptr : int }
+  | Unreadable_cg_header
+
 type violation =
   | Dangling_entry of { dir : int; name : string; inum : int }
   | Bad_pointer of { inum : int; lbn : int; ptr : int }
   | Cross_allocated of { frag : int; owners : int * int }
   | Nlink_low of { inum : int; nlink : int; refs : int }
   | Exposure of { inum : int; flbn : int; frag : int }
-  | Bad_dir of { inum : int; reason : string }
+  | Bad_dir of { inum : int; reason : bad_dir_reason }
   | Csum_mismatch of { frag : int }
 
 type report = {
@@ -18,6 +25,13 @@ type report = {
   files : int;
   dirs : int;
 }
+
+let bad_dir_text = function
+  | Dir_inode_free -> "directory inode is free"
+  | Bad_dot -> "bad \".\""
+  | Missing_dots -> "missing \".\" or \"..\""
+  | Unreadable_block { ptr } -> Printf.sprintf "unreadable block at %d" ptr
+  | Unreadable_cg_header -> "unreadable cylinder-group header"
 
 let pp_violation ppf = function
   | Dangling_entry { dir; name; inum } ->
@@ -32,44 +46,87 @@ let pp_violation ppf = function
     Format.fprintf ppf "inode %d fragment %d exposes stale data at %d" inum flbn
       frag
   | Bad_dir { inum; reason } ->
-    Format.fprintf ppf "directory %d: %s" inum reason
+    Format.fprintf ppf "directory %d: %s" inum (bad_dir_text reason)
   | Csum_mismatch { frag } ->
     Format.fprintf ppf "fragment %d disagrees with its checksum" frag
+
+(* --- the walk's tables ----------------------------------------------------
+
+   One walk of the tree fills flat tables indexed by fragment and by
+   inode; the map audit, and repair's settle, reclaim and map-rebuild
+   phases, read them instead of walking again. A set of tables belongs
+   to one check, one map rebuild or one repair (cleared before each of
+   its walks), and is never shared: Pool runs fsck in several domains
+   at once. *)
+
+module A1 = Bigarray.Array1
+
+type tables = {
+  owner : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
+      (* per fragment: the inode that claimed it first, 0 for none
+         (inode numbers start at [Geom.root_inum]) *)
+  refs : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
+      (* per inode slot: the entries naming it *)
+  state : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t;
+      (* per inode slot: [unseen], [queued] or [live] *)
+  parent : (int, int) Hashtbl.t;
+      (* reachable directory -> the directory whose entry reached it *)
+}
+
+(* inode slot states: a directory is [queued] when first named and
+   [live] once its dinode was read; a file is [live] when first named *)
+let unseen = 0
+let queued = 1
+let live = 2
+
+(* The flat tables live outside the OCaml heap: allocated as major-heap
+   [Bytes] on every walk (5 MB at the default geometry), they raised
+   the heap's high-water mark by about half on the crash-recovery
+   benchmark, far beyond the tables' own size. *)
+let tables geom =
+  let ninodes = Geom.total_inodes geom in
+  {
+    owner = A1.create Bigarray.int32 Bigarray.c_layout geom.Geom.nfrags;
+    refs = A1.create Bigarray.int32 Bigarray.c_layout ninodes;
+    state = A1.create Bigarray.int8_unsigned Bigarray.c_layout ninodes;
+    parent = Hashtbl.create 64;
+  }
+
+let reset t =
+  A1.fill t.owner 0l;
+  A1.fill t.refs 0l;
+  A1.fill t.state unseen;
+  Hashtbl.reset t.parent
+
+let owner t frag = Int32.to_int (A1.get t.owner frag)
+let slot inum = inum - Geom.root_inum
+let state t inum = A1.get t.state (slot inum)
+let set_state t inum s = A1.set t.state (slot inum) s
+let refs t inum = Int32.to_int (A1.get t.refs (slot inum))
 
 type ctx = {
   geom : Geom.t;
   image : Types.cell array;
   check_exposure : bool;
+  t : tables;
   mutable violations : violation list;
-  frag_owner : (int, int) Hashtbl.t;  (* fragment -> owning inode *)
-  inode_refs : (int, int) Hashtbl.t;  (* inode -> on-disk references *)
-  live : (int, Types.dinode) Hashtbl.t;  (* reachable allocated inodes *)
+  mutable files : int;
+  mutable dirs : int;
 }
 
 let viol ctx v = ctx.violations <- v :: ctx.violations
 
-let read_dinode ctx inum =
-  if not (Geom.valid_inum ctx.geom inum) then None
-  else
-    let frag = Geom.inode_block_frag ctx.geom inum in
-    match ctx.image.(frag) with
-    | Types.Meta (Types.Inodes dinodes) ->
-      let d = dinodes.(Geom.inode_index_in_block ctx.geom inum) in
-      if d.Types.ftype = Types.F_free then None else Some d
-    | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
-      (* inode block never written: all-free *)
-      None
+let read_dinode ctx inum = Types.image_dinode ctx.geom ctx.image inum
 
 let claim_frags ctx ~inum ~start ~len =
   for f = start to start + len - 1 do
     if not (Geom.data_frag_in_cg ctx.geom f) then
       viol ctx (Bad_pointer { inum; lbn = -1; ptr = f })
     else
-      match Hashtbl.find_opt ctx.frag_owner f with
-      | Some other when other <> inum ->
+      let other = owner ctx.t f in
+      if other = 0 then A1.set ctx.t.owner f (Int32.of_int inum)
+      else if other <> inum then
         viol ctx (Cross_allocated { frag = f; owners = (other, inum) })
-      | Some _ -> ()
-      | None -> Hashtbl.replace ctx.frag_owner f inum
   done
 
 let check_data_extent ctx ~inum ~(din : Types.dinode) ~lbn ~start ~len =
@@ -172,7 +229,7 @@ let dir_blocks ctx inum (din : Types.dinode) =
       match ctx.image.(ptr) with
       | Types.Meta (Types.Dir entries) -> out := entries :: !out
       | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
-        viol ctx (Bad_dir { inum; reason = Printf.sprintf "unreadable block at %d" ptr })
+        viol ctx (Bad_dir { inum; reason = Unreadable_block { ptr } })
   in
   let nd = g.Geom.ndaddr in
   for i = 0 to min (nblocks - 1) (nd - 1) do
@@ -189,26 +246,32 @@ let dir_blocks ctx inum (din : Types.dinode) =
   List.rev !out
 
 let add_ref ctx inum =
-  Hashtbl.replace ctx.inode_refs inum
-    (1 + Option.value ~default:0 (Hashtbl.find_opt ctx.inode_refs inum))
+  if Geom.valid_inum ctx.geom inum then
+    A1.set ctx.t.refs (slot inum) (Int32.succ (A1.get ctx.t.refs (slot inum)))
 
-(* Breadth-first walk of the directory tree. *)
+(* Breadth-first walk of the directory tree. Besides the violations it
+   leaves in the tables who owns each fragment, how many entries name
+   each inode, which inodes are reachable, and each directory's
+   parent. *)
 let walk ctx =
+  let t = ctx.t in
   let queue = Queue.create () in
-  let seen = Hashtbl.create 256 in
-  let enqueue_dir inum = if not (Hashtbl.mem seen inum) then begin
-      Hashtbl.add seen inum ();
+  let enqueue_dir ?parent inum =
+    if state t inum = unseen then begin
+      set_state t inum queued;
+      Option.iter (Hashtbl.replace t.parent inum) parent;
       Queue.add inum queue
     end
   in
   enqueue_dir Geom.root_inum;
-  (* "." of the root *)
   while not (Queue.is_empty queue) do
     let dinum = Queue.pop queue in
     match read_dinode ctx dinum with
-    | None -> viol ctx (Bad_dir { inum = dinum; reason = "directory inode is free" })
+    | None -> viol ctx (Bad_dir { inum = dinum; reason = Dir_inode_free })
     | Some din ->
-      Hashtbl.replace ctx.live dinum din;
+      set_state t dinum live;
+      if din.Types.ftype = Types.F_dir then ctx.dirs <- ctx.dirs + 1
+      else ctx.files <- ctx.files + 1;
       check_file_blocks ctx dinum din;
       let blocks = dir_blocks ctx dinum din in
       let saw_dot = ref false and saw_dotdot = ref false in
@@ -218,91 +281,73 @@ let walk ctx =
             (function
               | None -> ()
               | Some { Types.name; inum } ->
+                add_ref ctx inum;
                 if name = "." then begin
                   saw_dot := true;
-                  if inum <> dinum then
-                    viol ctx (Bad_dir { inum = dinum; reason = "bad \".\"" });
-                  add_ref ctx inum
+                  if inum <> dinum then viol ctx (Bad_dir { inum = dinum; reason = Bad_dot })
                 end
-                else if name = ".." then begin
-                  saw_dotdot := true;
-                  add_ref ctx inum
-                end
+                else if name = ".." then saw_dotdot := true
                 else begin
-                  add_ref ctx inum;
                   match read_dinode ctx inum with
                   | None -> viol ctx (Dangling_entry { dir = dinum; name; inum })
                   | Some child ->
-                    if child.Types.ftype = Types.F_dir then enqueue_dir inum
-                    else begin
-                      if not (Hashtbl.mem ctx.live inum) then begin
-                        Hashtbl.replace ctx.live inum child;
-                        check_file_blocks ctx inum child
-                      end
+                    if child.Types.ftype = Types.F_dir then enqueue_dir ~parent:dinum inum
+                    else if state t inum = unseen then begin
+                      set_state t inum live;
+                      ctx.files <- ctx.files + 1;
+                      check_file_blocks ctx inum child
                     end
                 end)
             entries)
         blocks;
       if blocks <> [] && not (!saw_dot && !saw_dotdot) then
-        viol ctx (Bad_dir { inum = dinum; reason = "missing \".\" or \"..\"" })
+        viol ctx (Bad_dir { inum = dinum; reason = Missing_dots })
   done
 
 (* Compare references with link counts and audit the free maps. *)
 let audit ctx =
+  let g = ctx.geom and t = ctx.t in
   let nlink_high = ref 0 in
-  Hashtbl.iter
-    (fun inum (din : Types.dinode) ->
-      let refs = Option.value ~default:0 (Hashtbl.find_opt ctx.inode_refs inum) in
-      if din.Types.nlink < refs then
-        viol ctx (Nlink_low { inum; nlink = din.Types.nlink; refs })
-      else if din.Types.nlink > refs then incr nlink_high)
-    ctx.live;
-  let g = ctx.geom in
+  for i = 0 to Geom.total_inodes g - 1 do
+    let inum = i + Geom.root_inum in
+    if state t inum = live then
+      match read_dinode ctx inum with
+      | Some din ->
+        let refs = refs t inum in
+        if din.Types.nlink < refs then
+          viol ctx (Nlink_low { inum; nlink = din.Types.nlink; refs })
+        else if din.Types.nlink > refs then incr nlink_high
+      | None -> ()
+  done;
   let leaked_frags = ref 0 and leaked_inodes = ref 0 and stale_free = ref 0 in
   for c = 0 to Geom.cg_count g - 1 do
-    let header = ctx.image.(Geom.cg_header_frag g c) in
-    match header with
+    match ctx.image.(Geom.cg_header_frag g c) with
     | Types.Meta (Types.Cgroup cg) ->
       let base = Geom.cg_base g c in
       let data_first, data_count = Geom.cg_data_area g c in
       for f = data_first to data_first + data_count - 1 do
         let marked_used = Bytes.get cg.Types.frag_map (f - base) <> '\000' in
-        let owner = Hashtbl.find_opt ctx.frag_owner f in
-        match owner, marked_used with
-        | Some _, false -> incr stale_free
-        | None, true -> incr leaked_frags
-        | Some _, true | None, false -> ()
+        let owned = owner t f <> 0 in
+        if owned && not marked_used then incr stale_free
+        else if marked_used && not owned then incr leaked_frags
       done;
       let first_inum = Geom.first_inum_of_cg g c in
       for j = 0 to g.Geom.inodes_per_cg - 1 do
-        let inum = first_inum + j in
         let marked_used = Bytes.get cg.Types.inode_map j <> '\000' in
-        let live = Hashtbl.mem ctx.live inum in
+        let live = state t (first_inum + j) = live in
         if live && not marked_used then incr stale_free
         else if (not live) && marked_used then incr leaked_inodes
       done
     | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
-      viol ctx (Bad_dir { inum = -c; reason = "unreadable cylinder-group header" })
+      viol ctx (Bad_dir { inum = -c; reason = Unreadable_cg_header })
   done;
   (!leaked_frags, !leaked_inodes, !stale_free, !nlink_high)
 
-(* The persisted checksum region, when the image carries one (always
-   past the addressable media — never inside it). *)
-let find_csum ~geom image =
-  let rec go i =
-    if i < geom.Geom.nfrags then None
-    else
-      match image.(i) with
-      | Types.Csum ca -> Some (i, ca)
-      | _ -> go (i - 1)
-  in
-  go (Array.length image - 1)
-
-(* Verify every covered fragment against the region (auto-detected:
-   images from checksum-less configurations have no region and no
-   checksum phase). *)
+(* Verify every covered fragment against the persisted checksum region
+   (auto-detected: images from checksum-less configurations have no
+   region and no checksum phase). *)
 let csum_violations ~geom image =
-  match find_csum ~geom image with
+  match Types.image_csum geom image with
   | None -> []
   | Some (_, ca) ->
     let lim = min (Array.length ca) (Array.length image) in
@@ -313,35 +358,69 @@ let csum_violations ~geom image =
     done;
     !out
 
-let check ~geom ~image ~check_exposure =
+(* A fresh walk of [image] into [t]. *)
+let walk_into t ~geom ~image ~check_exposure =
+  reset t;
   let ctx =
-    {
-      geom;
-      image;
-      check_exposure;
-      violations = [];
-      frag_owner = Hashtbl.create 4096;
-      inode_refs = Hashtbl.create 1024;
-      live = Hashtbl.create 1024;
-    }
+    { geom; image; check_exposure; t; violations = []; files = 0; dirs = 0 }
   in
   walk ctx;
+  ctx
+
+(* One full check, its walk left in [t]. *)
+let check_into t ~geom ~image ~check_exposure =
+  let ctx = walk_into t ~geom ~image ~check_exposure in
   let leaked_frags, leaked_inodes, stale_free, nlink_high = audit ctx in
-  let dirs =
-    Hashtbl.fold
-      (fun _ (d : Types.dinode) n ->
-        if d.Types.ftype = Types.F_dir then n + 1 else n)
-      ctx.live 0
-  in
   {
     violations = List.rev ctx.violations @ csum_violations ~geom image;
     leaked_frags;
     leaked_inodes;
     stale_free;
     nlink_high;
-    files = Hashtbl.length ctx.live - dirs;
-    dirs;
+    files = ctx.files;
+    dirs = ctx.dirs;
   }
+
+let check ~geom ~image ~check_exposure =
+  check_into (tables geom) ~geom ~image ~check_exposure
+
+(* Install fresh per-group bitmaps from the walk in [t]: everything
+   before each data area is in use, and a data fragment or inode is in
+   use exactly when the walk claimed or reached it. Headers are written
+   in group order; one that comes out identical is dropped by
+   [Imglog.write]. *)
+let install_maps ?observer t ~geom ~image =
+  for c = 0 to Geom.cg_count geom - 1 do
+    let cg = Types.fresh_cg geom in
+    let base = Geom.cg_base geom c in
+    let data_first, data_count = Geom.cg_data_area geom c in
+    for off = 0 to data_first - base - 1 do
+      Bytes.set cg.Types.frag_map off '\001'
+    done;
+    cg.Types.nffree <- data_count;
+    for f = data_first to data_first + data_count - 1 do
+      if owner t f <> 0 then begin
+        Bytes.set cg.Types.frag_map (f - base) '\001';
+        cg.Types.nffree <- cg.Types.nffree - 1
+      end
+    done;
+    let first = Geom.first_inum_of_cg geom c in
+    cg.Types.nifree <- geom.Geom.inodes_per_cg;
+    for j = 0 to geom.Geom.inodes_per_cg - 1 do
+      if state t (first + j) = live then begin
+        Bytes.set cg.Types.inode_map j '\001';
+        cg.Types.nifree <- cg.Types.nifree - 1
+      end
+    done;
+    Imglog.write ?observer image (Geom.cg_header_frag geom c)
+      (Types.Meta (Types.Cgroup cg))
+  done
+
+(* Recovery needs the walk's claims, not the audit. *)
+let rebuild_maps ?observer geom image =
+  let t = tables geom in
+  ignore (walk_into t ~geom ~image ~check_exposure:false);
+  install_maps ?observer t ~geom ~image
 
 let ok (r : report) = r.violations = []
 
@@ -373,18 +452,12 @@ let pp_repair_action ppf = function
   | Resynced_csums { frags } ->
     Format.fprintf ppf "resynchronised %d checksum(s)" frags
 
-(* Read access to an inode slot. The returned record aliases the
-   image: callers must not mutate it — all repair writes go through
-   {!update_dinode} / {!update_dir_block}, which copy the cell, apply
-   the change, and install the copy via [Imglog.write] so an observer
-   sees every effective mutation (and re-running a repair that has
-   nothing left to change writes nothing at all). *)
-let peek_dinode geom image inum =
-  match image.(Geom.inode_block_frag geom inum) with
-  | Types.Meta (Types.Inodes dinodes) ->
-    Some dinodes.(Geom.inode_index_in_block geom inum)
-  | _ -> None
-
+(* Repair reads inode slots through [Types.image_dinode], whose result
+   aliases the image: it must not be mutated. All repair writes go
+   through {!update_dinode} / {!update_dir_block}, which copy the cell,
+   apply the change, and install the copy via [Imglog.write] so an
+   observer sees every effective mutation (and re-running a repair
+   that has nothing left to change writes nothing at all). *)
 let update_dinode ?observer geom image inum f =
   let blk = Geom.inode_block_frag geom inum in
   match image.(blk) with
@@ -431,7 +504,7 @@ let dir_blocks_with_addr geom image (din : Types.dinode) =
   List.rev !out
 
 let clear_entry ?observer geom image ~dir ~name =
-  match peek_dinode geom image dir with
+  match Types.image_dinode geom image dir with
   | None -> ()
   | Some din ->
     List.iter
@@ -462,7 +535,7 @@ let truncate_file ?observer geom image inum =
 let clear_bad_dir_block ?observer geom image inum =
   (* remove pointers to unreadable blocks from a directory, then
      compact the survivors: directories must be dense *)
-  match peek_dinode geom image inum with
+  match Types.image_dinode geom image inum with
   | None -> ()
   | Some din ->
     let keep = ref [] in
@@ -482,7 +555,7 @@ let clear_bad_dir_block ?observer geom image inum =
         din.Types.size <- Array.length survivors * Geom.block_bytes geom)
 
 let restore_dots ?observer geom image ~inum ~parent =
-  match peek_dinode geom image inum with
+  match Types.image_dinode geom image inum with
   | None -> ()
   | Some din ->
     (match dir_blocks_with_addr geom image din with
@@ -500,56 +573,9 @@ let restore_dots ?observer geom image ~inum ~parent =
            end)
      | [] -> ())
 
-(* Walk the tree recording reference counts and each directory's
-   parent (the lenient counterpart of the checking walk). *)
-let count_refs geom image =
-  let refs = Hashtbl.create 256 in
-  let parent = Hashtbl.create 64 in
-  let add inum =
-    Hashtbl.replace refs inum
-      (1 + Option.value ~default:0 (Hashtbl.find_opt refs inum))
-  in
-  let read inum =
-    if not (Geom.valid_inum geom inum) then None
-    else
-      match image.(Geom.inode_block_frag geom inum) with
-      | Types.Meta (Types.Inodes dinodes) ->
-        let d = dinodes.(Geom.inode_index_in_block geom inum) in
-        if d.Types.ftype = Types.F_free then None else Some d
-      | _ -> None
-  in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  Queue.add Geom.root_inum queue;
-  Hashtbl.add seen Geom.root_inum ();
-  while not (Queue.is_empty queue) do
-    let dinum = Queue.pop queue in
-    match read dinum with
-    | None -> ()
-    | Some din ->
-      List.iter
-        (fun (_, entries) ->
-          Array.iter
-            (function
-              | Some { Types.name; inum } ->
-                add inum;
-                if name <> "." && name <> ".." && not (Hashtbl.mem seen inum)
-                then begin
-                  Hashtbl.add seen inum ();
-                  match read inum with
-                  | Some c when c.Types.ftype = Types.F_dir ->
-                    Hashtbl.replace parent inum dinum;
-                    Queue.add inum queue
-                  | Some _ | None -> ()
-                end
-              | None -> ())
-            entries)
-        (dir_blocks_with_addr geom image din)
-  done;
-  (refs, parent, seen)
-
 type repair_outcome = {
   actions : repair_action list;
+  initial : report;
   final : report;
   rounds : int;
   converged : bool;
@@ -568,117 +594,118 @@ let repair_test_hook :
       ref =
   ref None
 
+let structural = function
+  | Nlink_low _ | Csum_mismatch _ -> false
+  | Dangling_entry _ | Bad_pointer _ | Cross_allocated _ | Exposure _
+  | Bad_dir _ ->
+    true
+
 let repair ?observer ~geom ~image ~check_exposure () =
+  (* count the effective writes: a repair that made none returns its
+     first check as the final one *)
+  let writes = ref 0 in
+  let observer =
+    Some
+      (fun ~lbn ~pre ~post ->
+        incr writes;
+        Option.iter (fun f -> f ~lbn ~pre ~post) observer)
+  in
   (match !repair_test_hook with
    | Some hook ->
      List.iter
        (fun (lbn, cell) -> Imglog.write ?observer image lbn cell)
        (hook image)
    | None -> ());
+  let t = tables geom in
+  let check () = check_into t ~geom ~image ~check_exposure in
   let actions = ref [] in
   let note a = actions := a :: !actions in
-  let rounds = ref 0 in
-  let converged = ref true in
-  let continue_ = ref true in
-  while !continue_ do
-    incr rounds;
-    if !rounds > 8 then begin
-      (* structural repairs keep uncovering each other: stop rewriting
-         and report divergence instead of dying — the settle/reclaim
-         passes below still leave the image as sane as possible *)
-      converged := false;
-      continue_ := false
-    end
-    else begin
-      let r = check ~geom ~image ~check_exposure in
-      let structural =
-        List.filter
-          (function
-            | Nlink_low _ | Csum_mismatch _ -> false
-            | _ -> true)
-          r.violations
-      in
-      if structural = [] then continue_ := false
-      else begin
-        let _, parents, _ = count_refs geom image in
-        List.iter
-          (fun v ->
-            match v with
-            | Dangling_entry { dir; name; _ } ->
-              clear_entry ?observer geom image ~dir ~name;
-              note (Cleared_entry { dir; name })
-            | Cross_allocated { owners = (_, b); _ } ->
-              truncate_file ?observer geom image b;
-              note (Truncated_file { inum = b })
-            | Exposure { inum; _ } | Bad_pointer { inum; _ } ->
-              if inum > 0 then begin
-                truncate_file ?observer geom image inum;
-                note (Truncated_file { inum })
-              end
-            | Bad_dir { inum; reason } when inum > 0 ->
-              if String.length reason >= 7 && String.sub reason 0 7 = "missing"
-              then begin
-                let parent =
-                  Option.value ~default:Geom.root_inum
-                    (Hashtbl.find_opt parents inum)
-                in
-                restore_dots ?observer geom image ~inum ~parent;
-                note (Restored_dots { inum })
-              end
-              else begin
-                clear_bad_dir_block ?observer geom image inum;
-                note (Cleared_dir_block { inum; ptr = 0 })
-              end
-            | Bad_dir _ | Nlink_low _ | Csum_mismatch _ -> ())
-          structural
+  (* the parent map is the current round's walk, taken before any of
+     the round's repairs *)
+  let fix = function
+    | Dangling_entry { dir; name; _ } ->
+      clear_entry ?observer geom image ~dir ~name;
+      note (Cleared_entry { dir; name })
+    | Cross_allocated { owners = (_, b); _ } ->
+      truncate_file ?observer geom image b;
+      note (Truncated_file { inum = b })
+    | Exposure { inum; _ } | Bad_pointer { inum; _ } ->
+      if inum > 0 then begin
+        truncate_file ?observer geom image inum;
+        note (Truncated_file { inum })
       end
-    end
-  done;
-  (* settle link counts against the observed reference counts and
-     reclaim unreachable inodes *)
-  let refs, _, seen = count_refs geom image in
-  Hashtbl.iter
-    (fun inum () ->
-      match peek_dinode geom image inum with
-      | Some din when din.Types.ftype <> Types.F_free ->
-        let want = Option.value ~default:0 (Hashtbl.find_opt refs inum) in
+    | Bad_dir { inum; reason = Missing_dots } ->
+      let parent =
+        Option.value ~default:Geom.root_inum (Hashtbl.find_opt t.parent inum)
+      in
+      restore_dots ?observer geom image ~inum ~parent;
+      note (Restored_dots { inum })
+    | Bad_dir { inum; reason = Bad_dot | Unreadable_block _ } ->
+      clear_bad_dir_block ?observer geom image inum;
+      note (Cleared_dir_block { inum; ptr = 0 })
+    | Bad_dir { reason = Dir_inode_free | Unreadable_cg_header; _ }
+    | Nlink_low _ | Csum_mismatch _ ->
+      (* no inode to repair; the map rebuild rewrites every header *)
+      ()
+  in
+  (* structural rounds: each check leaves its walk in [t]. Repairs that
+     keep uncovering each other stop at the round limit, reporting
+     divergence instead of dying — the settle/reclaim passes below
+     still leave the image as sane as possible. *)
+  let rec rounds n (r : report) =
+    match List.filter structural r.violations with
+    | [] -> (n, true)
+    | vs ->
+      List.iter fix vs;
+      if n = 8 then (n + 1, false) else rounds (n + 1) (check ())
+  in
+  let initial = check () in
+  let rounds, converged = rounds 1 initial in
+  (* the last round's repairs are not in its walk yet *)
+  if not converged then ignore (check ());
+  (* settle link counts against the observed reference counts *)
+  let ninodes = Geom.total_inodes geom in
+  for i = 0 to ninodes - 1 do
+    let inum = i + Geom.root_inum in
+    if state t inum = live then
+      match Types.image_dinode geom image inum with
+      | Some din ->
+        let want = refs t inum in
         if din.Types.nlink <> want && want > 0 then begin
           note (Fixed_nlink { inum; from_ = din.Types.nlink; to_ = want });
           update_dinode ?observer geom image inum (fun d ->
               d.Types.nlink <- want)
         end
-      | Some _ | None -> ())
-    seen;
+      | None -> ()
+  done;
   (* unreachable allocated inodes: clear them (their storage is
      reclaimed by the map rebuild) *)
   let freed = ref 0 in
-  for c = 0 to Geom.cg_count geom - 1 do
-    let first = Geom.first_inum_of_cg geom c in
-    for j = 0 to geom.Geom.inodes_per_cg - 1 do
-      let inum = first + j in
-      if not (Hashtbl.mem seen inum) then
-        match peek_dinode geom image inum with
-        | Some din when din.Types.ftype <> Types.F_free ->
-          update_dinode ?observer geom image inum (fun d ->
-              d.Types.ftype <- Types.F_free;
-              d.Types.nlink <- 0;
-              Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
-              d.Types.ib <- 0;
-              d.Types.ib2 <- 0;
-              d.Types.size <- 0);
-          incr freed
-        | Some _ | None -> ()
-    done
+  for i = 0 to ninodes - 1 do
+    let inum = i + Geom.root_inum in
+    if state t inum <> live then
+      match Types.image_dinode geom image inum with
+      | Some _ ->
+        update_dinode ?observer geom image inum (fun d ->
+            d.Types.ftype <- Types.F_free;
+            d.Types.nlink <- 0;
+            Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
+            d.Types.ib <- 0;
+            d.Types.ib2 <- 0;
+            d.Types.size <- 0);
+        incr freed
+      | None -> ()
   done;
   if !freed > 0 then note (Freed_unreachable { inodes = !freed });
-  Su_core.Journaled.rebuild_maps ?observer geom image;
+  (* neither pass changed what the walk found reachable or claimed *)
+  install_maps ?observer t ~geom ~image;
   note Rebuilt_maps;
   (* resynchronise the checksum region to the repaired image: data the
      structural phase could not save is already gone (typed, reported
      above) — what matters now is that every fragment verifies so the
      volume remounts clean. One equality-suppressed write keeps the
      pass idempotent. *)
-  (match find_csum ~geom image with
+  (match Types.image_csum geom image with
    | None -> ()
    | Some (slot, ca) ->
      let fresh = Array.copy ca in
@@ -695,10 +722,5 @@ let repair ?observer ~geom ~image ~check_exposure () =
        Imglog.write ?observer image slot (Types.Csum fresh);
        note (Resynced_csums { frags = !changed })
      end);
-  let final = check ~geom ~image ~check_exposure in
-  {
-    actions = List.rev !actions;
-    final;
-    rounds = !rounds;
-    converged = !converged;
-  }
+  let final = if !writes = 0 then initial else check () in
+  { actions = List.rev !actions; initial; final; rounds; converged }

@@ -12,6 +12,18 @@
 
 open Su_fstypes
 
+(** Why a directory (or a group header) could not be read as one. *)
+type bad_dir_reason =
+  | Dir_inode_free  (** a directory reached from the root has a free inode *)
+  | Bad_dot  (** "." names some other inode *)
+  | Missing_dots  (** "." or ".." is missing *)
+  | Unreadable_block of { ptr : int }
+      (** a directory block pointer leads to something other than a
+          directory block *)
+  | Unreadable_cg_header
+      (** a cylinder-group header is unreadable; the violation's
+          [inum] is minus the group number *)
+
 type violation =
   | Dangling_entry of { dir : int; name : string; inum : int }
       (** directory entry referencing a free or garbage inode *)
@@ -24,8 +36,7 @@ type violation =
   | Exposure of { inum : int; flbn : int; frag : int }
       (** pointer to a fragment whose contents the file never wrote:
           another file's stale data is readable *)
-  | Bad_dir of { inum : int; reason : string }
-      (** unreadable directory block / missing "." or ".." *)
+  | Bad_dir of { inum : int; reason : bad_dir_reason }
   | Csum_mismatch of { frag : int }
       (** fragment content disagrees with the image's persisted
           checksum region (silent corruption the online ladder never
@@ -47,11 +58,23 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check :
   geom:Geom.t -> image:Types.cell array -> check_exposure:bool -> report
-(** Walk the directory tree from the root, verify every reachable
-    structure, then audit the allocation maps. *)
+(** Walk the directory tree from the root once, verify every reachable
+    structure, then audit the allocation maps against what the walk
+    claimed. Its working tables (4 bytes per fragment, 5 per inode) are
+    private to the call, so checks may run in several domains at once.
+    [Nlink_low] violations come in ascending inode order. *)
 
 val ok : report -> bool
 (** No violations (leaks are fine). *)
+
+val rebuild_maps :
+  ?observer:Imglog.observer -> Geom.t -> Types.cell array -> unit
+(** Rewrite every group's allocation bitmaps from one walk of the tree
+    reachable from the root: what live inodes reference is in use, the
+    rest of each data area is free (leaks are reclaimed). Headers are
+    written in group order through {!Su_fstypes.Imglog.write}; one
+    that comes out identical is not rewritten (and not observed).
+    Journal recovery runs this after replay. *)
 
 (** What {!repair} did to the image. *)
 type repair_action =
@@ -73,7 +96,12 @@ val pp_repair_action : Format.formatter -> repair_action -> unit
 
 type repair_outcome = {
   actions : repair_action list;  (** what was done, in order *)
-  final : report;  (** the re-check after repairing *)
+  initial : report;
+      (** the first round's check: the image as handed over (after any
+          {!repair_test_hook} writes), before repair touched it *)
+  final : report;
+      (** the re-check after repairing; physically [initial] when the
+          repair wrote nothing *)
   rounds : int;  (** structural repair rounds run *)
   converged : bool;
       (** [false] if structural repairs kept uncovering new damage and
@@ -94,7 +122,10 @@ val repair :
     settle link counts to the observed reference counts, reclaim
     unreachable resources and rebuild the allocation maps. Never
     raises on bad images: non-convergence is reported in the
-    outcome.
+    outcome. One tree walk per structural round: the settle, reclaim
+    and map-rebuild phases reuse the last round's walk, and a repair
+    that wrote nothing (counting {!repair_test_hook}'s writes) returns
+    its first check as [final] instead of checking again.
 
     Every cell the repair changes flows through
     {!Su_fstypes.Imglog.write}: an [observer] sees repair's own write

@@ -291,6 +291,24 @@ let dir_free_slot entries =
   in
   go 0
 
+let image_dinode (g : Geom.t) image inum =
+  if not (Geom.valid_inum g inum) then None
+  else
+    match image.(Geom.inode_block_frag g inum) with
+    | Meta (Inodes dinodes) ->
+      let d = dinodes.(Geom.inode_index_in_block g inum) in
+      if d.ftype = F_free then None else Some d
+    | Empty | Pad | Frag _ | Meta _ | Jlog _ | Rmap _ | Csum _ ->
+      (* an inode block never written reads back all-free *)
+      None
+
+let image_csum (g : Geom.t) image =
+  let rec go i =
+    if i < g.Geom.nfrags then None
+    else match image.(i) with Csum ca -> Some (i, ca) | _ -> go (i - 1)
+  in
+  go (Array.length image - 1)
+
 let stamp_matches s ~inum ~gen =
   match s with
   | Zeroed -> true

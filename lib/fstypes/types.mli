@@ -142,6 +142,21 @@ val dir_find : dirent option array -> string -> (int * dirent) option
 
 val dir_free_slot : dirent option array -> int option
 
+(** {2 Raw images}
+
+    Readers over a whole-disk [cell array] (a snapshot or crash
+    image), shared by journal recovery and fsck. *)
+
+val image_dinode : Geom.t -> cell array -> int -> dinode option
+(** The allocated dinode in slot [inum]: [None] for an invalid inode
+    number, a free slot or a never-written inode block. The result
+    aliases the image; treat it as read-only. *)
+
+val image_csum : Geom.t -> cell array -> (int * int array) option
+(** The persisted checksum region and its slot, if the image carries
+    one. It always lies past the addressable media, so the scan runs
+    backward from the end and stops at [Geom.nfrags]. *)
+
 val stamp_matches : stamp -> inum:int -> gen:int -> bool
 (** Whether a fragment's content legitimately belongs to the given
     file generation ([Zeroed] always matches: initialised storage

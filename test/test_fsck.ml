@@ -59,53 +59,65 @@ let entry_inum entries name =
   | Some (_, e) -> e.Types.inum
   | None -> Alcotest.failf "entry %s missing" name
 
+(* the inode an entry names, wherever its directory block is *)
+let inum_of image name = entry_inum (snd (find_dir_entries image name)) name
+
+let violations = Alcotest.testable Fsck.pp_violation ( = )
+
+let check_violations msg expected r =
+  Alcotest.(check (list violations)) msg expected r.Fsck.violations
+
 let test_clean_baseline () =
   let _w, image = clean_world () in
   let r = check image in
   Alcotest.(check bool) "clean" true (Fsck.ok r);
   Alcotest.(check int) "two files" 2 r.Fsck.files;
-  Alcotest.(check int) "two dirs" 2 r.Fsck.dirs
-
-let has_violation r pred = List.exists pred r.Fsck.violations
+  Alcotest.(check int) "two dirs" 2 r.Fsck.dirs;
+  Alcotest.(check int) "no leaked frags" 0 r.Fsck.leaked_frags;
+  Alcotest.(check int) "no leaked inodes" 0 r.Fsck.leaked_inodes;
+  Alcotest.(check int) "no stale-free" 0 r.Fsck.stale_free;
+  Alcotest.(check int) "no nlink high" 0 r.Fsck.nlink_high
 
 let test_detects_dangling_entry () =
   let _w, image = clean_world () in
-  let frag, entries = find_dir_entries image "a" in
-  let inum = entry_inum entries "a" in
+  let id = inum_of image "d" in
+  let inum = inum_of image "a" in
   (* free the inode behind the entry *)
   let d = dinode_of image inum in
   d.Types.ftype <- Types.F_free;
-  ignore frag;
   let r = check image in
-  Alcotest.(check bool) "dangling detected" true
-    (has_violation r (function
-      | Fsck.Dangling_entry { inum = i; _ } -> i = inum
-      | _ -> false))
+  check_violations "dangling entry"
+    [ Fsck.Dangling_entry { dir = id; name = "a"; inum } ] r;
+  (* its inode and 4 KB of data are still marked in use *)
+  Alcotest.(check int) "leaked inode" 1 r.Fsck.leaked_inodes;
+  Alcotest.(check int) "leaked frags" 4 r.Fsck.leaked_frags
 
 let test_detects_cross_allocation () =
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" and ib = entry_inum entries "b" in
+  let ia = inum_of image "a" and ib = inum_of image "b" in
   let da = dinode_of image ia and db_ = dinode_of image ib in
-  (* make b's first block point at a's first block *)
-  db_.Types.db.(0) <- da.Types.db.(0);
+  (* make b's first (full) block start at a's 4-fragment block *)
+  let a0 = da.Types.db.(0) in
+  db_.Types.db.(0) <- a0;
   let r = check ~exposure:false image in
-  Alcotest.(check bool) "cross allocation detected" true
-    (has_violation r (function Fsck.Cross_allocated _ -> true | _ -> false))
+  (* a is named first, so it owns the fragments; a data extent is
+     claimed twice (for the extent, then by the stamp check), so each
+     shared fragment is reported twice *)
+  let shared =
+    List.init 4 (fun i -> Fsck.Cross_allocated { frag = a0 + i; owners = (ia, ib) })
+  in
+  check_violations "cross allocation" (shared @ shared) r
 
 let test_detects_nlink_low () =
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" in
+  let ia = inum_of image "a" in
   (dinode_of image ia).Types.nlink <- 0;
   let r = check image in
-  Alcotest.(check bool) "nlink low detected" true
-    (has_violation r (function Fsck.Nlink_low _ -> true | _ -> false))
+  check_violations "nlink low" [ Fsck.Nlink_low { inum = ia; nlink = 0; refs = 1 } ] r
 
 let test_detects_referenced_free_frag () =
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" in
+  let ia = inum_of image "a" in
   let frag0 = (dinode_of image ia).Types.db.(0) in
   (* clear the fragment's bits in its group's map *)
   let c = Geom.cg_of_frag geom frag0 in
@@ -118,18 +130,17 @@ let test_detects_referenced_free_frag () =
    | _ -> Alcotest.fail "no cg header");
   let r = check image in
   Alcotest.(check bool) "stale-free is repairable" true (Fsck.ok r);
-  Alcotest.(check bool) "stale-free counted" true (r.Fsck.stale_free >= 4)
+  Alcotest.(check int) "stale-free counted" 4 r.Fsck.stale_free;
+  Alcotest.(check int) "nothing leaked" 0 r.Fsck.leaked_frags
 
 let test_detects_exposure () =
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" in
+  let ia = inum_of image "a" in
   let frag0 = (dinode_of image ia).Types.db.(0) in
   (* overwrite a data fragment with another file's stamp *)
   image.(frag0) <- Types.Frag (Types.Written { inum = 999; gen = 7; flbn = 0 });
   let r = check ~exposure:true image in
-  Alcotest.(check bool) "exposure detected" true
-    (has_violation r (function Fsck.Exposure _ -> true | _ -> false));
+  check_violations "exposure" [ Fsck.Exposure { inum = ia; flbn = 0; frag = frag0 } ] r;
   (* and ignored when initialisation is not promised *)
   let r = check ~exposure:false image in
   Alcotest.(check bool) "exposure not checked" true (Fsck.ok r)
@@ -137,36 +148,212 @@ let test_detects_exposure () =
 let test_detects_leaks () =
   let _w, image = clean_world () in
   let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" in
   (* drop the entry: inode and blocks leak (repairable, not violations) *)
   (match Types.dir_find entries "a" with
    | Some (slot, _) -> entries.(slot) <- None
    | None -> ());
-  ignore ia;
   let r = check image in
   Alcotest.(check bool) "leaks are not violations" true (Fsck.ok r);
-  Alcotest.(check bool) "leaked inode counted" true (r.Fsck.leaked_inodes >= 1);
-  Alcotest.(check bool) "leaked frags counted" true (r.Fsck.leaked_frags >= 1)
+  Alcotest.(check int) "leaked inode counted" 1 r.Fsck.leaked_inodes;
+  Alcotest.(check int) "leaked frags counted" 4 r.Fsck.leaked_frags;
+  Alcotest.(check int) "one file left" 1 r.Fsck.files
+
+let test_detects_bad_pointer () =
+  let _w, image = clean_world () in
+  let ia = inum_of image "a" in
+  (* point a's data at a group header: outside every data area *)
+  let hdr = Geom.cg_header_frag geom 1 in
+  (dinode_of image ia).Types.db.(0) <- hdr;
+  let r = check ~exposure:false image in
+  let bad = List.init 4 (fun i -> Fsck.Bad_pointer { inum = ia; lbn = -1; ptr = hdr + i }) in
+  check_violations "bad pointer (extent, then stamp check)" (bad @ bad) r;
+  Alcotest.(check int) "a's old block leaks" 4 r.Fsck.leaked_frags
+
+let bad_dir inum reason = Fsck.Bad_dir { inum; reason }
 
 let test_detects_bad_dir () =
+  let root = Geom.root_inum in
+  (* a block pointer to something that is not a directory block: a
+     free block at the end of the last group's data area *)
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "d" in
-  let id = entry_inum entries "d" in
-  let dd = dinode_of image id in
-  (* smash the directory's block pointer to unwritten space *)
-  dd.Types.db.(0) <- dd.Types.db.(0) + 8;
+  let id = inum_of image "d" in
+  let ptr = geom.Geom.nfrags - geom.Geom.frags_per_block in
+  (dinode_of image id).Types.db.(0) <- ptr;
   let r = check ~exposure:false image in
-  Alcotest.(check bool) "bad dir detected" true
-    (has_violation r (function Fsck.Bad_dir _ -> true | _ -> false))
+  check_violations "unreadable block" [ bad_dir id (Fsck.Unreadable_block { ptr }) ] r;
+  Alcotest.(check string) "unreadable block text"
+    (Printf.sprintf "directory %d: unreadable block at %d" id ptr)
+    (Format.asprintf "%a" Fsck.pp_violation (List.hd r.Fsck.violations));
+  (* ".." missing *)
+  let _w, image = clean_world () in
+  let id = inum_of image "d" in
+  let d_block = (dinode_of image id).Types.db.(0) in
+  (match image.(d_block) with
+   | Types.Meta (Types.Dir entries) -> (
+     match Types.dir_find entries ".." with
+     | Some (slot, _) -> entries.(slot) <- None
+     | None -> Alcotest.fail "no \"..\"")
+   | _ -> Alcotest.fail "d's block unreadable");
+  let r = check image in
+  check_violations "missing dots" [ bad_dir id Fsck.Missing_dots ] r;
+  Alcotest.(check int) "root has one reference fewer" 1 r.Fsck.nlink_high;
+  (* "." naming the root: the root gains a reference *)
+  let _w, image = clean_world () in
+  let id = inum_of image "d" in
+  let d_block = (dinode_of image id).Types.db.(0) in
+  (match image.(d_block) with
+   | Types.Meta (Types.Dir entries) -> (
+     match Types.dir_find entries "." with
+     | Some (slot, _) -> entries.(slot) <- Some { Types.name = "."; inum = root }
+     | None -> Alcotest.fail "no \".\"")
+   | _ -> Alcotest.fail "d's block unreadable");
+  let r = check image in
+  let root_nlink = (dinode_of image root).Types.nlink in
+  check_violations "bad dot"
+    [
+      bad_dir id Fsck.Bad_dot;
+      Fsck.Nlink_low { inum = root; nlink = root_nlink; refs = root_nlink + 1 };
+    ]
+    r;
+  (* a free root *)
+  let _w, image = clean_world () in
+  (dinode_of image root).Types.ftype <- Types.F_free;
+  let r = check image in
+  check_violations "free root" [ bad_dir root Fsck.Dir_inode_free ] r;
+  Alcotest.(check int) "nothing reachable" 0 (r.Fsck.files + r.Fsck.dirs);
+  Alcotest.(check int) "every inode leaks" 4 r.Fsck.leaked_inodes
+
+let test_detects_unreadable_cg_header () =
+  let _w, image = clean_world () in
+  image.(Geom.cg_header_frag geom 1) <- Types.Empty;
+  let r = check image in
+  check_violations "cg header" [ bad_dir (-1) Fsck.Unreadable_cg_header ] r;
+  Alcotest.(check string) "text unchanged"
+    "directory -1: unreadable cylinder-group header"
+    (Format.asprintf "%a" Fsck.pp_violation (List.hd r.Fsck.violations))
 
 let test_nlink_high_repairable () =
   let _w, image = clean_world () in
-  let _, entries = find_dir_entries image "a" in
-  let ia = entry_inum entries "a" in
+  let ia = inum_of image "a" in
   (dinode_of image ia).Types.nlink <- 5;
   let r = check image in
   Alcotest.(check bool) "no violation" true (Fsck.ok r);
-  Alcotest.(check bool) "counted as repairable" true (r.Fsck.nlink_high >= 1)
+  Alcotest.(check int) "counted as repairable" 1 r.Fsck.nlink_high
+
+(* Repair's first round is its initial report; a repair that changed
+   nothing hands that same report back instead of checking again. *)
+let test_repair_reuses_initial_check () =
+  let _w, image = clean_world () in
+  let o = Fsck.repair ~geom ~image ~check_exposure:true () in
+  Alcotest.(check bool) "clean image: final is initial" true
+    (o.Fsck.final == o.Fsck.initial);
+  Alcotest.(check bool) "and clean" true (Fsck.ok o.Fsck.final);
+  let _w, image = clean_world () in
+  let ia = inum_of image "a" in
+  (dinode_of image ia).Types.nlink <- 0;
+  let o = Fsck.repair ~geom ~image ~check_exposure:true () in
+  check_violations "initial is the pre-repair check"
+    [ Fsck.Nlink_low { inum = ia; nlink = 0; refs = 1 } ]
+    o.Fsck.initial;
+  Alcotest.(check bool) "a repair that wrote re-checks" true
+    (o.Fsck.final != o.Fsck.initial && Fsck.ok o.Fsck.final)
+
+(* The last inode number owning the last data fragment: the tables'
+   far ends, through check, cross-allocation and the map rebuild. *)
+let test_table_extremes () =
+  let _w, image = clean_world () in
+  let top = Geom.root_inum + Geom.total_inodes geom - 1 in
+  let last = geom.Geom.nfrags - 1 in
+  let blk = last - geom.Geom.frags_per_block + 1 in
+  let ia = inum_of image "a" in
+  let file ~gen =
+    let d = Types.free_dinode geom in
+    d.Types.ftype <- Types.F_reg;
+    d.Types.nlink <- 1;
+    d.Types.gen <- gen;
+    d.Types.size <- Geom.block_bytes geom;
+    d.Types.db.(0) <- blk;
+    d
+  in
+  let ib = Geom.inode_block_frag geom top in
+  (match Types.fresh_inode_block geom with
+   | Types.Inodes dinodes as m ->
+     dinodes.(Geom.inode_index_in_block geom top) <- file ~gen:1;
+     image.(ib) <- Types.Meta m
+   | _ -> assert false);
+  for f = blk to last do
+    image.(f) <- Types.Frag (Types.Written { inum = top; gen = 1; flbn = f - blk })
+  done;
+  (* named from the root, so it is walked (and claims) before /d/a *)
+  let _, root_entries = find_dir_entries image "d" in
+  (match Types.dir_free_slot root_entries with
+   | Some s -> root_entries.(s) <- Some { Types.name = "top"; inum = top }
+   | None -> Alcotest.fail "directory full");
+  let r = check image in
+  check_violations "top inode owns the last block" [] r;
+  Alcotest.(check int) "three files" 3 r.Fsck.files;
+  Alcotest.(check int) "unmarked in the maps" 9 r.Fsck.stale_free;
+  (* a also claims the last fragment: the owner table names [top] *)
+  (dinode_of image ia).Types.db.(1) <- last;
+  (dinode_of image ia).Types.size <- Geom.block_bytes geom + 1024;
+  let r = check ~exposure:false image in
+  let shared = Fsck.Cross_allocated { frag = last; owners = (top, ia) } in
+  check_violations "last fragment first owned by the top inode" [ shared; shared ] r;
+  (dinode_of image ia).Types.db.(1) <- 0;
+  (dinode_of image ia).Types.size <- 4096;
+  let o = Fsck.repair ~geom ~image ~check_exposure:true () in
+  Alcotest.(check bool) "repaired clean" true (Fsck.ok o.Fsck.final);
+  Alcotest.(check int) "maps now mark both" 0 o.Fsck.final.Fsck.stale_free;
+  match image.(Geom.cg_header_frag geom (Geom.cg_count geom - 1)) with
+  | Types.Meta (Types.Cgroup cg) ->
+    Alcotest.(check char) "last inode marked" '\001'
+      (Bytes.get cg.Types.inode_map (geom.Geom.inodes_per_cg - 1));
+    Alcotest.(check char) "last fragment marked" '\001'
+      (Bytes.get cg.Types.frag_map (geom.Geom.cg_frags - 1))
+  | _ -> Alcotest.fail "last group header unreadable"
+
+(* The explorer takes its pre-repair count from repair's first round:
+   it must equal a standalone check of the same crash state. *)
+let test_verify_state_pre_matches_check () =
+  let schemes = Fs.all_schemes @ [ Fs.Journaled { group_commit = true } ] in
+  let dirty = ref 0 in
+  List.iter
+    (fun scheme ->
+      let cfg =
+        {
+          (Fs.config ~scheme ()) with
+          Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
+          cache_mb = 4;
+          journal_mb = 2;
+        }
+      in
+      let check_exposure = Su_check.Explorer.check_exposure_of cfg in
+      List.iter
+        (fun wl ->
+          let r = Su_check.Explorer.record ~cfg wl in
+          let cur =
+            Su_check.Delta.cursor ~initial:r.Su_check.Explorer.rec_initial
+              ~log:r.Su_check.Explorer.rec_deltas
+          in
+          Array.iter
+            (fun ((boundary, torn) as state) ->
+              let image = Su_check.Explorer.materialize cur state in
+              Fs.recover_image cfg image;
+              let standalone = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure in
+              if not (Fsck.ok standalone) then incr dirty;
+              let v =
+                Su_check.Explorer.verify_state ~cfg ~boundary ~torn
+                  (Su_check.Explorer.materialize cur state)
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s/%s k=%d pre-violations" (Fs.scheme_kind_name scheme)
+                   wl.Su_check.Explorer.wl_name boundary)
+                (List.length standalone.Fsck.violations)
+                v.Su_check.Explorer.v_pre_violations)
+            (Su_check.Explorer.crash_states ~max_boundaries:6 r))
+        Su_check.Explorer.builtin_workloads)
+    schemes;
+  Alcotest.(check bool) "some states were dirty" true (!dirty > 0)
 
 let suite =
   [
@@ -181,4 +368,12 @@ let suite =
     Alcotest.test_case "leaks are repairable" `Quick test_detects_leaks;
     Alcotest.test_case "detects bad dir" `Quick test_detects_bad_dir;
     Alcotest.test_case "nlink high repairable" `Quick test_nlink_high_repairable;
+    Alcotest.test_case "detects bad pointer" `Quick test_detects_bad_pointer;
+    Alcotest.test_case "detects unreadable cg header" `Quick
+      test_detects_unreadable_cg_header;
+    Alcotest.test_case "repair reuses its initial check" `Quick
+      test_repair_reuses_initial_check;
+    Alcotest.test_case "tables at their far ends" `Quick test_table_extremes;
+    Alcotest.test_case "verify_state pre count matches check" `Slow
+      test_verify_state_pre_matches_check;
   ]

@@ -199,6 +199,39 @@ let test_mount_image_roundtrip () =
       Alcotest.(check bool) "clean" true (Fsck.ok r);
       Alcotest.(check int) "two files" 2 r.Fsck.files)
 
+let test_remount_retires_stale_log () =
+  (* a mount must not leave the previous mount's log behind: the new
+     journal restarts at sequence zero, so the old records would replay
+     last at the next recovery, over the newer metadata *)
+  let cfg = small_config jsync in
+  let w = Fs.make cfg in
+  run_world w (fun () ->
+      let st = w.Fs.st in
+      Fsops.mkdir st "/d";
+      for i = 1 to 30 do
+        Fsops.create st (Printf.sprintf "/d/f%d" i)
+      done;
+      (* logged last, so the new mount's few records overwrite none
+         of the records for /d/a *)
+      Fsops.create st "/d/a";
+      Fsops.append st "/d/a" ~bytes:2048;
+      Fsops.sync st);
+  let image = Su_disk.Disk.image_snapshot w.Fs.disk in
+  let holds_log img =
+    Array.exists (function Su_fstypes.Types.Jlog _ -> true | _ -> false) img
+  in
+  Alcotest.(check bool) "synced image still holds its log" true (holds_log image);
+  let w2 = Fs.mount_image cfg image in
+  Alcotest.(check bool) "the caller's image is not modified" true (holds_log image);
+  run_world w2 (fun () ->
+      Fsops.append w2.Fs.st "/d/a" ~bytes:1024;
+      Fsops.sync w2.Fs.st);
+  let final = Su_disk.Disk.image_snapshot w2.Fs.disk in
+  Fs.recover_image cfg final;
+  let w3 = Fs.mount_image cfg final in
+  let size = run_world w3 (fun () -> (Fsops.stat w3.Fs.st "/d/a").Fsops.st_size) in
+  Alcotest.(check int) "the append survives replay" 3072 size
+
 let test_journal_wrap_checkpoint () =
   (* a tiny log forces wrap-around checkpoints *)
   let cfg = { (small_config jsync) with Fs.journal_mb = 1 } in
@@ -274,6 +307,8 @@ let suite =
     Alcotest.test_case "repair idempotent on clean" `Quick
       test_repair_idempotent_on_clean;
     Alcotest.test_case "mount image roundtrip" `Quick test_mount_image_roundtrip;
+    Alcotest.test_case "remount retires the stale log" `Quick
+      test_remount_retires_stale_log;
     Alcotest.test_case "journal wrap checkpoint" `Quick
       test_journal_wrap_checkpoint;
   ]
