@@ -412,11 +412,9 @@ let crash_cmd =
     if do_repair then begin
       let image = Su_disk.Disk.image_snapshot w.Fs.disk in
       Fs.recover_image cfg image;
-      let check_exposure =
-        match cfg.Fs.scheme with Fs.Journaled _ -> false | _ -> cfg.Fs.alloc_init
-      in
       let { Fsck.actions; final; converged; _ } =
-        Fsck.repair ~geom:cfg.Fs.geom ~image ~check_exposure ()
+        Fsck.repair ~geom:cfg.Fs.geom ~image
+          ~check_exposure:(Fs.check_exposure cfg) ()
       in
       Printf.printf "\n# repair\n";
       List.iter (fun a -> Format.printf "  %a@." Fsck.pp_repair_action a) actions;
@@ -430,31 +428,172 @@ let crash_cmd =
     (Cmd.info "crash" ~doc:"Crash a workload mid-flight, fsck and optionally repair.")
     Term.(const run $ scheme_arg $ seed_arg $ time_arg $ alloc_init_arg $ repair_arg)
 
+(* --- the sweep campaigns: shared terms and one row loop ---------------
+
+   crashsweep, faultsweep and corruptsweep sweep every scheme x workload
+   row on the same compact volume and report through the same table,
+   JSON document and exit path; fuzz shares the scheme list, --jobs,
+   --fail-fast and the volume. *)
+
+let default_schemes = Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
+
+let schemes_arg =
+  Term.(
+    const (Option.value ~default:default_schemes)
+    $ Arg.(
+        value
+        & opt (some (list scheme_conv)) None
+        & info [ "schemes" ]
+            ~doc:
+              "Comma-separated schemes to sweep (default: the paper's five \
+               plus journaled)."))
+
+let workloads_arg =
+  Arg.(
+    value
+    & opt (list string)
+        (List.map
+           (fun w -> w.Su_check.Explorer.wl_name)
+           Su_check.Explorer.builtin_workloads)
+    & info [ "w"; "workloads" ]
+        ~doc:
+          "Comma-separated built-in workloads: smallfiles, dirtree, \
+           renamefile, renamedir.")
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (nonneg_conv "jobs") 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default 1 = serial; 0 = one per core, \
+           Domain.recommended_domain_count). The output is byte-identical \
+           at any $(docv).")
+
+let cap_arg name ~doc =
+  Arg.(
+    value & opt (some (nonneg_conv name)) None & info [ name ] ~docv:"N" ~doc)
+
+let no_torn_arg =
+  Arg.(
+    value & flag
+    & info [ "no-torn" ]
+        ~doc:"Skip torn mid-write states (sector-atomic crashes only).")
+
+let fail_fast_arg =
+  Arg.(
+    value & flag
+    & info [ "fail-fast" ]
+        ~doc:"Stop at the first row (or case) that misses its promise.")
+
+let sweep_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"PATH"
+        ~doc:
+          "Also write the sweep summaries (one object per scheme x workload \
+           row, with the verdict) as JSON to $(docv).")
+
+(* A compact volume keeps each per-state or per-injection pipeline
+   (run, fsck, repair, remount, continue) cheap enough to repeat at
+   every write boundary or touched sector. *)
+let sweep_cfg scheme =
+  {
+    (Fs.config ~scheme ()) with
+    Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
+    cache_mb = 4;
+    journal_mb = 2;
+  }
+
+let resolve_workloads ~cmd find names =
+  let found =
+    List.filter_map
+      (fun name ->
+        match find name with
+        | Some w -> Some w
+        | None ->
+          Printf.eprintf "unknown workload %S (skipped)\n" name;
+          None)
+      names
+  in
+  if found = [] then begin
+    prerr_endline (cmd ^ ": no valid workloads left to sweep");
+    exit 2
+  end;
+  found
+
+(* One integer column of a sweep summary: its table header, if the
+   table shows it, and its JSON key. *)
+type 's column = { header : string option; key : string; get : 's -> int }
+
+let col ?(shown = true) ?header key get =
+  let header = Option.value header ~default:key in
+  { header = (if shown then Some header else None); key; get }
+
+(* Sweep every scheme x workload row: [sweep scheme wl] returns the
+   row's summary, its verdict text and whether it met its promise.
+   Prints the table (a failing row's verdict marked with * ), writes
+   the JSON document and exits 1 if any row failed. *)
+let run_sweeps ~cmd ~title ~columns ?(json_verdict = false) ~json_header
+    ~fail_fast ~json_path ~schemes ~workloads ~workload_name sweep =
+  let table =
+    Su_util.Text_table.create ~title
+      ~headers:
+        (("scheme" :: "workload" :: List.filter_map (fun c -> c.header) columns)
+        @ [ "verdict" ])
+  in
+  let rows = ref [] in
+  (try
+     List.iter
+       (fun scheme ->
+         List.iter
+           (fun wl ->
+             let s, verdict, ok = sweep scheme wl in
+             rows := (scheme, workload_name s, s, verdict, ok) :: !rows;
+             Su_util.Text_table.add_row table
+               ((Fs.scheme_kind_name scheme :: workload_name s
+                :: List.filter_map
+                     (fun c ->
+                       Option.map
+                         (fun _ -> Su_util.Text_table.cell_i (c.get s))
+                         c.header)
+                     columns)
+               @ [ (if ok then verdict else verdict ^ " *") ]);
+             if fail_fast && not ok then raise Exit)
+           workloads)
+       schemes
+   with Exit -> ());
+  Su_util.Text_table.print table;
+  let failed = List.exists (fun (_, _, _, _, ok) -> not ok) !rows in
+  (match json_path with
+   | None -> ()
+   | Some path ->
+     let open Su_obs.Json in
+     let row_json (scheme, workload, s, verdict, ok) =
+       Obj
+         ((("scheme", Str (Fs.scheme_kind_name scheme))
+           :: ("workload", Str workload)
+           :: List.map (fun c -> (c.key, Int (c.get s))) columns)
+         @ (if json_verdict then [ ("verdict", Str verdict) ] else [])
+         @ [ ("ok", Bool ok) ])
+     in
+     write_json_file path
+       (Obj
+          ((("campaign", Str cmd) :: json_header)
+          @ [
+              ("ok", Bool (not failed));
+              ("sweeps", List (List.rev_map row_json !rows));
+            ])));
+  if failed then begin
+    prerr_endline
+      (if fail_fast then
+         cmd ^ ": violation found (stopped early; * marks the failing row)"
+       else cmd ^ ": violation found (* marks failing rows)");
+    exit 1
+  end
+
 let crashsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (list string) [ "smallfiles"; "dirtree"; "renamefile"; "renamedir" ]
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated built-in workloads: smallfiles, dirtree, \
-             renamefile, renamedir.")
-  in
-  let no_torn_arg =
-    Arg.(
-      value & flag
-      & info [ "no-torn" ]
-          ~doc:"Skip torn mid-write states (sector-atomic crashes only).")
-  in
   let faults_arg =
     Arg.(
       value & flag
@@ -468,23 +607,11 @@ let crashsweep_cmd =
       value & opt float 0.1
       & info [ "fault-rate" ] ~doc:"Transient failure probability per request.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for per-state verification (default 1 = serial; \
-             0 = one per core, Domain.recommended_domain_count). Verdicts \
-             and output are byte-identical at any value.")
-  in
   let max_boundaries_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-boundaries" ]
-          ~doc:
-            "Cap the write boundaries explored per sweep (smoke runs; \
-             default: all).")
+    cap_arg "max-boundaries"
+      ~doc:
+        "Cap the write boundaries explored per sweep (smoke runs; default: \
+         all)."
   in
   let nested_arg =
     Arg.(
@@ -495,12 +622,6 @@ let crashsweep_cmd =
              boundaries, for every outer crash state, and require recovery \
              to be re-entrant: each nested state must settle in one round \
              and reach the write-free fixed point by the second.")
-  in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first sweep that misses its expected verdict.")
   in
   let demand_arg =
     Arg.(
@@ -514,157 +635,59 @@ let crashsweep_cmd =
              repairability; $(b,consistent) holds every swept scheme to \
              consistency (so sweeping no-order deliberately fails).")
   in
-  let sweep_cfg scheme =
-    (* a compact volume keeps the per-state pipeline (copy, fsck,
-       repair, remount, continue) cheap enough to run at every write
-       boundary *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
   let run schemes workload_names no_torn faults fault_rate jobs max_boundaries
       nested fail_fast demand json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
+    let module E = Su_check.Explorer in
     let workloads =
-      List.filter_map
-        (fun name ->
-          match Su_check.Explorer.find_workload name with
-          | Some w -> Some w
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
+      resolve_workloads ~cmd:"crashsweep" E.find_workload workload_names
     in
-    if workloads = [] then begin
-      prerr_endline "crashsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf "crash sweep: every write boundary%s%s"
-             (if no_torn then "" else " + torn states")
-             (if nested then " + crashes during recovery" else ""))
-        ~headers:
-          ([
-             "scheme"; "workload"; "writes"; "states"; "torn"; "violated";
-             "unrepaired"; "remount-fail";
-           ]
-          @ (if nested then [ "nested"; "nested-fail" ] else [])
-          @ [ "verdict" ])
+    let columns =
+      [
+        col "writes" (fun s -> s.E.s_writes);
+        col "states" (fun s -> s.E.s_states);
+        col ~header:"torn" "torn_states" (fun s -> s.E.s_torn_states);
+        col ~header:"violated" "dirty_states" (fun s -> s.E.s_dirty_states);
+        col "unrepaired" (fun s -> s.E.s_unrepaired);
+        col ~header:"remount-fail" "remount_failures" (fun s ->
+            s.E.s_remount_failures);
+        col ~shown:nested ~header:"nested" "nested_states" (fun s ->
+            s.E.s_nested_states);
+        col ~shown:nested ~header:"nested-fail" "nested_failures" (fun s ->
+            s.E.s_nested_unrecovered + s.E.s_nested_unsettled);
+      ]
     in
-    (* No Order promises only repairability; every ordered scheme (and
-       the journal) must come through consistent. *)
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun wl ->
-               let s =
-                 Su_check.Explorer.sweep ~torn:(not no_torn) ~jobs
-                   ?max_boundaries ~nested ~cfg:(sweep_cfg scheme) wl
-               in
-               let ok =
-                 match (demand, scheme) with
-                 | `Consistent, _ -> Su_check.Explorer.consistent s
-                 | `Default, Fs.No_order -> Su_check.Explorer.repairable s
-                 | `Default, _ -> Su_check.Explorer.consistent s
-               in
-               let verdict =
-                 if Su_check.Explorer.consistent s then "consistent"
-                 else if Su_check.Explorer.repairable s then "repairable"
-                 else "BROKEN"
-               in
-               rows := (scheme, s, verdict, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 ([
-                    Fs.scheme_kind_name scheme;
-                    s.Su_check.Explorer.s_workload;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_writes;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_torn_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_dirty_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_unrepaired;
-                    Su_util.Text_table.cell_i
-                      s.Su_check.Explorer.s_remount_failures;
-                  ]
-                 @ (if nested then
-                      [
-                        Su_util.Text_table.cell_i
-                          s.Su_check.Explorer.s_nested_states;
-                        Su_util.Text_table.cell_i
-                          (s.Su_check.Explorer.s_nested_unrecovered
-                          + s.Su_check.Explorer.s_nested_unsettled);
-                      ]
-                    else [])
-                 @ [ (if ok then verdict else verdict ^ " *") ]);
-               if not ok then begin
-                 failed := true;
-                 if fail_fast then raise Exit
-               end)
-             workloads)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, verdict, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Explorer.s_workload);
-             ("writes", Int s.Su_check.Explorer.s_writes);
-             ("states", Int s.Su_check.Explorer.s_states);
-             ("torn_states", Int s.Su_check.Explorer.s_torn_states);
-             ("dirty_states", Int s.Su_check.Explorer.s_dirty_states);
-             ("unrepaired", Int s.Su_check.Explorer.s_unrepaired);
-             ("remount_failures", Int s.Su_check.Explorer.s_remount_failures);
-             ("nested_states", Int s.Su_check.Explorer.s_nested_states);
-             ( "nested_failures",
-               Int
-                 (s.Su_check.Explorer.s_nested_unrecovered
-                 + s.Su_check.Explorer.s_nested_unsettled) );
-             ("verdict", Str verdict);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "crashsweep");
-              ("torn", Bool (not no_torn));
-              ("nested", Bool nested);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "crashsweep: violation found (stopped early; * marks the failing \
-            row)"
-         else "crashsweep: violation found (* marks failing rows)");
-      exit 1
-    end;
+    run_sweeps ~cmd:"crashsweep"
+      ~title:
+        (Printf.sprintf "crash sweep: every write boundary%s%s"
+           (if no_torn then "" else " + torn states")
+           (if nested then " + crashes during recovery" else ""))
+      ~columns ~json_verdict:true
+      ~json_header:
+        [
+          ("torn", Su_obs.Json.Bool (not no_torn));
+          ("nested", Su_obs.Json.Bool nested);
+        ]
+      ~fail_fast ~json_path ~schemes ~workloads
+      ~workload_name:(fun s -> s.E.s_workload)
+      (fun scheme wl ->
+        let s =
+          E.sweep ~torn:(not no_torn) ~jobs ?max_boundaries ~nested
+            ~cfg:(sweep_cfg scheme) wl
+        in
+        (* No Order promises only repairability; every ordered scheme
+           (and the journal) must come through consistent. *)
+        let ok =
+          match (demand, scheme) with
+          | `Consistent, _ -> E.consistent s
+          | `Default, Fs.No_order -> E.repairable s
+          | `Default, _ -> E.consistent s
+        in
+        let verdict =
+          if E.consistent s then "consistent"
+          else if E.repairable s then "repairable"
+          else "BROKEN"
+        in
+        (s, verdict, ok));
     if faults then begin
       let table =
         Su_util.Text_table.create
@@ -688,24 +711,20 @@ let crashsweep_cmd =
                     Su_disk.Fault.transient ~seed:97 ~rate:fault_rate ();
                 }
               in
-              let f = Su_check.Explorer.fault_shakedown ~cfg wl in
+              let f = E.fault_shakedown ~cfg wl in
               let verdict =
-                if
-                  f.Su_check.Explorer.f_completed
-                  && f.Su_check.Explorer.f_consistent
-                  && f.Su_check.Explorer.f_failures = 0
+                if f.E.f_completed && f.E.f_consistent && f.E.f_failures = 0
                 then "rode it out"
                 else "BROKEN"
               in
               Su_util.Text_table.add_row table
                 [
                   Fs.scheme_kind_name scheme;
-                  wl.Su_check.Explorer.wl_name;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_injected;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_retries;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_failures;
-                  Su_util.Text_table.cell_i
-                    f.Su_check.Explorer.f_cache_failures;
+                  wl.E.wl_name;
+                  Su_util.Text_table.cell_i f.E.f_injected;
+                  Su_util.Text_table.cell_i f.E.f_retries;
+                  Su_util.Text_table.cell_i f.E.f_failures;
+                  Su_util.Text_table.cell_i f.E.f_cache_failures;
                   verdict;
                 ])
             workloads)
@@ -723,450 +742,153 @@ let crashsweep_cmd =
     Term.(
       const run $ schemes_arg $ workloads_arg $ no_torn_arg $ faults_arg
       $ fault_rate_arg $ jobs_arg $ max_boundaries_arg $ nested_arg
-      $ fail_fast_arg $ demand_arg $ json_arg)
+      $ fail_fast_arg $ demand_arg $ sweep_json_arg)
 
-let faultsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (list string) [ "smallfiles"; "dirtree"; "renamefile"; "renamedir" ]
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated built-in workloads: smallfiles, dirtree, \
-             renamefile, renamedir.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for the per-sector runs (default 1 = serial; 0 \
-             = one per core). Verdicts and output are byte-identical at any \
-             value.")
-  in
-  let max_sectors_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-sectors" ]
-          ~doc:
-            "Cap the sectors injected per sweep (smoke runs; default: every \
-             touched sector).")
-  in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first verdict that breaks survive-or-fail-clean.")
-  in
-  let sweep_cfg scheme =
-    (* compact volume, as in crashsweep: the campaign re-runs the
-       whole workload once per touched sector *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
-  let run schemes workload_names jobs spares max_sectors fail_fast json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
-    let workloads =
-      List.filter_map
-        (fun name ->
-          match Su_check.Explorer.find_workload name with
-          | Some w -> Some w
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
-    in
-    if workloads = [] then begin
-      prerr_endline "faultsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf
-             "fault sweep: a permanent bad sector at every touched fragment \
-              (%d spares)"
-             spares)
-        ~headers:
-          [
-            "scheme"; "workload"; "sectors"; "swept"; "completed"; "typed";
-            "escaped"; "remaps"; "violations"; "verdict";
-          ]
-    in
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun wl ->
-               let s =
-                 Su_check.Faultsweep.sweep ~jobs ~spares ?max_sectors
-                   ~fail_fast ~cfg:(sweep_cfg scheme) wl
-               in
-               let ok = Su_check.Faultsweep.ok s in
-               rows := (scheme, s, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 [
-                   Fs.scheme_kind_name scheme;
-                   s.Su_check.Faultsweep.fs_workload;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_sectors;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_swept;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_completed;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Faultsweep.fs_failed_typed;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_escaped;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_remaps;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Faultsweep.fs_violations;
-                   (if ok then "survives-or-fails-clean" else "BROKEN *");
-                 ];
-               if not ok then begin
-                 failed := true;
-                 List.iter
-                   (fun v ->
-                     if not (Su_check.Faultsweep.fv_clean v) then
-                       Printf.eprintf
-                         "  %s/%s sector %d: %s%s (pre %d, converged %b, \
-                          post %d, remount %b)\n"
-                         (Fs.scheme_kind_name scheme)
-                         s.Su_check.Faultsweep.fs_workload
-                         v.Su_check.Faultsweep.fv_sector
-                         (Su_check.Faultsweep.outcome_name
-                            v.Su_check.Faultsweep.fv_outcome)
-                         (match v.Su_check.Faultsweep.fv_outcome with
-                          | Su_check.Faultsweep.Failed_typed m
-                          | Su_check.Faultsweep.Escaped m ->
-                            " [" ^ m ^ "]"
-                          | Su_check.Faultsweep.Completed -> "")
-                         v.Su_check.Faultsweep.fv_pre_violations
-                         v.Su_check.Faultsweep.fv_repair_converged
-                         v.Su_check.Faultsweep.fv_post_violations
-                         v.Su_check.Faultsweep.fv_remount_ok)
-                   s.Su_check.Faultsweep.fs_verdicts;
-                 if fail_fast then raise Exit
-               end)
-             workloads)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Faultsweep.fs_workload);
-             ("sectors", Int s.Su_check.Faultsweep.fs_sectors);
-             ("swept", Int s.Su_check.Faultsweep.fs_swept);
-             ("completed", Int s.Su_check.Faultsweep.fs_completed);
-             ("failed_typed", Int s.Su_check.Faultsweep.fs_failed_typed);
-             ("escaped", Int s.Su_check.Faultsweep.fs_escaped);
-             ("remaps", Int s.Su_check.Faultsweep.fs_remaps);
-             ("violations", Int s.Su_check.Faultsweep.fs_violations);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "faultsweep");
-              ("spares", Int spares);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "faultsweep: violation found (stopped early; * marks the failing \
-            row)"
-         else "faultsweep: violation found (* marks failing rows)");
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "faultsweep"
-       ~doc:
-         "Systematically inject a permanent bad sector at every distinct \
-          fragment a workload touches and verify survive-or-fail-clean per \
-          scheme: each run either completes (the remap/replica machinery \
-          absorbed the fault) or stops with a typed error leaving a \
-          repairable, remountable image. Exits non-zero on any escape or \
-          unclean failure.")
-    Term.(
-      const run $ schemes_arg $ workloads_arg $ jobs_arg
-      $ spares_arg ~default:64 $ max_sectors_arg $ fail_fast_arg $ json_arg)
+(* faultsweep and corruptsweep: one {!Su_check.Campaign} each. [resolve
+   ~spares names] turns the -w names into workloads, each with the
+   model oracle its runs are judged against for a given config. *)
+module Campaign = Su_check.Campaign
 
-let corruptsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (list string) [ "smallfiles"; "dirtree"; "renamefile"; "renamedir" ]
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated built-in workloads: smallfiles, dirtree, \
-             renamefile, renamedir (op-list editions, so every run has a \
-             model oracle).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for the per-injection runs (default 1 = serial; \
-             0 = one per core). Verdicts and output are byte-identical at \
-             any value.")
-  in
-  let max_injections_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-injections" ]
-          ~doc:
-            "Cap the (sector, class) pairs injected per sweep (smoke runs; \
-             default: the full plan).")
-  in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first verdict that breaks detect-or-fail-clean.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
-  let sweep_cfg scheme =
-    (* compact volume, as in faultsweep: the campaign re-runs the
-       whole workload once per (sector, class) pair *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
+let campaign_counts =
+  [
+    col "swept" (fun s -> s.Campaign.s_swept);
+    col "completed" (fun s -> s.Campaign.s_completed);
+    col ~header:"typed" "failed_typed" (fun s -> s.Campaign.s_failed_typed);
+    col "escaped" (fun s -> s.Campaign.s_escaped);
+  ]
+
+let campaign_violations = col "violations" (fun s -> s.Campaign.s_violations)
+
+let report_failing scheme s v =
+  let module C = Campaign in
+  let inj = v.C.v_injection in
+  Printf.eprintf
+    "  %s/%s %s sector %d%s: %s%s (injected %b, detected %d, repaired %d, \
+     pre %d, converged %b, post %d, remount %s, diverged %d)\n"
+    (Fs.scheme_kind_name scheme) s.C.s_workload (C.kind_name inj)
+    (C.sector inj)
+    (match inj with
+     | C.Misdirect (_, victim) -> Printf.sprintf " -> %d" victim
+     | C.Bad_sector _ | C.Flip _ | C.Lost _ -> "")
+    (C.outcome_name v.C.v_outcome)
+    (match v.C.v_outcome with
+     | C.Failed_typed m | C.Escaped m -> " [" ^ m ^ "]"
+     | C.Completed -> "")
+    v.C.v_injected v.C.v_detected v.C.v_repaired v.C.v_pre_violations
+    v.C.v_repair_converged v.C.v_post_violations
+    (match v.C.v_remount with Ok () -> "ok" | Error why -> "failed: " ^ why)
+    v.C.v_divergences
+
+let campaign_cmd campaign ~doc ~title ~promise ~max_injections_arg ~columns
+    ~resolve =
+  let cmd = Campaign.name campaign in
   let run schemes workload_names jobs spares max_injections fail_fast
       json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
-    let cases =
-      List.filter_map
-        (fun name ->
-          match Fuzz.find_case name with
-          | Some ops -> Some (name, ops)
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
-    in
-    if cases = [] then begin
-      prerr_endline "corruptsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf
-             "corruption sweep: every silent-fault class on every touched \
-              sector, checksums on (%d spares)"
-             spares)
-        ~headers:
-          [
-            "scheme"; "workload"; "reads"; "writes"; "swept"; "completed";
-            "typed"; "escaped"; "detected"; "repaired"; "silent"; "violations";
-            "verdict";
-          ]
-    in
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun (name, ops) ->
-               let cfg = sweep_cfg scheme in
-               let wl = Fuzz.workload_of_ops ~name ops in
-               (* the oracle mounts the final logical image of a
-                  checksummed, spare-provisioned run — its config must
-                  admit the same image shape *)
-               let oracle_cfg =
-                 { cfg with Fs.checksums = true; Fs.spare_frags = spares }
-               in
-               let oracle image =
-                 Fuzz.check_final_image ~cfg:oracle_cfg image ops
-               in
-               let s =
-                 Su_check.Corruptsweep.sweep ~jobs ~spares ?max_injections
-                   ~fail_fast ~cfg ~oracle wl
-               in
-               let ok = Su_check.Corruptsweep.ok s in
-               rows := (scheme, s, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 [
-                   Fs.scheme_kind_name scheme;
-                   s.Su_check.Corruptsweep.cs_workload;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_read_sectors;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_write_sectors;
-                   Su_util.Text_table.cell_i s.Su_check.Corruptsweep.cs_swept;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_completed;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_failed_typed;
-                   Su_util.Text_table.cell_i s.Su_check.Corruptsweep.cs_escaped;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_detected;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_repaired;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_silent_escapes;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_violations;
-                   (if ok then "detects-or-fails-clean" else "BROKEN *");
-                 ];
-               if not ok then begin
-                 failed := true;
-                 List.iter
-                   (fun v ->
-                     if
-                       (not (Su_check.Corruptsweep.cv_clean v))
-                       || Su_check.Corruptsweep.cv_silent_escape v
-                     then
-                       Printf.eprintf
-                         "  %s/%s %s sector %d: %s%s (injected %b, detected \
-                          %d, repaired %d, pre %d, converged %b, post %d, \
-                          remount %b, diverged %d)\n"
-                         (Fs.scheme_kind_name scheme)
-                         s.Su_check.Corruptsweep.cs_workload
-                         (Su_check.Corruptsweep.class_name
-                            v.Su_check.Corruptsweep.cv_class)
-                         v.Su_check.Corruptsweep.cv_sector
-                         (Su_check.Corruptsweep.outcome_name
-                            v.Su_check.Corruptsweep.cv_outcome)
-                         (match v.Su_check.Corruptsweep.cv_outcome with
-                          | Su_check.Corruptsweep.Failed_typed m
-                          | Su_check.Corruptsweep.Escaped m ->
-                            " [" ^ m ^ "]"
-                          | Su_check.Corruptsweep.Completed -> "")
-                         v.Su_check.Corruptsweep.cv_injected
-                         v.Su_check.Corruptsweep.cv_detected
-                         v.Su_check.Corruptsweep.cv_repaired
-                         v.Su_check.Corruptsweep.cv_pre_violations
-                         v.Su_check.Corruptsweep.cv_repair_converged
-                         v.Su_check.Corruptsweep.cv_post_violations
-                         v.Su_check.Corruptsweep.cv_remount_ok
-                         v.Su_check.Corruptsweep.cv_divergences)
-                   s.Su_check.Corruptsweep.cs_verdicts;
-                 if fail_fast then raise Exit
-               end)
-             cases)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Corruptsweep.cs_workload);
-             ("read_sectors", Int s.Su_check.Corruptsweep.cs_read_sectors);
-             ("write_sectors", Int s.Su_check.Corruptsweep.cs_write_sectors);
-             ("planned", Int s.Su_check.Corruptsweep.cs_planned);
-             ("swept", Int s.Su_check.Corruptsweep.cs_swept);
-             ("completed", Int s.Su_check.Corruptsweep.cs_completed);
-             ("failed_typed", Int s.Su_check.Corruptsweep.cs_failed_typed);
-             ("escaped", Int s.Su_check.Corruptsweep.cs_escaped);
-             ("detected", Int s.Su_check.Corruptsweep.cs_detected);
-             ("repaired", Int s.Su_check.Corruptsweep.cs_repaired);
-             ("silent_escapes", Int s.Su_check.Corruptsweep.cs_silent_escapes);
-             ("violations", Int s.Su_check.Corruptsweep.cs_violations);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "corruptsweep");
-              ("spares", Int spares);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "corruptsweep: violation found (stopped early; * marks the \
-            failing row)"
-         else "corruptsweep: violation found (* marks failing rows)");
-      exit 1
-    end
+    run_sweeps ~cmd
+      ~title:(Printf.sprintf "%s (%d spares)" title spares)
+      ~columns
+      ~json_header:[ ("spares", Su_obs.Json.Int spares) ]
+      ~fail_fast ~json_path ~schemes
+      ~workloads:(resolve ~spares workload_names)
+      ~workload_name:(fun s -> s.Campaign.s_workload)
+      (fun scheme (wl, oracle) ->
+        let cfg = sweep_cfg scheme in
+        let s =
+          Campaign.sweep ~jobs ~spares ?max_injections ~fail_fast
+            ?oracle:(oracle cfg) ~cfg campaign wl
+        in
+        let ok = Campaign.ok s in
+        if not ok then
+          List.iter
+            (fun v -> if not (Campaign.clean v) then report_failing scheme s v)
+            s.Campaign.s_verdicts;
+        (s, (if ok then promise else "BROKEN"), ok))
   in
-  Cmd.v
-    (Cmd.info "corruptsweep"
-       ~doc:
-         "Systematically inject every silent-fault class — a bit-flipped \
-          read, a lost write, a misdirected write — on every sector a \
-          workload touches, with checksums on, and verify \
-          detect-or-fail-clean per scheme: each run either completes with a \
-          final image matching the in-memory model (the checksum ladder \
-          healed the corruption), or stops with a typed error leaving a \
-          repairable, remountable volume. A completed run whose image \
-          silently diverges from the model is the defining failure. Exits \
-          non-zero on any escape, silent escape or unclean failure.")
+  Cmd.v (Cmd.info cmd ~doc)
     Term.(
       const run $ schemes_arg $ workloads_arg $ jobs_arg
       $ spares_arg ~default:64 $ max_injections_arg $ fail_fast_arg
-      $ json_arg)
+      $ sweep_json_arg)
+
+let faultsweep_cmd =
+  campaign_cmd Campaign.Permanent
+    ~doc:
+      "Systematically inject a permanent bad sector at every distinct \
+       fragment a workload touches and verify survive-or-fail-clean per \
+       scheme: each run either completes (the remap/replica machinery \
+       absorbed the fault) or stops with a typed error leaving a \
+       repairable, remountable image. Exits non-zero on any escape or \
+       unclean failure."
+    ~title:"fault sweep: a permanent bad sector at every touched fragment"
+    ~promise:"survives-or-fails-clean"
+    ~max_injections_arg:
+      (cap_arg "max-sectors"
+         ~doc:
+           "Cap the sectors injected per sweep (smoke runs; default: every \
+            touched sector).")
+    ~columns:
+      ((col "sectors" (fun s -> s.Campaign.s_planned) :: campaign_counts)
+      @ [ col "remaps" (fun s -> s.Campaign.s_remaps); campaign_violations ])
+    ~resolve:(fun ~spares:_ names ->
+      List.map
+        (fun wl -> (wl, fun _ -> None))
+        (resolve_workloads ~cmd:"faultsweep" Su_check.Explorer.find_workload
+           names))
+
+let corruptsweep_cmd =
+  campaign_cmd Campaign.Silent
+    ~doc:
+      "Systematically inject every silent-fault class — a bit-flipped read, \
+       a lost write, a misdirected write — on every sector a workload \
+       touches, with checksums on, and verify detect-or-fail-clean per \
+       scheme: each run either completes with a final image matching the \
+       in-memory model (the checksum ladder healed the corruption), or \
+       stops with a typed error leaving a repairable, remountable volume. \
+       A completed run whose image silently diverges from the model is the \
+       defining failure. Exits non-zero on any escape, silent escape or \
+       unclean failure."
+    ~title:
+      "corruption sweep: every silent-fault class on every touched sector, \
+       checksums on"
+    ~promise:"detects-or-fails-clean"
+    ~max_injections_arg:
+      (cap_arg "max-injections"
+         ~doc:
+           "Cap the (sector, class) pairs injected per sweep (smoke runs; \
+            default: the full plan).")
+    ~columns:
+      ([
+         col ~header:"reads" "read_sectors" (fun s ->
+             s.Campaign.s_read_sectors);
+         col ~header:"writes" "write_sectors" (fun s ->
+             s.Campaign.s_write_sectors);
+         col ~shown:false "planned" (fun s -> s.Campaign.s_planned);
+       ]
+      @ campaign_counts
+      @ [
+          col "detected" (fun s -> s.Campaign.s_detected);
+          col "repaired" (fun s -> s.Campaign.s_repaired);
+          col ~header:"silent" "silent_escapes" (fun s ->
+              s.Campaign.s_silent_escapes);
+          campaign_violations;
+        ])
+    ~resolve:(fun ~spares names ->
+      (* the op-list editions of the built-in workloads, so every run has
+         a model oracle; the oracle mounts the final logical image of a
+         checksummed, spare-provisioned run, so its config must admit the
+         same image shape *)
+      List.map
+        (fun (name, ops) ->
+          ( Fuzz.workload_of_ops ~name ops,
+            fun cfg ->
+              let cfg =
+                { cfg with Fs.checksums = true; spare_frags = spares }
+              in
+              Some (fun image -> Fuzz.check_final_image ~cfg image ops) ))
+        (resolve_workloads ~cmd:"corruptsweep"
+           (fun name ->
+             Option.map (fun ops -> (name, ops)) (Fuzz.find_case name))
+           names))
 
 let fuzz_cmd =
   let seed_arg =
@@ -1180,35 +902,9 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "n"; "count" ] ~doc:"Consecutive seeds to fuzz.")
   in
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to fuzz (default: the paper's five \
-             plus journaled).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for per-crash-state verification (0 = one per \
-             core).")
-  in
   let max_boundaries_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-boundaries" ]
-          ~doc:"Cap the write boundaries swept per case (smoke runs).")
-  in
-  let no_torn_arg =
-    Arg.(
-      value & flag
-      & info [ "no-torn" ]
-          ~doc:"Skip torn mid-write states (sector-atomic crashes only).")
+    cap_arg "max-boundaries"
+      ~doc:"Cap the write boundaries swept per case (smoke runs)."
   in
   let no_nested_arg =
     Arg.(
@@ -1216,28 +912,8 @@ let fuzz_cmd =
       & info [ "no-nested" ]
           ~doc:"Skip re-crashing the recovery pipeline inside its own writes.")
   in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ] ~doc:"Stop at the first failing case.")
-  in
-  let fuzz_cfg ~fault ~checksums scheme =
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-      fault;
-      checksums;
-    }
-  in
   let run seed0 ops_n count schemes jobs max_boundaries no_torn no_nested
       fail_fast fault_seed fault_rate flip lost misdirect checksums =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
     let nested = not no_nested in
     let table =
       Su_util.Text_table.create
@@ -1257,11 +933,11 @@ let fuzz_cmd =
        List.iter
          (fun scheme ->
            let cfg =
-             fuzz_cfg
-               ~fault:
-                 (fault_of ~flip ~lost ~misdirect ~seed:fault_seed
-                    ~rate:fault_rate ~bad_sectors:[] ())
-               ~checksums scheme
+             { (sweep_cfg scheme) with
+               Fs.fault =
+                 fault_of ~flip ~lost ~misdirect ~seed:fault_seed
+                   ~rate:fault_rate ~bad_sectors:[] ();
+               checksums }
            in
            for k = 0 to count - 1 do
              let seed = seed0 + k in
@@ -1395,17 +1071,6 @@ let exp_cmd =
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced workload sizes.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Render the named experiments in up to $(docv) pool worker \
-             domains (0 = all cores). Each experiment is an independent \
-             simulated world; results are merged and printed in argument \
-             order, so the rendered output is identical at any $(docv).")
   in
   let json_arg =
     Arg.(
@@ -1551,14 +1216,6 @@ let loadgen_cmd =
             "Split the clients over $(docv) independent simulated worlds. \
              Part of the experiment definition: the report depends on the \
              shard count, never on --jobs.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains running the shards (default 1 = serial; 0 = one \
-             per core). The report is byte-identical at any value.")
   in
   let json_arg =
     Arg.(

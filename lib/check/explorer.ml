@@ -156,43 +156,6 @@ type verdict = {
   v_nested : nested option;  (** crash-during-recovery sub-sweep *)
 }
 
-let check_exposure_of cfg =
-  match cfg.Fs.scheme with
-  | Fs.Journaled _ -> false
-  | Fs.Conventional | Fs.Scheduler_flag | Fs.Scheduler_chains _
-  | Fs.Soft_updates | Fs.No_order ->
-    cfg.Fs.alloc_init
-
-(* Remount the (repaired) image and keep living in it: a directory
-   create, file writes, a rename and a sync must all succeed, and the
-   image must still check out clean afterwards. *)
-let remount_and_continue ~cfg image =
-  try
-    let w = Fs.mount_image cfg image in
-    let done_ = ref false in
-    let controller () =
-      let d = "/crashsweep.d" in
-      Fsops.mkdir w.Fs.st d;
-      Fsops.create w.Fs.st (d ^ "/probe");
-      Fsops.append w.Fs.st (d ^ "/probe") ~bytes:3072;
-      Fsops.rename w.Fs.st ~src:(d ^ "/probe") ~dst:(d ^ "/probe2");
-      Fsops.sync w.Fs.st;
-      Fs.stop w;
-      Su_driver.Driver.quiesce w.Fs.driver;
-      done_ := true;
-      Engine.stop w.Fs.engine
-    in
-    ignore (Proc.spawn w.Fs.engine ~name:"continue" controller);
-    Engine.run w.Fs.engine;
-    !done_
-    &&
-    let final = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg final;
-    Fsck.ok
-      (Fsck.check ~geom:cfg.Fs.geom ~image:final
-         ~check_exposure:(check_exposure_of cfg))
-  with _ -> false
-
 (* Re-crash recovery inside its own write stream. [base] is the crash
    image before any recovery ran; [events] the (lbn, pre, post) cell
    writes the outer recovery pipeline issued against it, in order. For
@@ -212,7 +175,7 @@ let nested_verify ?max_boundaries ~cfg base events =
   let cur = Delta.cursor ~initial:base ~log in
   let n = Array.length log in
   let last = match max_boundaries with Some m -> min (max m 0) n | None -> n in
-  let check_exposure = check_exposure_of cfg in
+  let check_exposure = Fs.check_exposure cfg in
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
     Delta.seek cur k;
@@ -247,7 +210,7 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
   (* journaled configurations replay the log before checking, exactly
      as mount-time recovery would *)
   Fs.recover_image ?observer cfg image;
-  let check_exposure = check_exposure_of cfg in
+  let check_exposure = Fs.check_exposure cfg in
   (* repair's first round checks the image as handed over: that is the
      pre-repair verdict *)
   let outcome = Fsck.repair ?observer ~geom:cfg.Fs.geom ~image ~check_exposure () in
@@ -259,7 +222,9 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
         (nested_verify ?max_boundaries:nested_max_boundaries ~cfg base
            (Imglog.events recovery_log))
   in
-  let remount_ok = remount_and_continue ~cfg image in
+  let remount_ok =
+    Result.is_ok (Crash.remount_probe ~dir:"/crashsweep.d" cfg image)
+  in
   {
     v_boundary = boundary;
     v_torn = torn;
@@ -412,7 +377,7 @@ let fault_shakedown ~cfg wl =
       Fs.recover_image cfg image;
       Fsck.ok
         (Fsck.check ~geom:cfg.Fs.geom ~image
-           ~check_exposure:(check_exposure_of cfg))
+           ~check_exposure:(Fs.check_exposure cfg))
     end
   in
   {

@@ -81,12 +81,6 @@ type verdict = {
   v_nested : nested option;  (** crash-during-recovery sub-sweep, if run *)
 }
 
-val check_exposure_of : Su_fs.Fs.config -> bool
-(** Whether fsck judges exposure (a file pointing at data never
-    written for it) on this configuration's crash states: never for the
-    journaled scheme, whose log holds metadata only; otherwise exactly
-    when [alloc_init] is on. {!verify_state} checks with it. *)
-
 val verify_state :
   ?nested:bool ->
   ?nested_max_boundaries:int ->
@@ -102,7 +96,9 @@ val verify_state :
     re-crashed after every prefix of it: each truncated state must
     recover cleanly in one round and reach the write-free fixed point
     by the second (recovery re-entrancy). [nested_max_boundaries] caps
-    the prefixes explored. *)
+    the prefixes explored. Fsck judges exposure by
+    {!Su_fs.Fs.check_exposure}; the remount step is
+    {!Su_fs.Crash.remount_probe}. *)
 
 type summary = {
   s_scheme : Su_fs.Fs.scheme_kind;

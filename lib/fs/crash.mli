@@ -31,3 +31,14 @@ val fsck_image : Fs.world -> Su_fstypes.Types.cell array -> Fsck.report
 
 val crash_and_check : Fs.world -> float -> Fsck.report
 (** [crash_at] followed by [fsck_image]. *)
+
+val remount_probe :
+  dir:string ->
+  Fs.config ->
+  Su_fstypes.Types.cell array ->
+  (unit, string) result
+(** Mount a recovered image and keep living in it: create [dir] and a
+    file in it, write, rename, sync, then require the final image to
+    check clean. [Error] carries why it did not: the text of the
+    exception that escaped (a {!Fs.Mount_failure}, say), "continuation
+    did not finish", or "final image not clean (N violations)". *)

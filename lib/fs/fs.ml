@@ -125,6 +125,16 @@ let recover_image ?observer cfg image =
     Fsck.rebuild_maps ?observer cfg.geom image
   | None -> ()
 
+(* Metadata journaling does not cover file data, so a journaled crash
+   state is never judged on exposure; the other schemes promise it
+   exactly when they initialise allocations. *)
+let check_exposure cfg =
+  match cfg.scheme with
+  | Journaled _ -> false
+  | Conventional | Scheduler_flag | Scheduler_chains _ | Soft_updates | No_order
+    ->
+    cfg.alloc_init
+
 let driver_mode cfg =
   match cfg.scheme with
   | Conventional | Soft_updates | No_order | Journaled _ ->

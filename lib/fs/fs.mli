@@ -135,4 +135,10 @@ val recover_image :
     (see {!Su_fstypes.Imglog}); the crash-state explorer uses it to
     re-crash recovery inside its own write stream. *)
 
+val check_exposure : config -> bool
+(** Whether fsck judges exposure (a file pointing at data never
+    written for it) on this configuration's images: never for the
+    journaled scheme, whose log holds metadata only; otherwise exactly
+    when [alloc_init] is on. Every recovery check uses it. *)
+
 val driver_mode : config -> Su_driver.Ordering.mode

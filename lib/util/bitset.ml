@@ -51,6 +51,16 @@ let grow t i =
     (fun k old ->
       Array.blit old 0 nlevels.(k) 0 (Array.length old))
     t.levels;
+  (* a level that did not exist before starts empty: summarize the
+     nonzero words of the level below it *)
+  for k = max 1 (Array.length t.levels) to Array.length nlevels - 1 do
+    let above = nlevels.(k) in
+    Array.iteri
+      (fun w word ->
+        if word <> 0 then
+          above.(w lsr 5) <- above.(w lsr 5) lor (1 lsl (w land 31)))
+      nlevels.(k - 1)
+  done;
   t.levels <- nlevels
 
 let mem t i =

@@ -42,9 +42,9 @@ let test_run_known_bench_ok () =
   check_exit "valid run exits 0" 0
     (sh "%s run create --files 100 -u 1 >/dev/null 2>&1" metasim)
 
-let test_crashsweep_no_valid_workloads () =
-  check_exit "all-unknown workloads is an error" 2
-    (sh "%s crashsweep -w bogus1,bogus2 >/dev/null 2>&1" metasim)
+let no_valid_workloads cmd () =
+  check_exit (cmd ^ ": all-unknown workloads is an error") 2
+    (sh "%s %s -w bogus1,bogus2 >/dev/null 2>&1" metasim cmd)
 
 let test_crashsweep_demand_consistent () =
   (* no-order only promises repairability; demanding consistency from
@@ -113,7 +113,19 @@ let test_run_fault_flags_validate () =
   check_exit "negative --bad-sectors is a CLI error" 124
     (sh "%s run copy --bad-sectors=-3 >/dev/null 2>&1" metasim);
   check_exit "negative --spares is a CLI error" 124
-    (sh "%s run copy --spares=-1 >/dev/null 2>&1" metasim)
+    (sh "%s run copy --spares=-1 >/dev/null 2>&1" metasim);
+  (* a negative --jobs or sweep cap used to escape as an untyped
+     Invalid_argument, or clamp to an empty, vacuously passing sweep *)
+  List.iter
+    (fun args ->
+      check_exit (args ^ " is a CLI error") 124
+        (sh "%s %s >/dev/null 2>&1" metasim args))
+    [
+      "crashsweep --jobs=-1"; "faultsweep --jobs=-1"; "corruptsweep --jobs=-1";
+      "fuzz --jobs=-1"; "exp --jobs=-1"; "loadgen --jobs=-1";
+      "faultsweep --max-sectors=-1"; "corruptsweep --max-injections=-1";
+      "crashsweep --max-boundaries=-3"; "fuzz --max-boundaries=-1";
+    ]
 
 let test_run_bad_sector_exits_typed () =
   (* an unreadable metadata sector with no spares must surface as the
@@ -135,10 +147,6 @@ let test_faultsweep_smoke () =
        "%s faultsweep -w renamefile --schemes soft --jobs 2 --max-sectors 6 \
         --spares 8 >/dev/null 2>&1"
        metasim)
-
-let test_faultsweep_no_valid_workloads () =
-  check_exit "all-unknown workloads is an error" 2
-    (sh "%s faultsweep -w bogus >/dev/null 2>&1" metasim)
 
 (* --- --json document ---------------------------------------------------- *)
 
@@ -243,7 +251,11 @@ let suite =
     Alcotest.test_case "exp: unknown experiment" `Quick test_exp_unknown_name;
     Alcotest.test_case "run: valid benchmark" `Quick test_run_known_bench_ok;
     Alcotest.test_case "crashsweep: no valid workloads" `Quick
-      test_crashsweep_no_valid_workloads;
+      (no_valid_workloads "crashsweep");
+    Alcotest.test_case "faultsweep: no valid workloads" `Quick
+      (no_valid_workloads "faultsweep");
+    Alcotest.test_case "corruptsweep: no valid workloads" `Quick
+      (no_valid_workloads "corruptsweep");
     Alcotest.test_case "crashsweep: --demand consistent" `Quick
       test_crashsweep_demand_consistent;
     Alcotest.test_case "bench: unknown experiment id" `Quick
@@ -257,8 +269,6 @@ let suite =
     Alcotest.test_case "run: bad sector exits typed" `Quick
       test_run_bad_sector_exits_typed;
     Alcotest.test_case "faultsweep: smoke campaign" `Quick test_faultsweep_smoke;
-    Alcotest.test_case "faultsweep: no valid workloads" `Quick
-      test_faultsweep_no_valid_workloads;
     Alcotest.test_case "run --json parses" `Quick test_run_json_parses;
     Alcotest.test_case "run --trace-out replays" `Quick test_trace_out_replays;
   ]

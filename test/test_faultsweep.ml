@@ -1,11 +1,12 @@
-(* Online fault tolerance end to end: the faultsweep campaign and its
-   determinism under --jobs, remap-heavy runs with zero model
+(* Online fault tolerance end to end: the permanent-fault campaign,
+   its determinism under --jobs and its fail-fast fan-out, the shared
+   remount probe, remap-heavy runs with zero model
    divergence, the typed Eio/Erofs syscall boundary, superblock
    replica restore at mount, and the background scrubber. *)
 open Su_sim
 open Su_fstypes
 open Su_fs
-module Faultsweep = Su_check.Faultsweep
+module Campaign = Su_check.Campaign
 module Explorer = Su_check.Explorer
 module Fuzz = Su_workload.Fuzz
 
@@ -41,24 +42,59 @@ let run_world ~cfg body =
 let test_sweep_survives_or_fails_clean () =
   let wl = Option.get (Explorer.find_workload "renamefile") in
   let s =
-    Faultsweep.sweep ~jobs:1 ~spares:8 ~max_sectors:10 ~cfg:(compact_cfg ()) wl
+    Campaign.sweep ~jobs:1 ~spares:8 ~max_injections:10 ~cfg:(compact_cfg ())
+      Campaign.Permanent wl
   in
-  Alcotest.(check bool) "campaign passes" true (Faultsweep.ok s);
-  Alcotest.(check int) "capped sector count" 10 s.Faultsweep.fs_swept;
+  Alcotest.(check bool) "campaign passes" true (Campaign.ok s);
+  Alcotest.(check int) "capped sector count" 10 s.Campaign.s_swept;
   Alcotest.(check bool) "touched set is larger" true
-    (s.Faultsweep.fs_sectors > 10);
-  Alcotest.(check int) "no escapes" 0 s.Faultsweep.fs_escaped;
-  Alcotest.(check int) "every run accounted" s.Faultsweep.fs_swept
-    (s.Faultsweep.fs_completed + s.Faultsweep.fs_failed_typed
-     + s.Faultsweep.fs_escaped)
+    (s.Campaign.s_planned > 10);
+  Alcotest.(check int) "no escapes" 0 s.Campaign.s_escaped;
+  Alcotest.(check int) "every run accounted" s.Campaign.s_swept
+    (s.Campaign.s_completed + s.Campaign.s_failed_typed
+     + s.Campaign.s_escaped)
 
 let test_sweep_deterministic_across_jobs () =
   let wl = Option.get (Explorer.find_workload "renamefile") in
   let sweep jobs =
-    Faultsweep.sweep ~jobs ~spares:8 ~max_sectors:8 ~cfg:(compact_cfg ()) wl
+    Campaign.sweep ~jobs ~spares:8 ~max_injections:8 ~cfg:(compact_cfg ())
+      Campaign.Permanent wl
   in
   let s1 = sweep 1 and s2 = sweep 2 in
   Alcotest.(check bool) "identical summaries at any --jobs" true (s1 = s2)
+
+(* Fail-fast stops after the fixed-size chunk holding the first
+   rejected result and truncates just past it, at any [jobs]. *)
+let test_fan_out_fail_fast () =
+  List.iter
+    (fun jobs ->
+      let highest = Atomic.make (-1) in
+      let rec raise_to i =
+        let h = Atomic.get highest in
+        if i > h && not (Atomic.compare_and_set highest h i) then raise_to i
+      in
+      let got =
+        Campaign.fan_out ~jobs ~fail_fast:true
+          ~clean:(fun i -> i < 11)
+          40
+          (fun i ->
+            raise_to i;
+            i)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "indices 0..11 at jobs %d" jobs)
+        (List.init 12 Fun.id) got;
+      Alcotest.(check bool)
+        (Printf.sprintf "nothing past the failing chunk ran at jobs %d" jobs)
+        true
+        (Atomic.get highest < 16);
+      Alcotest.(check (list int))
+        (Printf.sprintf "without fail-fast, every index at jobs %d" jobs)
+        (List.init 40 Fun.id)
+        (Campaign.fan_out ~jobs ~fail_fast:false
+           ~clean:(fun i -> i < 11)
+           40 Fun.id))
+    [ 1; 2 ]
 
 (* --- remap-heavy run: completes with zero model divergence ------------ *)
 
@@ -180,6 +216,26 @@ let test_mount_fails_clean_without_replicas () =
   | _ -> Alcotest.fail "mount should refuse without a usable superblock"
   | exception Fs.Mount_failure _ -> ()
 
+(* The shared remount probe says why it failed instead of a bare false. *)
+let test_remount_probe_reports_mount_failure () =
+  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let w0 = Fs.make cfg in
+  let image = Su_disk.Disk.image_snapshot w0.Fs.disk in
+  Alcotest.(check bool) "the intact image passes the probe" true
+    (Crash.remount_probe ~dir:"/probe.d" cfg image = Ok ());
+  for c = 0 to Geom.cg_count cfg.Fs.geom - 1 do
+    image.(Geom.cg_sb_frag cfg.Fs.geom c) <- Types.Frag Types.Zeroed
+  done;
+  match Crash.remount_probe ~dir:"/probe.d" cfg image with
+  | Ok () -> Alcotest.fail "probe passed without a usable superblock"
+  | Error why ->
+    let needle = "Mount_failure" in
+    let n = String.length needle in
+    let rec mem i =
+      i + n <= String.length why && (String.sub why i n = needle || mem (i + 1))
+    in
+    Alcotest.(check bool) ("reason names Mount_failure: " ^ why) true (mem 0)
+
 (* --- the background scrubber ------------------------------------------ *)
 
 let test_scrub_repairs_latent_sb_fault () =
@@ -222,6 +278,8 @@ let suite =
       test_sweep_survives_or_fails_clean;
     Alcotest.test_case "campaign deterministic across jobs" `Quick
       test_sweep_deterministic_across_jobs;
+    Alcotest.test_case "fail-fast fan-out truncates" `Quick
+      test_fan_out_fail_fast;
     Alcotest.test_case "remap-heavy run, zero model divergence" `Quick
       test_remap_heavy_zero_divergence;
     Alcotest.test_case "read-only volume refuses mutation" `Quick
@@ -232,6 +290,8 @@ let suite =
       test_mount_restores_corrupt_replica;
     Alcotest.test_case "mount fails clean without replicas" `Quick
       test_mount_fails_clean_without_replicas;
+    Alcotest.test_case "remount probe reports mount failure" `Quick
+      test_remount_probe_reports_mount_failure;
     Alcotest.test_case "scrubber heals a latent superblock fault" `Quick
       test_scrub_repairs_latent_sb_fault;
     Alcotest.test_case "no scrubber by default" `Quick

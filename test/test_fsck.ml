@@ -327,7 +327,7 @@ let test_verify_state_pre_matches_check () =
           journal_mb = 2;
         }
       in
-      let check_exposure = Su_check.Explorer.check_exposure_of cfg in
+      let check_exposure = Fs.check_exposure cfg in
       List.iter
         (fun wl ->
           let r = Su_check.Explorer.record ~cfg wl in

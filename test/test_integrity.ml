@@ -183,7 +183,8 @@ let run_sweep ~jobs ~scheme ~name ~max_injections =
   let oracle image =
     Su_workload.Fuzz.check_final_image ~cfg:oracle_cfg image ops
   in
-  Su_check.Corruptsweep.sweep ~jobs ~max_injections ~cfg ~oracle
+  Su_check.Campaign.sweep ~jobs ~max_injections ~cfg ~oracle
+    Su_check.Campaign.Silent
     (Su_workload.Fuzz.workload_of_ops ~name ops)
 
 let test_corruptsweep_soft_updates () =
@@ -192,12 +193,12 @@ let test_corruptsweep_soft_updates () =
       ~max_injections:24
   in
   Alcotest.(check bool) "detects-or-fails-clean" true
-    (Su_check.Corruptsweep.ok s);
+    (Su_check.Campaign.ok s);
   Alcotest.(check int) "no silent escapes" 0
-    s.Su_check.Corruptsweep.cs_silent_escapes;
-  Alcotest.(check int) "all injections swept" 24 s.Su_check.Corruptsweep.cs_swept;
+    s.Su_check.Campaign.s_silent_escapes;
+  Alcotest.(check int) "all injections swept" 24 s.Su_check.Campaign.s_swept;
   Alcotest.(check bool) "corruption was detected" true
-    (s.Su_check.Corruptsweep.cs_detected > 0)
+    (s.Su_check.Campaign.s_detected > 0)
 
 let test_corruptsweep_journaled () =
   let s =
@@ -206,9 +207,9 @@ let test_corruptsweep_journaled () =
       ~name:"renamefile" ~max_injections:24
   in
   Alcotest.(check bool) "detects-or-fails-clean" true
-    (Su_check.Corruptsweep.ok s);
+    (Su_check.Campaign.ok s);
   Alcotest.(check int) "no silent escapes" 0
-    s.Su_check.Corruptsweep.cs_silent_escapes
+    s.Su_check.Campaign.s_silent_escapes
 
 let test_corruptsweep_jobs_invariant () =
   let s1 =

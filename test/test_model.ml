@@ -182,10 +182,10 @@ let run_sequence scheme ~seed ~ops_count =
   | None ->
     let image = Su_disk.Disk.image_snapshot w.Fs.disk in
     Fs.recover_image cfg image;
-    let check_exposure =
-      match scheme with Fs.Journaled _ -> false | _ -> cfg.Fs.alloc_init
+    let r =
+      Fsck.check ~geom:cfg.Fs.geom ~image
+        ~check_exposure:(Fs.check_exposure cfg)
     in
-    let r = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure in
     if Fsck.ok r then Ok () else Error "fsck violations after sync"
 
 let schemes_under_test =

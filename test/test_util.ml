@@ -478,7 +478,16 @@ let test_bitset_growth_and_bounds () =
   let seen = ref [] in
   Bitset.iter b (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "iter ascending" [ 3; 9; 77; 500 ]
-    (List.rev !seen)
+    (List.rev !seen);
+  (* growth that adds a summary level must summarize the members
+     already there, or clearing the new member empties the top *)
+  let g = Bitset.create () in
+  Bitset.set g 5;
+  Bitset.set g 2000;
+  Bitset.clear g 2000;
+  Alcotest.(check bool) "old member survives a new level" false
+    (Bitset.is_empty g);
+  Alcotest.(check int) "and is still the minimum" 5 (Bitset.min_elt g)
 
 let suite =
   [
