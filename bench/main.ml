@@ -41,8 +41,9 @@ let usage () =
      \                  anti-regression floor for CI, not a target)\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy) and full-sweep scaling across the pool\n\
-     \  --loadgen       load-engine steady state (zero-major assertion)\n\
-     \                  and directory-scale lookups (10k entries gated\n\
+     \  --loadgen       load-engine steady state (zero-major assertion,\n\
+     \                  words/op at a doubled window within 1.15x) and\n\
+     \                  directory-scale lookups (10k entries gated\n\
      \                  within 2x of 100); exit 1 on a failed gate\n\
      \  --corrupt       checksum overhead: driver burst and loadgen\n\
      \                  steady loops with the digest region off vs on;\n\
@@ -525,13 +526,18 @@ let run_crashsweep ~quick ~jobs ~json_path =
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 
-(* Three measured claims, written to BENCH_loadgen.json by --json:
+(* Four measured claims, written to BENCH_loadgen.json by --json:
 
    - loadgen-steady: the open-loop multi-tenant engine at a scale
      whose steady-state loop must complete with ZERO major collections
      (pooled per-client scratch as a measured number, the same way
      --hotpaths pins words/event). Ops/sec is host throughput of the
      whole engine, simulated clients included.
+
+   - loadgen-steady-1x vs loadgen-steady-2x: fixed-shape load with
+     the steady window doubled. The gate: words/op at 2x must stay
+     within 1.15x of 1x — host cost per operation must not grow with
+     simulated time (e.g. with the pending dependency backlog).
 
    - dirscale-100 vs dirscale-10k: a fixed count of lookups plus
      create/unlink churn against one directory pre-filled with 100 vs
@@ -578,18 +584,7 @@ let bench_dirscale ~index ~files nops () =
   let wall, wpo, majors = !result in
   (nops, wall, wpo, majors)
 
-let bench_loadgen_steady ?(checksums = false) ~quick () =
-  let base = Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates () in
-  let cfg =
-    { base with
-      Su_workload.Loadgen.clients = (if quick then 80 else 200);
-      rate = 0.5;
-      duration = (if quick then 10.0 else 16.0);
-      warmup = (if quick then 2.0 else 4.0);
-      files_per_client = 6;
-      shape = Su_workload.Loadgen.Rampup
-    }
-  in
+let run_loadgen_cfg ~checksums cfg =
   let cfg =
     { cfg with
       Su_workload.Loadgen.fs_cfg =
@@ -603,11 +598,41 @@ let bench_loadgen_steady ?(checksums = false) ~quick () =
     r.Su_workload.Loadgen.minor_words /. float_of_int (max 1 ops),
     r.Su_workload.Loadgen.major_collections )
 
+let loadgen_steady_cfg ~clients ~duration ~warmup shape =
+  let base = Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates () in
+  { base with
+    Su_workload.Loadgen.clients;
+    rate = 0.5;
+    duration;
+    warmup;
+    files_per_client = 6;
+    shape
+  }
+
+let bench_loadgen_steady ?(checksums = false) ~quick () =
+  run_loadgen_cfg ~checksums
+    (loadgen_steady_cfg
+       ~clients:(if quick then 80 else 200)
+       ~duration:(if quick then 10.0 else 16.0)
+       ~warmup:(if quick then 2.0 else 4.0)
+       Su_workload.Loadgen.Rampup)
+
+(* Fixed-shape Poisson load with the 12 s steady window scaled by
+   [scale]; the same size under --quick, so the 1x/2x words-per-op
+   ratio is comparable in CI. *)
+let bench_loadgen_window ~scale () =
+  run_loadgen_cfg ~checksums:false
+    (loadgen_steady_cfg ~clients:200
+       ~duration:(4.0 +. (12.0 *. float_of_int scale))
+       ~warmup:4.0 Su_workload.Loadgen.Fixed)
+
 let run_loadgen ~quick ~json_path =
   let reps = if quick then 2 else 3 in
   let nops = if quick then 800 else 4000 in
   let benches =
     [ ("loadgen-steady", fun () -> bench_loadgen_steady ~quick ());
+      ("loadgen-steady-1x", bench_loadgen_window ~scale:1);
+      ("loadgen-steady-2x", bench_loadgen_window ~scale:2);
       ("dirscale-100", bench_dirscale ~index:true ~files:100 nops);
       ("dirscale-10k", bench_dirscale ~index:true ~files:10_000 nops);
       ("dirscale-10k-scan", bench_dirscale ~index:false ~files:10_000 (nops / 8))
@@ -638,15 +663,22 @@ let run_loadgen ~quick ~json_path =
         "%-30s n=%-6d %8.3fs wall %12.0f ops/s %9.1f mwords/op %3d majors\n%!"
         name ops wall eps wpo majors)
     results;
+  let result_of n = List.find (fun (name, _, _, _, _, _) -> name = n) results in
   let eps_of n =
-    let (_, _, _, eps, _, _) =
-      List.find (fun (name, _, _, _, _, _) -> name = n) results
-    in
+    let (_, _, _, eps, _, _) = result_of n in
     eps
   in
   let ratio = eps_of "dirscale-10k" /. eps_of "dirscale-100" in
   Printf.printf "# dirscale-10k / dirscale-100 ops/s ratio %.2f (gate >= 0.5)\n"
     ratio;
+  let wpo_of n =
+    let (_, _, _, _, wpo, _) = result_of n in
+    wpo
+  in
+  let window_growth = wpo_of "loadgen-steady-2x" /. wpo_of "loadgen-steady-1x" in
+  Printf.printf
+    "# loadgen-steady-2x / loadgen-steady-1x words/op ratio %.2f (gate <= 1.15)\n"
+    window_growth;
   (match json_path with
    | None -> ()
    | Some path ->
@@ -663,13 +695,14 @@ let run_loadgen ~quick ~json_path =
            name ops wall eps wpo majors
            (if i = List.length results - 1 then "" else ","))
        results;
-     Printf.fprintf oc "  ],\n  \"dirscale_ratio_10k_vs_100\": %.3f\n}\n" ratio;
+     Printf.fprintf oc
+       "  ],\n  \"dirscale_ratio_10k_vs_100\": %.3f,\n  \
+        \"steady_window_words_ratio_2x_vs_1x\": %.3f\n}\n"
+       ratio window_growth;
      close_out oc;
      Printf.printf "# wrote %s\n" path);
   let failed = ref false in
-  let (_, _, _, _, _, steady_majors) =
-    List.find (fun (name, _, _, _, _, _) -> name = "loadgen-steady") results
-  in
+  let (_, _, _, _, _, steady_majors) = result_of "loadgen-steady" in
   if steady_majors <> 0 then begin
     failed := true;
     Printf.eprintf
@@ -682,6 +715,13 @@ let run_loadgen ~quick ~json_path =
     Printf.eprintf
       "FAIL: dirscale-10k at %.2fx of dirscale-100 is outside the 2x gate\n"
       ratio
+  end;
+  if window_growth > 1.15 then begin
+    failed := true;
+    Printf.eprintf
+      "FAIL: doubling the steady window raised words/op %.2fx (gate <= \
+       1.15: per-op host cost must not grow with simulated time)\n"
+      window_growth
   end;
   if !failed then exit 1
 
@@ -751,10 +791,9 @@ let run_corrupt ~quick ~json_path =
         "%-30s n=%-6d %8.3fs wall %12.0f ops/s %9.1f mwords/op %3d majors\n%!"
         name ops wall eps wpo majors)
     results;
+  let result_of n = List.find (fun (name, _, _, _, _, _) -> name = n) results in
   let eps_of n =
-    let (_, _, _, eps, _, _) =
-      List.find (fun (name, _, _, _, _, _) -> name = n) results
-    in
+    let (_, _, _, eps, _, _) = result_of n in
     eps
   in
   let overhead plain csum =

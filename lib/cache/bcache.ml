@@ -182,8 +182,16 @@ let lookup t lbn = Hashtbl.find_opt t.tbl lbn
 let all_bufs t = Hashtbl.fold (fun _ b acc -> b :: acc) t.tbl []
 
 let sorted_keys t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] in
-  let arr = Array.of_list keys in
+  (* one exact-length array per sweep, no intermediate list: [tbl] is
+     only ever updated with [replace], so its length counts distinct
+     keys *)
+  let arr = Array.make (Hashtbl.length t.tbl) 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun k _ ->
+      arr.(!i) <- k;
+      incr i)
+    t.tbl;
   Array.sort Int.compare arr;
   arr
 

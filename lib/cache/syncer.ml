@@ -38,10 +38,16 @@ let sweep t =
   if n > 0 then begin
     let slice = max 1 ((n + t.passes - 1) / t.passes) in
     let start =
-      let rec find i =
-        if i >= n then 0 else if keys.(i) >= t.cursor then i else find (i + 1)
+      (* first key at or past the cursor (binary search over the
+         sorted keys), wrapping to the beginning when there is none *)
+      let rec find lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if keys.(mid) >= t.cursor then find lo mid else find (mid + 1) hi
       in
-      find 0
+      let i = find 0 n in
+      if i >= n then 0 else i
     in
     for off = 0 to slice - 1 do
       let idx = (start + off) mod n in
@@ -54,7 +60,7 @@ let sweep t =
         end
     done;
     (* next tick continues after the last key processed; when we ran
-       off the end the find above wraps to the beginning *)
+       off the end the search above wraps to the beginning *)
     t.cursor <- keys.((start + slice - 1) mod n) + 1
   end;
   Su_obs.Hist.add t.batch (float_of_int (t.writes - writes_before))

@@ -485,22 +485,26 @@ let attach_alloc t (req : Scheme_intf.alloc_req) =
 
 let purge_for_runs t ~inum runs =
   (* Deallocation: drop every dependency touching the freed extents and
-     return completion actions that must run when the freeing commits. *)
+     return completion actions that must run when the freeing commits.
+     The dependency tables are keyed by an extent's first fragment, so
+     looking up each freed fragment finds exactly the affected records
+     at a cost proportional to the freed runs, not to the backlog. *)
   let extra = ref [] in
   let in_runs key =
     List.exists (fun (start, len) -> key >= start && key < start + len) runs
   in
-  (* data-init guards for freed extents *)
-  Hashtbl.iter
-    (fun key allocs ->
-      if in_runs key then
-        List.iter (fun a -> remove_alloc_from_owner t a) allocs)
-    (Hashtbl.copy t.allocs_by_data);
-  let keys_to_remove =
-    Hashtbl.fold (fun k _ acc -> if in_runs k then k :: acc else acc)
-      t.allocs_by_data []
+  let each_freed f =
+    List.iter
+      (fun (start, len) -> for k = start to start + len - 1 do f k done)
+      runs
   in
-  List.iter (Hashtbl.remove t.allocs_by_data) keys_to_remove;
+  (* data-init guards for freed extents *)
+  each_freed (fun k ->
+      match Hashtbl.find_opt t.allocs_by_data k with
+      | None -> ()
+      | Some allocs ->
+        Hashtbl.remove t.allocs_by_data k;
+        List.iter (fun a -> remove_alloc_from_owner t a) allocs);
   (* remaining allocdirects of this inode (data already on disk) *)
   (match Hashtbl.find_opt t.inodedeps inum with
    | None -> ()
@@ -511,29 +515,27 @@ let purge_for_runs t ~inum runs =
      dep.i_allocs <- kept;
      List.iter (fun a -> extra := a.a_free_moved @ !extra) cancelled);
   (* freed indirect blocks *)
-  Hashtbl.fold (fun k _ acc -> if in_runs k then k :: acc else acc)
-    t.indirdeps []
-  |> List.iter (fun k ->
-         remove_indirdep t k;
-         match Bcache.lookup t.cache k with
-         | Some ob -> ob.Buf.sticky <- false
-         | None -> ());
+  each_freed (fun k ->
+      if Hashtbl.mem t.indirdeps k then begin
+        remove_indirdep t k;
+        match Bcache.lookup t.cache k with
+        | Some ob -> ob.Buf.sticky <- false
+        | None -> ()
+      end);
   (* freed directory blocks: their page dependencies are considered
      complete once the block is freed (appendix, block de-allocation) *)
-  Hashtbl.fold (fun k _ acc -> if in_runs k then k :: acc else acc)
-    t.pagedeps []
-  |> List.iter (fun k ->
-         match Hashtbl.find_opt t.pagedeps k with
-         | None -> ()
-         | Some p ->
-           List.iter (complete_diradd t) p.p_adds;
-           List.iter (fun r -> extra := r.r_decrement :: !extra) p.p_rems;
-           (* a freed body can gate nothing: the directory is going
-              away, and so (via cancellation) are the gated entries *)
-           (match p.p_body with
-            | Some bd -> body_durable t bd
-            | None -> ());
-           remove_pagedep t k p);
+  each_freed (fun k ->
+      match Hashtbl.find_opt t.pagedeps k with
+      | None -> ()
+      | Some p ->
+        List.iter (complete_diradd t) p.p_adds;
+        List.iter (fun r -> extra := r.r_decrement :: !extra) p.p_rems;
+        (* a freed body can gate nothing: the directory is going
+           away, and so (via cancellation) are the gated entries *)
+        (match p.p_body with
+         | Some bd -> body_durable t bd
+         | None -> ());
+        remove_pagedep t k p);
   !extra
 
 let make ~cache ~geom =

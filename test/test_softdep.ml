@@ -172,6 +172,190 @@ let test_rmdir_deferred_parent_decrement () =
       in
       Alcotest.(check bool) "clean" true (Fsck.ok r))
 
+(* --- deallocation purge, driven through the scheme hooks ------------ *)
+
+(* Synthetic extents in the last group's data area, which an empty
+   volume never allocates: dependencies are attached to them directly
+   through the scheme, so the tests control exactly which records sit
+   inside and outside the freed runs. *)
+let fpb = Geom.small.Geom.frags_per_block
+let far = fst (Geom.cg_data_area Geom.small (Geom.cg_count Geom.small - 1))
+let blk i = far + (i * fpb)
+
+let live w = (Option.get w.Fs.st.State.softdep_stats).Su_core.Softdep.live_deps
+let workitems w =
+  (Option.get w.Fs.st.State.softdep_stats).Su_core.Softdep.workitems
+
+let data_buf w i =
+  Su_cache.Bcache.getblk w.Fs.cache ~lbn:(blk i) ~nfrags:fpb ~init:(fun () ->
+      Su_cache.Buf.Cdata (Array.make fpb None))
+
+let meta_buf w i meta =
+  Su_cache.Bcache.getblk w.Fs.cache ~lbn:(blk i) ~nfrags:fpb ~init:(fun () ->
+      Su_cache.Buf.Cmeta meta)
+
+let ind_buf w i = meta_buf w i (Types.Indirect (Array.make 16 0))
+
+(* a pending data-init allocation; [freed] is non-empty so the record
+   carries a free_moved action, which is enqueued (and counted as a
+   workitem) when an allocindirect's data reaches the disk *)
+let attach w ~inum ~owner ~loc ~data =
+  w.Fs.st.State.scheme.Su_core.Scheme_intf.block_alloc
+    {
+      Su_core.Scheme_intf.inum;
+      owner;
+      loc;
+      data;
+      new_ptr = data.Su_cache.Buf.key;
+      old_ptr = 0;
+      new_size = 0;
+      old_size = 0;
+      freed = [ (data.Su_cache.Buf.key, 1) ];
+      free_moved = (fun () -> ());
+      init_required = true;
+    }
+
+let dealloc w ~inum ~ibuf runs =
+  w.Fs.st.State.scheme.Su_core.Scheme_intf.block_dealloc ~ibuf ~inum ~runs
+    ~inode_freed:true ~do_free:(fun () -> ())
+
+let write_out w b =
+  ignore (Su_cache.Bcache.bawrite w.Fs.cache b);
+  Su_cache.Bcache.wait_write w.Fs.cache b
+
+let test_purge_only_freed_runs () =
+  (* file A is freed as two non-adjacent runs, blocks 0-1 and block 3;
+     inode B's dependencies sit in the gap (block 2) and past the runs
+     (blocks 5-6) *)
+  let w = mk () in
+  in_world w (fun () ->
+      let a = 100 and b = 101 in
+      let a_direct = data_buf w 0 and a_data = data_buf w 1 in
+      let b_direct = data_buf w 2 and a_ind = ind_buf w 3 in
+      let a_out = data_buf w 4 and b_data = data_buf w 5 in
+      let b_ind = ind_buf w 6 in
+      (* stands in for the inode block: inode-owned pointers are
+         tracked by inode number *)
+      let ibuf = data_buf w 7 in
+      attach w ~inum:a ~owner:a_ind ~loc:(Su_core.Scheme_intf.P_ind 0)
+        ~data:a_data;
+      attach w ~inum:a ~owner:ibuf ~loc:(Su_core.Scheme_intf.P_direct 0)
+        ~data:a_direct;
+      attach w ~inum:b ~owner:ibuf ~loc:(Su_core.Scheme_intf.P_direct 0)
+        ~data:b_direct;
+      (* A's indirect block also guards data outside the runs, so the
+         indirdep survives the data-init purge and goes because its own
+         block is freed *)
+      attach w ~inum:a ~owner:a_ind ~loc:(Su_core.Scheme_intf.P_ind 1)
+        ~data:a_out;
+      attach w ~inum:b ~owner:b_ind ~loc:(Su_core.Scheme_intf.P_ind 0)
+        ~data:b_data;
+      let before = live w in
+      dealloc w ~inum:a ~ibuf [ (blk 0, 2 * fpb); (blk 3, fpb) ];
+      (* matched: A's inodedep (its only allocdirect lay in the runs)
+         and A's indirdep; the freework then opens a fresh inodedep for
+         A *)
+      Alcotest.(check int) "live deps drop by the matched count"
+        (before - 2 + 1) (live w);
+      Alcotest.(check bool) "freed indirect unpinned" false
+        a_ind.Su_cache.Buf.sticky;
+      Alcotest.(check bool) "outside indirect still pinned" true
+        b_ind.Su_cache.Buf.sticky;
+      (* a purged data-init guard no longer fires when its data lands *)
+      let wi = workitems w in
+      write_out w a_data;
+      Alcotest.(check int) "purged guard gone" wi (workitems w);
+      (* guards outside the runs are intact: B's allocindirect retires
+         B's indirdep, A's outside guard still enqueues its action *)
+      write_out w a_out;
+      Alcotest.(check int) "outside guard of A kept" (wi + 1) (workitems w);
+      let l = live w in
+      write_out w b_data;
+      Alcotest.(check int) "outside guard of B kept" (wi + 2) (workitems w);
+      Alcotest.(check int) "B's indirdep retires on its own" (l - 1) (live w);
+      Alcotest.(check bool) "B's indirect unpinned" false
+        b_ind.Su_cache.Buf.sticky)
+
+let test_dealloc_without_runs () =
+  (* freeing an inode with no blocks touches no dependency table *)
+  let w = mk () in
+  in_world w (fun () ->
+      let c = 100 and e = 101 in
+      let dir =
+        meta_buf w 0 (Types.Dir (Array.make Geom.small.Geom.dir_capacity None))
+      in
+      let ibuf = data_buf w 1 and e_data = data_buf w 2 in
+      let e_ind = ind_buf w 3 and e_direct = data_buf w 4 in
+      w.Fs.st.State.scheme.Su_core.Scheme_intf.link_add ~dir ~slot:0 ~ibuf
+        ~inum:e;
+      attach w ~inum:e ~owner:e_ind ~loc:(Su_core.Scheme_intf.P_ind 0)
+        ~data:e_data;
+      attach w ~inum:e ~owner:ibuf ~loc:(Su_core.Scheme_intf.P_direct 0)
+        ~data:e_direct;
+      let before = live w in
+      dealloc w ~inum:c ~ibuf [];
+      (* only the freework's inodedep for C is new *)
+      Alcotest.(check int) "nothing purged" (before + 1) (live w);
+      Alcotest.(check bool) "indirect still pinned" true
+        e_ind.Su_cache.Buf.sticky;
+      let wi = workitems w in
+      write_out w e_data;
+      Alcotest.(check int) "data-init guard kept" (wi + 1) (workitems w);
+      Alcotest.(check int) "indirdep kept until its data lands" before (live w))
+
+let test_rmdir_multiblock_purge () =
+  (* entries removed from a multi-block directory leave pending
+     dirrems in every block; releasing the directory frees the blocks
+     unwritten, so the purge hands every deferred decrement to the
+     freework *)
+  let w = mk () in
+  in_world w (fun () ->
+      let st = w.Fs.st in
+      let n = 300 in
+      Fsops.mkdir st "/d";
+      for i = 0 to n - 1 do
+        Fsops.create st (Printf.sprintf "/d/f%d" i)
+      done;
+      Fsops.sync st;
+      Alcotest.(check int) "three directory blocks"
+        (3 * Geom.block_bytes Geom.small)
+        (Fsops.stat st "/d").Fsops.st_size;
+      let inums =
+        List.init n (fun i -> Fsops.resolve st (Printf.sprintf "/d/f%d" i))
+      in
+      List.iteri
+        (fun i _ -> Fsops.unlink st (Printf.sprintf "/d/f%d" i))
+        inums;
+      let nlink inum =
+        let ip = Inode.iget st inum in
+        let l = ip.State.din.Types.nlink in
+        Inode.iput st ip;
+        l
+      in
+      Alcotest.(check int) "every decrement still deferred" n
+        (List.length (List.filter (fun i -> nlink i = 1) inums));
+      Fsops.rmdir st "/d";
+      (* write only the root's block: the rmdir's decrement becomes a
+         workitem, and running it frees /d's blocks still unwritten *)
+      let root_blk = fst (Geom.cg_data_area Geom.small 0) in
+      write_out w (Option.get (Su_cache.Bcache.lookup w.Fs.cache root_blk));
+      List.iter (fun item -> item ()) (Su_cache.Bcache.take_workitems w.Fs.cache);
+      Alcotest.(check bool) "directory released" false (Fsops.exists st "/d");
+      Fsops.sync st;
+      Alcotest.(check int) "every decrement ran" n
+        (List.length (List.filter (fun i -> nlink i = 0) inums));
+      let stats = Option.get st.State.softdep_stats in
+      Alcotest.(check int) "no dependency left" 0 stats.Su_core.Softdep.live_deps;
+      (* pinned: the same completion actions run, in the same number *)
+      Alcotest.(check int) "workitems" 602 stats.Su_core.Softdep.workitems;
+      Alcotest.(check int) "records" 908 stats.Su_core.Softdep.created;
+      let r =
+        Fsck.check ~geom:Geom.small
+          ~image:(Su_disk.Disk.image_snapshot w.Fs.disk)
+          ~check_exposure:true
+      in
+      Alcotest.(check bool) "clean" true (Fsck.ok r))
+
 let suite =
   [
     Alcotest.test_case "fragment extension merge rollback" `Quick
@@ -183,4 +367,9 @@ let suite =
     Alcotest.test_case "dir init before link" `Quick test_dir_init_before_link;
     Alcotest.test_case "rmdir deferred parent decrement" `Quick
       test_rmdir_deferred_parent_decrement;
+    Alcotest.test_case "purge only freed runs" `Quick
+      test_purge_only_freed_runs;
+    Alcotest.test_case "dealloc without runs" `Quick test_dealloc_without_runs;
+    Alcotest.test_case "rmdir multi-block purge" `Quick
+      test_rmdir_multiblock_purge;
   ]
