@@ -1244,7 +1244,8 @@ let loadgen_cmd =
             "Volume size per shard in megabytes (16 MB cylinder groups, 2048 \
              inodes each; the drive is widened to fit). Default: the \
              engine's stock 1 GB geometry. The compact slab-backed image \
-             keeps multi-GB volumes resident — see BENCH_volume.json.")
+             keeps multi-GB volumes resident — see the volume section of \
+             BENCH.json.")
   in
   let run scheme clients rate shape arrival duration warmup files shards jobs
       json seed min_ops volume_mb fault_seed fault_rate bad_sectors spares

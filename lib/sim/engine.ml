@@ -1,11 +1,8 @@
 (* Zero-allocation event core.
 
-   The seed engine boxed every event as a {time; seq; callback} record
-   in a generic [Su_util.Heap.t] driven by polymorphic [compare], and
-   the run loop paid an option allocation per peek/pop. This version
-   keeps the queue in flat parallel arrays — a [floatarray] for times
+   The queue lives in flat parallel arrays — a [floatarray] for times
    (unboxed), int arrays for the FIFO sequence numbers and slot ids —
-   and orders it with monomorphic float/int comparisons, so scheduling
+   ordered with monomorphic float/int comparisons, so scheduling
    and dispatching an event touches no heap-allocated structure at
    all once the arrays have grown to steady-state size.
 

@@ -105,6 +105,67 @@ let test_bench_assert_shapes_verdicts () =
     (sh "%s --assert-shapes %s >/dev/null 2>&1" benchexe (Filename.quote tmp));
   Sys.remove tmp
 
+let test_bench_bad_flags () =
+  (* both used to run: the typo at full scale, the mix as hotpaths only *)
+  List.iter
+    (fun args ->
+      check_exit (args ^ " exits 2") 2
+        (sh "%s %s >/dev/null 2>&1" benchexe args))
+    [ "--quik tab1"; "--hotpaths tab1" ]
+
+let test_bench_perf_ledger () =
+  let out = Filename.temp_file "bench" ".json" in
+  check_exit "two perf sections pass their gates" 0
+    (sh "%s --hotpaths --corrupt --quick --json %s >/dev/null 2>&1" benchexe
+       (Filename.quote out));
+  let doc =
+    match Json.parse (read_file out) with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "perf ledger is not valid JSON: %s" e
+  in
+  Sys.remove out;
+  let list field j =
+    match Option.bind (Json.member field j) Json.to_list with
+    | Some l -> l
+    | None -> Alcotest.failf "no %s array" field
+  in
+  let sections = list "sections" doc in
+  Alcotest.(check (list (option string))) "one document, registry order"
+    [ Some "hotpaths"; Some "corrupt" ]
+    (List.map (fun s -> Option.bind (Json.member "section" s) Json.to_str) sections);
+  let keys = function Json.Obj kv -> List.map fst kv | _ -> [] in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun r ->
+          Alcotest.(check (list string)) "row schema"
+            [ "name"; "layer"; "unit"; "n"; "wall_s"; "per_sec";
+              "words_per_unit"; "majors" ]
+            (keys r))
+        (list "rows" s);
+      List.iter
+        (fun g ->
+          Alcotest.(check bool) "gate ok" true (Json.member "ok" g = Some (Json.Bool true));
+          Alcotest.(check bool) "numeric bound" true
+            (Option.bind (Json.member "bound" g) Json.to_float <> None))
+        (list "gates" s))
+    sections
+
+let test_bench_unwritable_json () =
+  (* a path under a regular file can never be created *)
+  let file = Filename.temp_file "bench" ".file" in
+  let err = Filename.temp_file "bench" ".err" in
+  check_exit "unwritable --json exits 2" 2
+    (sh "%s --hotpaths --quick --json %s >/dev/null 2> %s" benchexe
+       (Filename.quote (Filename.concat file "x.json"))
+       (Filename.quote err));
+  let msg = read_file err in
+  Sys.remove file;
+  Sys.remove err;
+  Alcotest.(check bool) "typed message, no uncaught exception" true
+    (String.starts_with ~prefix:"cannot write " msg
+    && not (String.exists (fun c -> c = '\n') (String.trim msg)))
+
 (* --- fault flags and the faultsweep campaign ---------------------------- *)
 
 let test_run_fault_flags_validate () =
@@ -264,6 +325,10 @@ let suite =
       test_bench_assert_shapes_bad_input;
     Alcotest.test_case "bench: --assert-shapes verdicts" `Quick
       test_bench_assert_shapes_verdicts;
+    Alcotest.test_case "bench: bad flags exit 2" `Quick test_bench_bad_flags;
+    Alcotest.test_case "bench: perf ledger JSON" `Quick test_bench_perf_ledger;
+    Alcotest.test_case "bench: unwritable --json exits 2" `Quick
+      test_bench_unwritable_json;
     Alcotest.test_case "run: fault flags validate" `Quick
       test_run_fault_flags_validate;
     Alcotest.test_case "run: bad sector exits typed" `Quick

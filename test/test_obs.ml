@@ -266,11 +266,6 @@ let test_cell_f_guards () =
     (Su_util.Text_table.cell_f Float.neg_infinity);
   Alcotest.(check string) "finite" "1.5" (Su_util.Text_table.cell_f 1.5)
 
-let test_stats_empty_minmax () =
-  let s = Su_util.Stats.create () in
-  Alcotest.(check (float 0.0)) "min" 0.0 (Su_util.Stats.min_value s);
-  Alcotest.(check (float 0.0)) "max" 0.0 (Su_util.Stats.max_value s)
-
 let suite =
   [
     Alcotest.test_case "hist exact moments" `Quick test_hist_exact_moments;
@@ -291,5 +286,4 @@ let suite =
     Alcotest.test_case "event sink" `Quick test_events_basic;
     Alcotest.test_case "trace records cached" `Quick test_trace_records_cached;
     Alcotest.test_case "table cells never nan" `Quick test_cell_f_guards;
-    Alcotest.test_case "stats empty min/max" `Quick test_stats_empty_minmax;
   ]

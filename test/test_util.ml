@@ -58,51 +58,6 @@ let test_rng_weighted () =
   let a = Hashtbl.find counts "a" and b = Hashtbl.find counts "b" in
   Alcotest.(check bool) "b roughly twice a" true (b > a)
 
-let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h)
-
-let test_heap_filter () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 1; 2; 3; 4; 5; 6 ];
-  Heap.filter_in_place h (fun x -> x mod 2 = 0);
-  Alcotest.(check int) "three left" 3 (Heap.length h);
-  Alcotest.(check (option int)) "min is 2" (Some 2) (Heap.peek h)
-
-let prop_heap_pops_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_filter_in_place =
-  QCheck.Test.make ~name:"heap filter_in_place keeps a valid heap" ~count:200
-    QCheck.(pair (list int) int)
-    (fun (xs, k) ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let pred x = x land 3 <> k land 3 in
-      Heap.filter_in_place h pred;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare (List.filter pred xs))
-
 let test_lru_append_order () =
   let l = Lru.create () in
   let mk i = Lru.make ~stamp:i i in
@@ -218,34 +173,6 @@ let prop_lru_matches_model =
       && Lru.to_list b = expect `B
       && Lru.stamps a = List.sort compare (Lru.stamps a)
       && Lru.stamps b = List.sort compare (Lru.stamps b))
-
-let test_stats_basic () =
-  let s = Stats.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
-  Alcotest.(check int) "count" 4 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "total" 10.0 (Stats.total s);
-  Alcotest.(check (float 1e-6)) "stdev" 1.290994 (Stats.stdev s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.max_value s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.0)) "mean 0" 0.0 (Stats.mean s);
-  Alcotest.(check (float 0.0)) "stdev 0" 0.0 (Stats.stdev s)
-
-let test_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0; 10.0 ] in
-  Alcotest.(check (float 1e-9)) "median" 5.0 (Stats.percentile xs 50.0);
-  Alcotest.(check (float 1e-9)) "p100" 10.0 (Stats.percentile xs 100.0);
-  Alcotest.(check (float 1e-9)) "p1" 1.0 (Stats.percentile xs 1.0)
-
-let prop_stats_mean_matches =
-  QCheck.Test.make ~name:"welford mean matches naive" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 1000.0))
-    (fun xs ->
-      let s = Stats.of_list xs in
-      let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      Float.abs (Stats.mean s -. naive) < 1e-6)
 
 let test_table_render () =
   let t = Text_table.create ~title:"T" ~headers:[ "a"; "bb" ] in
@@ -501,11 +428,6 @@ let suite =
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng substream" `Quick test_rng_substream;
     Alcotest.test_case "rng weighted" `Quick test_rng_weighted;
-    Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
-    Alcotest.test_case "heap empty" `Quick test_heap_empty;
-    Alcotest.test_case "heap filter" `Quick test_heap_filter;
-    QCheck_alcotest.to_alcotest prop_heap_pops_sorted;
-    QCheck_alcotest.to_alcotest prop_heap_filter_in_place;
     Alcotest.test_case "lru append order" `Quick test_lru_append_order;
     Alcotest.test_case "lru remove relinks" `Quick test_lru_remove_relinks;
     Alcotest.test_case "lru touch moves to tail" `Quick test_lru_touch_moves_to_tail;
@@ -517,10 +439,6 @@ let suite =
       test_bitset_growth_and_bounds;
     QCheck_alcotest.to_alcotest prop_itbl_matches_model;
     Alcotest.test_case "itbl basics" `Quick test_itbl_basics;
-    Alcotest.test_case "stats basic" `Quick test_stats_basic;
-    Alcotest.test_case "stats empty" `Quick test_stats_empty;
-    Alcotest.test_case "percentile" `Quick test_percentile;
-    QCheck_alcotest.to_alcotest prop_stats_mean_matches;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
     Alcotest.test_case "pool jobs=0 resolves" `Quick test_pool_jobs_zero;
