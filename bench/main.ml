@@ -38,7 +38,8 @@ let usage () =
      \                  every driver-burst-* row >= 20000 events/s (a\n\
      \                  generous anti-regression floor, not a target)\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
-     \                  copy) and full-sweep scaling across the pool\n\
+     \                  copy), full-sweep scaling across the pool, and\n\
+     \                  journal replay (gate: <= 128 words/record)\n\
      \  --loadgen       load-engine steady state (gates: zero majors,\n\
      \                  words/op at a doubled window within 1.15x) and\n\
      \                  directory-scale lookups (gate: 10k entries within\n\
@@ -99,13 +100,18 @@ let above gate value bound = { gate = gate ^ " >"; value; bound; ok = value > bo
 type sample = { units : int; wall : float; words : float; major_gcs : int }
 
 (* Time [run] (which returns its unit count) bracketed by
-   [Gc.quick_stat], so allocation claims are measured numbers. *)
+   [Gc.quick_stat], so allocation claims are measured numbers. Its word
+   count covers every domain but only advances at a minor collection,
+   so the minor heap is emptied at both ends (after the clock stops):
+   otherwise a run smaller than the minor heap reads as
+   allocation-free. *)
 let bracket run =
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let units = run () in
   let wall = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
   let s1 = Gc.quick_stat () in
   {
     units;
@@ -289,7 +295,7 @@ let hotpaths ~quick ~jobs:_ =
   in
   (rows, [], gates)
 
-(* --- crash-state materialization + sweep scaling ----------------------- *)
+(* --- crash-state materialization, sweep scaling, journal replay -------- *)
 
 (* Per built-in workload:
 
@@ -302,7 +308,9 @@ let hotpaths ~quick ~jobs:_ =
 
    2. full-sweep wall clock: Explorer.sweep (fsck + repair + remount +
       continuation per state) at --jobs 1 and --jobs N, pinning the
-      work pool's scaling. *)
+      work pool's scaling.
+
+   Then one [journal-replay] row (see [journal_replay_row]). *)
 
 module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
@@ -378,6 +386,47 @@ let repeat_for_quarter_second f () =
   done;
   !total
 
+(* Journal replay: a small journaled copy/remove, synced, leaves its
+   whole log on the image (recovery, not the sync, retires it), so
+   recovering that image is replay-bound. Per-record words price one
+   record's replay; a replay that re-copied its target block per
+   record pays a whole block (up to a 2,048-slot indirect) each time. *)
+let journal_replay_row ~reps =
+  let cfg =
+    { crashsweep_cfg with
+      Su_fs.Fs.scheme = Su_fs.Fs.Journaled { group_commit = false } }
+  in
+  let w = Su_fs.Fs.make cfg in
+  let st = w.Su_fs.Fs.st in
+  ignore
+    (Su_sim.Proc.spawn w.Su_fs.Fs.engine ~name:"copy-remove" (fun () ->
+         Su_fs.Fsops.mkdir st "/src";
+         Su_workload.Tree.populate st ~base:"/src"
+           (Su_workload.Tree.spec ~files:60 ~total_bytes:(4 lsl 20) ());
+         Su_fs.Fsops.mkdir st "/dst";
+         Su_workload.Tree.copy st ~src:"/src" ~dst:"/dst";
+         Su_workload.Tree.remove st "/dst";
+         Su_fs.Fsops.sync st;
+         Su_fs.Fs.stop w));
+  Su_sim.Engine.run w.Su_fs.Fs.engine;
+  let image = Su_disk.Disk.image_snapshot w.Su_fs.Fs.disk in
+  let records =
+    Array.fold_left
+      (fun n c ->
+        match c with
+        | Su_fstypes.Types.Jlog { recs; _ } -> n + List.length recs
+        | _ -> n)
+      0 image
+  in
+  let log_start, log_frags = Option.get (Su_fs.Fs.journal_region cfg) in
+  best_of ~reps ~layer:"fsck" ~unit:"record" "journal-replay"
+    (staged (fun () ->
+         let img = Array.copy image in
+         fun () ->
+           Su_core.Journaled.recover ~geom:cfg.Su_fs.Fs.geom ~log_start
+             ~log_frags img;
+           records))
+
 let crashsweep ~quick ~jobs =
   let jobs_n = Su_util.Pool.resolve_jobs jobs in
   let max_boundaries = if quick then Some 30 else None in
@@ -403,9 +452,10 @@ let crashsweep ~quick ~jobs =
             (name ^ ".materialize_speedup", delta.per_sec /. deep.per_sec) ] ))
       Explorer.builtin_workloads
   in
-  ( List.concat_map fst per_workload,
+  let replay = journal_replay_row ~reps:(if quick then 1 else 3) in
+  ( List.concat_map fst per_workload @ [ replay ],
     ("jobs", float_of_int jobs_n) :: List.concat_map snd per_workload,
-    [] )
+    [ at_most "journal-replay words_per_unit" replay.words_per_unit 128.0 ] )
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 

@@ -179,7 +179,7 @@ let nested_verify ?max_boundaries ~cfg base events =
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
     Delta.seek cur k;
-    let img = Array.map Types.copy_cell (Delta.image cur) in
+    let img = Types.copy_image (Delta.image cur) in
     (* round one: recovery over its own partial effects must settle *)
     Fs.recover_image cfg img;
     let outcome = Fsck.repair ~geom:cfg.Fs.geom ~image:img ~check_exposure () in
@@ -284,10 +284,10 @@ let crash_states ?(torn = true) ?max_boundaries r =
 (* Materialize one crash state as a private image a verifier may
    mutate: seek the cursor to the boundary (O(cells touched)), take a
    copy-on-share snapshot (immutable cells shared, mutable metadata
-   deep-copied by [Types.copy_cell]), then overlay any torn prefix. *)
+   deep-copied by [Types.copy_image]), then overlay any torn prefix. *)
 let materialize cur (boundary, torn) =
   Delta.seek cur boundary;
-  let img = Array.map Types.copy_cell (Delta.image cur) in
+  let img = Types.copy_image (Delta.image cur) in
   (match torn with
    | None -> ()
    | Some applied ->

@@ -154,56 +154,19 @@ let entry_rec (dir : Buf.t) slot =
 
 (* --- recovery ------------------------------------------------------------ *)
 
-(* Replay mutates the image copy-on-write through [Imglog.write]: the
-   current cell (or a fresh one, if the block was never written) is
-   deep-copied, the record's post-image applied to the copy, and the
-   copy installed — an identical result is dropped entirely. Replaying
-   the same record twice is therefore both harmless and silent, which
-   is what lets recovery be re-entered over its own partial effects. *)
+(* Replay mutates the image copy-on-write through [Imglog.write]: each
+   touched block gets one private working copy (the current cell
+   deep-copied, or a fresh block if it was never written), records are
+   applied to the copies in sequence order, and a flush installs the
+   copies — an identical result is dropped entirely. Replaying the same
+   record twice is therefore both harmless and silent, which is what
+   lets recovery be re-entered over its own partial effects.
 
-let replay_meta ?observer _geom image blk fresh f =
-  let m =
-    match image.(blk) with
-    | Types.Meta m -> Types.copy_meta m
-    | Types.Empty | Types.Pad | Types.Frag _ | Types.Jlog _ | Types.Rmap _
-    | Types.Csum _ ->
-      fresh ()
-  in
-  f m;
-  Imglog.write ?observer image blk (Types.Meta m)
-
-let replay_rec ?observer geom image = function
-  | Types.J_dinode { inum; din } ->
-    let blk = Geom.inode_block_frag geom inum in
-    replay_meta ?observer geom image blk
-      (fun () -> Types.fresh_inode_block geom)
-      (function
-        | Types.Inodes dinodes ->
-          dinodes.(Geom.inode_index_in_block geom inum) <-
-            Types.copy_dinode din
-        | _ -> ())
-  | Types.J_entry { blk; slot; entry } ->
-    replay_meta ?observer geom image blk
-      (fun () -> Types.Dir (Types.fresh_dir_block geom))
-      (function
-        | Types.Dir entries -> entries.(slot) <- entry
-        | _ -> ())
-  | Types.J_dir_init { blk } ->
-    (* the block is brand new: reset it, wiping any stale contents
-       from an earlier life (the same transaction re-adds the current
-       entries) *)
-    Imglog.write ?observer image blk
-      (Types.Meta (Types.Dir (Types.fresh_dir_block geom)))
-  | Types.J_ind_init { blk } ->
-    Imglog.write ?observer image blk
-      (Types.Meta (Types.Indirect (Types.fresh_indirect geom)))
-  | Types.J_ind_set { blk; slot; ptr } ->
-    replay_meta ?observer geom image blk
-      (fun () -> Types.Indirect (Types.fresh_indirect geom))
-      (function
-        | Types.Indirect arr -> arr.(slot) <- ptr
-        | _ -> ())
-
+   The flush policy sets the write stream an observer sees. Observed,
+   recovery flushes after every record, so each record is its own
+   write boundary for the crash-state explorer to re-crash at.
+   Unobserved, it flushes once after the last record: a block is
+   copied and compared once, not once per record that touches it. *)
 let recover ?observer ~geom ~log_start ~log_frags image =
   let txns = ref [] in
   for i = 0 to log_frags - 1 do
@@ -213,9 +176,62 @@ let recover ?observer ~geom ~log_start ~log_frags image =
       | _ -> ()
   done;
   let txns = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !txns in
+  let work : (int, Types.meta) Hashtbl.t = Hashtbl.create 64 in
+  let block blk fresh =
+    match Hashtbl.find_opt work blk with
+    | Some m -> m
+    | None ->
+      let m =
+        match image.(blk) with
+        | Types.Meta m -> Types.copy_meta m
+        | Types.Empty | Types.Pad | Types.Frag _ | Types.Jlog _ | Types.Rmap _
+        | Types.Csum _ ->
+          fresh ()
+      in
+      Hashtbl.replace work blk m;
+      m
+  in
+  let flush () =
+    Hashtbl.fold (fun blk _ acc -> blk :: acc) work []
+    |> List.sort Int.compare
+    |> List.iter (fun blk ->
+           Imglog.write ?observer image blk (Types.Meta (Hashtbl.find work blk)));
+    Hashtbl.reset work
+  in
+  let apply = function
+    | Types.J_dinode { inum; din } -> (
+      match
+        block (Geom.inode_block_frag geom inum) (fun () ->
+            Types.fresh_inode_block geom)
+      with
+      | Types.Inodes dinodes ->
+        dinodes.(Geom.inode_index_in_block geom inum) <- Types.copy_dinode din
+      | _ -> ())
+    | Types.J_entry { blk; slot; entry } -> (
+      match block blk (fun () -> Types.Dir (Types.fresh_dir_block geom)) with
+      | Types.Dir entries -> entries.(slot) <- entry
+      | _ -> ())
+    | Types.J_dir_init { blk } ->
+      (* the block is brand new: reset it, wiping any stale contents
+         from an earlier life (the same transaction re-adds the current
+         entries) *)
+      Hashtbl.replace work blk (Types.Dir (Types.fresh_dir_block geom))
+    | Types.J_ind_init { blk } ->
+      Hashtbl.replace work blk (Types.Indirect (Types.fresh_indirect geom))
+    | Types.J_ind_set { blk; slot; ptr } -> (
+      match block blk (fun () -> Types.Indirect (Types.fresh_indirect geom)) with
+      | Types.Indirect arr -> arr.(slot) <- ptr
+      | _ -> ())
+  in
   List.iter
-    (fun (_, recs, _) -> List.iter (replay_rec ?observer geom image) recs)
+    (fun (_, recs, _) ->
+      List.iter
+        (fun r ->
+          apply r;
+          if Option.is_some observer then flush ())
+        recs)
     txns;
+  flush ();
   (* recovery is a checkpoint: every replayed record is now reflected
      in the metadata blocks, so retire the log. Leaving records behind
      would corrupt the next mount — its journal restarts at sequence

@@ -59,10 +59,14 @@ val recover :
     The allocation maps are left as the crash found them:
     [Su_fs.Fs.recover_image] rebuilds them afterwards from the
     reachable tree ([Su_fs.Fsck.rebuild_maps]). Every cell the
-    pipeline changes flows through {!Su_fstypes.Imglog.write}, so an
-    [observer] sees recovery's own write stream record by record — the
+    pipeline changes flows through {!Su_fstypes.Imglog.write}, copy on
+    write: the caller's cells are never mutated. With an [observer],
+    each record is installed as soon as it is applied, so the observer
+    sees recovery's own write stream record by record — the
     crash-state explorer re-crashes recovery at each of those
-    boundaries. Recovery tolerates re-execution over any prefix of its
+    boundaries. Without one, each touched block is copied once, takes
+    all its records, and is installed once. Both land on the same
+    image. Recovery tolerates re-execution over any prefix of its
     own effects: replay records are absolute post-images, and the log
     is retired oldest-sequence-first so a crash mid-retirement leaves
     only records whose effects are already on the media. *)

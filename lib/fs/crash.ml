@@ -20,7 +20,7 @@ let torn_variants (w : Fs.world) image =
     (* applied = 1 .. n-1: prefix landed, tail lost. 0 applied is the
        snapshot itself and n applied is the next crash point. *)
     List.init (max 0 (n - 1)) (fun k ->
-        let img = Array.map Su_fstypes.Types.copy_cell image in
+        let img = Su_fstypes.Types.copy_image image in
         for i = 0 to k do
           img.(lbn + i) <- Su_fstypes.Types.copy_cell payload.(i)
         done;

@@ -249,10 +249,15 @@ let build ?image cfg =
      (* a captured checksum region is loaded over the digests the
         installs compute, so pre-mount corruption stays detectable; it
         must not be installed positionally (the source layout's slot
-        may differ from ours) *)
+        may differ from ours). [Empty] media cells are skipped: the
+        fresh media is all [Empty] and its checksum region starts at
+        the [Empty] digest, so mount cost follows the cells in use.
+        Past the media an [Empty] still lands, as it may blank a
+        reserved cell. *)
      Array.iteri
        (fun i c ->
          match c with
+         | Types.Empty when i < total_frags -> ()
          | Types.Csum _ -> Su_disk.Disk.install_csum disk c
          | _ -> Su_disk.Disk.install disk i (Types.copy_cell c))
        cells;

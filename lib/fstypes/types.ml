@@ -269,6 +269,15 @@ let copy_cell = function
   | Rmap entries -> Rmap entries
   | Csum a -> Csum (Array.copy a)
 
+let copy_image image =
+  let img = Array.copy image in
+  for i = 0 to Array.length img - 1 do
+    match img.(i) with
+    | (Meta _ | Jlog _ | Csum _) as c -> img.(i) <- copy_cell c
+    | Empty | Pad | Frag _ | Rmap _ -> ()
+  done;
+  img
+
 let dir_entry_count entries =
   Array.fold_left (fun n e -> match e with Some _ -> n + 1 | None -> n) 0 entries
 

@@ -404,7 +404,14 @@ let copy t =
     box = arena_map Types.copy_cell t.box;
   }
 
-let snapshot t = Array.init t.n (fun i -> get t i ~live:false)
+(* Only non-empty cells are decoded, so the cost follows what the
+   volume holds, not its size. *)
+let snapshot t =
+  let cells = Array.make t.n Types.Empty in
+  for i = 0 to t.n - 1 do
+    if Bytes.get_uint8 t.tags i <> tag_empty then cells.(i) <- get t i ~live:false
+  done;
+  cells
 
 let of_cells cells =
   let t = create (Array.length cells) in

@@ -75,7 +75,7 @@ val copy : t -> t
 val snapshot : t -> Types.cell array
 (** The legacy view: a cell array of private copies, equal to the
     [Array.map Types.copy_cell] snapshot of the equivalent cell
-    image. *)
+    image. Only non-empty cells are decoded. *)
 
 val of_cells : Types.cell array -> t
 

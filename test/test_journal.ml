@@ -232,6 +232,23 @@ let test_remount_retires_stale_log () =
   let size = run_world w3 (fun () -> (Fsops.stat w3.Fs.st "/d/a").Fsops.st_size) in
   Alcotest.(check int) "the append survives replay" 3072 size
 
+(* Unobserved recovery installs each touched block once; observed
+   recovery installs after every record. Both must land on the same
+   image without touching the caller's cells, and the observed stream
+   must keep the per-record write boundaries the explorer re-crashes
+   at (its length is pinned). *)
+let check_replay_equivalence cfg image ~events =
+  let pristine = Array.map Su_fstypes.Types.copy_cell image in
+  let unobserved = Array.copy image in
+  Fs.recover_image cfg unobserved;
+  let observed = Array.copy image in
+  let r = Su_fstypes.Imglog.recorder () in
+  Fs.recover_image ~observer:(Su_fstypes.Imglog.observe r) cfg observed;
+  Alcotest.(check bool) "observed and unobserved replay agree" true
+    (observed = unobserved);
+  Alcotest.(check bool) "the caller's image is untouched" true (image = pristine);
+  Alcotest.(check int) "observed write events" events (Su_fstypes.Imglog.count r)
+
 let test_journal_wrap_checkpoint () =
   (* a tiny log forces wrap-around checkpoints *)
   let cfg = { (small_config jsync) with Fs.journal_mb = 1 } in
@@ -253,7 +270,9 @@ let test_journal_wrap_checkpoint () =
           ~image:(Su_disk.Disk.image_snapshot w.Fs.disk)
           ~check_exposure:false
       in
-      Alcotest.(check bool) "clean across wraps" true (Fsck.ok r))
+      Alcotest.(check bool) "clean across wraps" true (Fsck.ok r));
+  check_replay_equivalence cfg (Su_disk.Disk.image_snapshot w.Fs.disk)
+    ~events:2252
 
 let test_replay_idempotent () =
   (* recovering twice yields the same state as recovering once *)
@@ -272,6 +291,17 @@ let test_replay_idempotent () =
   Alcotest.(check int) "same files" r1.Fsck.files r2.Fsck.files;
   Alcotest.(check int) "same dirs" r1.Fsck.dirs r2.Fsck.dirs;
   Alcotest.(check int) "same leaks" r1.Fsck.leaked_frags r2.Fsck.leaked_frags
+
+let test_replay_equivalence () =
+  let cfg = small_config jgroup in
+  List.iter2
+    (fun t events ->
+      let w = Fs.make cfg in
+      ignore
+        (Proc.spawn w.Fs.engine ~name:"w" (crash_workload w.Fs.st (Rng.create 91)));
+      check_replay_equivalence cfg (Crash.crash_at w t) ~events)
+    [ 0.4; 1.3; 3.1; 7.7 ]
+    [ 127; 524; 510; 498 ]
 
 let test_journal_with_nvram () =
   (* log appends land in the NVRAM cache: sync commits become cheap
@@ -311,4 +341,5 @@ let suite =
       test_remount_retires_stale_log;
     Alcotest.test_case "journal wrap checkpoint" `Quick
       test_journal_wrap_checkpoint;
+    Alcotest.test_case "replay equivalence (group)" `Quick test_replay_equivalence;
   ]
