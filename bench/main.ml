@@ -34,9 +34,10 @@ let usage () =
      perf sections (any combination, run in this order, never mixed\n\
      with experiment ids; each prints one row per bench and one line\n\
      per gate, and the run exits 1 if any gate fails):\n\
-     \  --hotpaths      driver-dispatch / cache-eviction hot paths; gate:\n\
-     \                  every driver-burst-* row >= 20000 events/s (a\n\
-     \                  generous anti-regression floor, not a target)\n\
+     \  --hotpaths      driver-dispatch / cache-eviction / write-payload hot\n\
+     \                  paths; gates: every driver-burst-* row >= 20000\n\
+     \                  events/s (a generous anti-regression floor, not a\n\
+     \                  target), write-payload <= 300 words/write\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy), full-sweep scaling across the pool, and\n\
      \                  journal replay (gate: <= 128 words/record)\n\
@@ -262,6 +263,51 @@ let bench_cache_sync_all n () =
   Su_sim.Engine.run e;
   n
 
+(* [n] dirty inode blocks of 64 live dinodes, written out: what the
+   write payload costs per metadata write. Dirtying is staged; the
+   timed region issues the [n] writes and drains them. *)
+let bench_write_payload n () =
+  let open Su_fstypes in
+  let e, drv = mk_disk_driver ~mode:Su_driver.Ordering.Unordered
+      ~policy:Su_driver.Driver.Clook () in
+  let g = Geom.default in
+  let fpb = g.Geom.frags_per_block in
+  let bc =
+    Su_cache.Bcache.create ~engine:e ~driver:drv
+      { Su_cache.Bcache.default_config with capacity_frags = fpb * n }
+  in
+  let block i =
+    Types.Inodes
+      (Array.init g.Geom.inodes_per_block (fun j ->
+           let d = Types.free_dinode g in
+           d.Types.ftype <- Types.F_reg;
+           d.Types.nlink <- 1;
+           d.Types.gen <- 1;
+           d.Types.size <- Geom.block_bytes g;
+           d.Types.db.(0) <- fpb * ((i * g.Geom.inodes_per_block) + j + 1);
+           d))
+  in
+  let bufs = ref [] in
+  ignore
+    (Su_sim.Proc.spawn e (fun () ->
+         for i = n - 1 downto 0 do
+           let b =
+             Su_cache.Bcache.getblk bc ~lbn:(i * fpb) ~nfrags:fpb ~init:(fun () ->
+                 Su_cache.Buf.Cmeta (block i))
+           in
+           Su_cache.Bcache.bdwrite bc b;
+           Su_cache.Bcache.release bc b;
+           bufs := b :: !bufs
+         done));
+  Su_sim.Engine.run e;
+  let bufs = !bufs in
+  fun () ->
+  ignore
+    (Su_sim.Proc.spawn e (fun () ->
+         List.iter (fun b -> ignore (Su_cache.Bcache.bawrite bc b)) bufs));
+  Su_sim.Engine.run e;
+  n
+
 (* The benches run serially: a pool worker's allocation and a
    concurrent full major would leak into another bench's bracket. *)
 let hotpaths ~quick ~jobs:_ =
@@ -283,6 +329,8 @@ let hotpaths ~quick ~jobs:_ =
            ~chain:true n);
       row "cache" "cache-evict-clean" (bench_cache_evict n);
       row "cache" "cache-sync-all" (bench_cache_sync_all n);
+      best_of ~reps ~layer:"cache" ~unit:"write" "write-payload"
+        (staged (bench_write_payload n));
     ]
   in
   let gates =
@@ -292,6 +340,8 @@ let hotpaths ~quick ~jobs:_ =
           Some (at_least (r.name ^ " per_sec") r.per_sec 20_000.0)
         else None)
       rows
+    @ [ at_most "write-payload words_per_unit"
+          (find rows "write-payload").words_per_unit 300.0 ]
   in
   (rows, [], gates)
 

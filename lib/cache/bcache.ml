@@ -50,7 +50,7 @@ let () =
     | _ -> None)
 
 type hooks = {
-  mutable pre_write : Buf.t -> Buf.content * bool;
+  mutable pre_write : Buf.t -> Su_fstypes.Types.cell array * bool;
   mutable post_write : Buf.t -> unit;
   mutable pre_invalidate : Buf.t -> unit;
   mutable verify_fill :
@@ -103,7 +103,8 @@ type t = {
 
 let default_hooks () =
   {
-    pre_write = (fun b -> (Buf.copy_content b.Buf.content, false));
+    pre_write =
+      (fun b -> (Buf.payload b.Buf.content ~nfrags:b.Buf.nfrags, false));
     post_write = (fun _ -> ());
     pre_invalidate = (fun _ -> ());
     verify_fill = None;
@@ -266,9 +267,8 @@ let bawrite ?flagged ?deps ?(sync = false) ?notify t (b : Buf.t) =
     done;
     t.copies <- t.copies + b.Buf.nfrags
   end;
-  let payload, keep_dirty = t.hooks.pre_write b in
+  let cells, keep_dirty = t.hooks.pre_write b in
   t.config.copy_cost b.Buf.nfrags;
-  let cells = Buf.to_cells payload ~nfrags:b.Buf.nfrags in
   let flagged = match flagged with Some f -> f | None -> b.Buf.wflag in
   let deps = match deps with Some d -> d | None -> b.Buf.wdeps in
   b.Buf.wflag <- false;

@@ -41,9 +41,15 @@ val stuck_to_string : op:string -> detail:string -> stuck_buffer list -> string
     does (at most 16 buffers listed). *)
 
 type hooks = {
-  mutable pre_write : Buf.t -> Buf.content * bool;
-      (** snapshot the write payload; [true] = keep the buffer dirty
-          (some updates were rolled back) *)
+  mutable pre_write : Buf.t -> Su_fstypes.Types.cell array * bool;
+      (** build the write payload, [nfrags] cells handed to the driver
+          as they are; [true] = keep the buffer dirty (some updates
+          were rolled back). The payload is the only copy of the
+          buffer the write takes, so it must share no mutable state
+          with it: the default is {!Buf.payload}, whose [Inodes]
+          snapshot shares the unchanged dinodes (immutable by the slot
+          invariant of {!Su_fstypes.Types.meta}). A hook that rolls a
+          dinode back copies that dinode first. *)
   mutable post_write : Buf.t -> unit;
       (** dependency processing after a write completes *)
   mutable pre_invalidate : Buf.t -> unit;

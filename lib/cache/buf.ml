@@ -33,18 +33,15 @@ let data t =
   | Cdata d -> d
   | Cmeta _ -> invalid_arg "Buf.data: metadata buffer"
 
-let copy_content = function
-  | Cmeta m -> Cmeta (Types.copy_meta m)
-  | Cdata d -> Cdata (Array.copy d)
+let meta_cells m ~nfrags =
+  Array.init nfrags (fun i -> if i = 0 then Types.Meta m else Types.Pad)
 
-let to_cells content ~nfrags =
+let payload content ~nfrags =
   match content with
-  | Cmeta m ->
-    Array.init nfrags (fun i ->
-        if i = 0 then Types.Meta (Types.copy_meta m) else Types.Pad)
+  | Cmeta m -> meta_cells (Types.snapshot_meta m) ~nfrags
   | Cdata d ->
     if Array.length d <> nfrags then
-      invalid_arg "Buf.to_cells: data length mismatch";
+      invalid_arg "Buf.payload: data length mismatch";
     Array.map
       (function Some s -> Types.Frag s | None -> Types.Empty)
       d

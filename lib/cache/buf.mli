@@ -43,12 +43,16 @@ val meta : t -> Su_fstypes.Types.meta
 val data : t -> Su_fstypes.Types.stamp option array
 (** @raise Invalid_argument if the buffer holds metadata. *)
 
-val copy_content : content -> content
+val meta_cells : Su_fstypes.Types.meta -> nfrags:int -> Su_fstypes.Types.cell array
+(** [Meta m] followed by [Pad] tails, wrapping [m] without copying it:
+    for a hook that has already built its private copy. *)
 
-val to_cells : content -> nfrags:int -> Su_fstypes.Types.cell array
-(** Serialise for a write payload: metadata occupies the first cell
-    with [Pad] tails; data fragments map one-to-one ([None] becomes
-    [Empty]). The result shares no mutable state with the buffer. *)
+val payload : content -> nfrags:int -> Su_fstypes.Types.cell array
+(** The write payload: the only copy taken of the buffer. Metadata is
+    snapshotted with {!Su_fstypes.Types.snapshot_meta} (an [Inodes]
+    block shares its unchanged dinodes) and fills the first cell, with
+    [Pad] tails; data fragments map one-to-one ([None] becomes
+    [Empty]). Later updates of the buffer never reach the result. *)
 
 val of_cells : Su_fstypes.Types.cell array -> content
 (** Interpret cells read from disk. Data extents whose cells are

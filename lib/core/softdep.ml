@@ -191,8 +191,11 @@ let apply_ptr_undo (din : Types.dinode) (a : alloc) =
   | Scheme_intf.P_ib2 -> din.Types.ib2 <- a.a_old_ptr
   | Scheme_intf.P_ind _ -> invalid_arg "Softdep: indirect alloc on inodedep"
 
+(* The payload shares the buffer's dinodes (Types slot invariant); a
+   slot is copied on its first rollback, so the buffer's own dinodes
+   are never touched. *)
 let pre_write_inodes t (b : Buf.t) (dinodes : Types.dinode array) =
-  let copy = Array.map Types.copy_dinode dinodes in
+  let copy = Array.copy dinodes in
   let rolled = ref false in
   let base = first_inum_of_inode_block t b.Buf.key in
   Array.iteri
@@ -200,28 +203,33 @@ let pre_write_inodes t (b : Buf.t) (dinodes : Types.dinode array) =
       match Hashtbl.find_opt t.inodedeps (base + idx) with
       | None -> ()
       | Some dep ->
-        let din = copy.(idx) in
+        let undo () =
+          if copy.(idx) == dinodes.(idx) then
+            copy.(idx) <- Types.copy_dinode dinodes.(idx);
+          copy.(idx)
+        in
         let rolled_size = ref max_int in
         List.iter
           (fun a ->
             if a.a_data_done then a.a_included <- true
             else begin
               a.a_included <- false;
-              apply_ptr_undo din a;
+              apply_ptr_undo (undo ()) a;
               if a.a_old_size < !rolled_size then rolled_size := a.a_old_size;
               rolled := true;
               t.stats.rollbacks <- t.stats.rollbacks + 1
             end)
           dep.i_allocs;
-        if !rolled_size < din.Types.size then din.Types.size <- !rolled_size;
+        if !rolled_size < copy.(idx).Types.size then
+          (undo ()).Types.size <- !rolled_size;
         List.iter (fun d -> d.d_covered <- true) dep.i_waiting_adds;
         List.iter (fun f -> f.f_covered <- true) dep.i_freework)
     copy;
-  (Buf.Cmeta (Types.Inodes copy), !rolled)
+  (Types.Inodes copy, !rolled)
 
 let pre_write_dir t (b : Buf.t) (entries : Types.dirent option array) =
   match Hashtbl.find_opt t.pagedeps b.Buf.key with
-  | None -> (Buf.Cmeta (Types.Dir (Array.copy entries)), false)
+  | None -> (Types.Dir (Array.copy entries), false)
   | Some p ->
     let copy = Array.copy entries in
     let rolled = ref false in
@@ -247,19 +255,23 @@ let pre_write_dir t (b : Buf.t) (entries : Types.dirent option array) =
           ()
         | Some _ | None -> r.r_covered <- true)
       p.p_rems;
-    (Buf.Cmeta (Types.Dir copy), !rolled)
+    (Types.Dir copy, !rolled)
 
+(* Each arm builds its own private (rolled-back) block, which becomes
+   the payload without a second copy. *)
 let pre_write t (b : Buf.t) =
+  let wrap (m, keep_dirty) = (Buf.meta_cells m ~nfrags:b.Buf.nfrags, keep_dirty) in
   match b.Buf.content with
-  | Buf.Cmeta (Types.Inodes dinodes) -> pre_write_inodes t b dinodes
-  | Buf.Cmeta (Types.Dir entries) -> pre_write_dir t b entries
+  | Buf.Cmeta (Types.Inodes dinodes) -> wrap (pre_write_inodes t b dinodes)
+  | Buf.Cmeta (Types.Dir entries) -> wrap (pre_write_dir t b entries)
   | Buf.Cmeta (Types.Indirect actual) ->
     (match Hashtbl.find_opt t.indirdeps b.Buf.key with
-     | None -> (Buf.Cmeta (Types.Indirect (Array.copy actual)), false)
+     | None -> wrap (Types.Indirect (Array.copy actual), false)
      | Some n ->
        (* the safe copy is the write source (appendix) *)
-       (Buf.Cmeta (Types.Indirect (Array.copy n.n_safe)), n.n_allocs <> []))
-  | Buf.Cmeta _ | Buf.Cdata _ -> (Buf.copy_content b.Buf.content, false)
+       wrap (Types.Indirect (Array.copy n.n_safe), n.n_allocs <> []))
+  | Buf.Cmeta _ | Buf.Cdata _ ->
+    (Buf.payload b.Buf.content ~nfrags:b.Buf.nfrags, false)
 
 (* ---------- completion processing (post_write hook) ------------------ *)
 

@@ -270,6 +270,13 @@ let apply_phys_run t ~phys ~src ~len cells =
       ~post:(Array.init len (fun i -> Types.copy_cell cells.(src + i)))
   | (Some _ | None), _ -> ()
 
+(* Drop the cached streams a write of [lbn, lbn + nfrags) overlaps;
+   the list is rebuilt only when one does. *)
+let invalidate_streams t ~lbn ~nfrags =
+  let overlaps s = s.limit > lbn && s.next_lbn < lbn + nfrags in
+  if List.exists overlaps t.streams then
+    t.streams <- List.filter (fun s -> not (overlaps s)) t.streams
+
 let apply_write t ~lbn ~nfrags cells =
   if not (has_remaps t) then begin
     (* pre-images are captured before the blit so a delta observer can
@@ -284,8 +291,7 @@ let apply_write t ~lbn ~nfrags cells =
       Volume.set t.image (lbn + i) cells.(i)
     done;
     (* a write invalidates overlapping cached streams *)
-    t.streams <-
-      List.filter (fun s -> s.limit <= lbn || s.next_lbn >= lbn + nfrags) t.streams;
+    invalidate_streams t ~lbn ~nfrags;
     (match t.write_observer with
      | Some f when nfrags > 0 ->
        f ~lbn (Array.init nfrags (fun i -> Types.copy_cell cells.(i)))
@@ -301,9 +307,7 @@ let apply_write t ~lbn ~nfrags cells =
        remapped fragment redirects to its spare) and land each run
        separately; stream invalidation stays logical, since streams
        are keyed by the logical addresses reads present *)
-    t.streams <-
-      List.filter (fun s -> s.limit <= lbn || s.next_lbn >= lbn + nfrags)
-        t.streams;
+    invalidate_streams t ~lbn ~nfrags;
     let i = ref 0 in
     while !i < nfrags do
       let start = phys_of t (lbn + !i) in

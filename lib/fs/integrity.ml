@@ -152,8 +152,7 @@ let cached_content t frag =
              && (not b.Su_cache.Buf.dirty)
              && k < b.Su_cache.Buf.nfrags ->
         let cells =
-          Su_cache.Buf.to_cells
-            (Su_cache.Buf.copy_content b.Su_cache.Buf.content)
+          Su_cache.Buf.payload b.Su_cache.Buf.content
             ~nfrags:b.Su_cache.Buf.nfrags
         in
         Some cells.(k)

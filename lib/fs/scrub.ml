@@ -122,8 +122,7 @@ let repair t frag =
     match covering_buf t frag with
     | Some b when not b.Su_cache.Buf.dirty -> (
       let cells =
-        Su_cache.Buf.to_cells
-          (Su_cache.Buf.copy_content b.Su_cache.Buf.content)
+        Su_cache.Buf.payload b.Su_cache.Buf.content
           ~nfrags:b.Su_cache.Buf.nfrags
       in
       match write_cells t ~lbn:b.Su_cache.Buf.key cells with

@@ -256,6 +256,10 @@ let copy_meta = function
   | Dir entries -> Dir (Array.copy entries)
   | Indirect ptrs -> Indirect (Array.copy ptrs)
 
+let snapshot_meta = function
+  | Inodes ds -> Inodes (Array.copy ds)
+  | (Superblock _ | Cgroup _ | Dir _ | Indirect _) as m -> copy_meta m
+
 let copy_jrec = function
   | J_dinode { inum; din } -> J_dinode { inum; din = copy_dinode din }
   | J_entry _ | J_dir_init _ | J_ind_init _ | J_ind_set _ as r -> r

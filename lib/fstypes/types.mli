@@ -51,7 +51,14 @@ type superblock = {
 type meta =
   | Superblock of superblock
   | Cgroup of cg
-  | Inodes of dinode array  (** [Geom.inodes_per_block] dinodes *)
+  | Inodes of dinode array
+      (** [Geom.inodes_per_block] dinodes. Slot invariant: a dinode
+          held in an [Inodes] array is never mutated in place. Writers
+          replace the slot ([dinodes.(i) <- copy_dinode d]); repair,
+          replay and rollback paths copy the block ({!copy_meta}) or
+          the dinode ({!copy_dinode}) first. Two arrays may therefore
+          share dinodes: fresh blocks share one canonical free dinode,
+          and a write payload ({!snapshot_meta}) shares the buffer's. *)
   | Dir of dirent option array  (** fixed capacity, [None] = unused slot *)
   | Indirect of int array  (** [Geom.nindir] block pointers *)
 
@@ -131,8 +138,14 @@ val fresh_cg : Geom.t -> cg
 val copy_dinode : dinode -> dinode
 val copy_superblock : superblock -> superblock
 val copy_meta : meta -> meta
-(** Deep copy; used to snapshot write payloads and on reads so cached
-    and on-disk state never share mutable structure. *)
+(** Deep copy, for callers that mutate the result in place (fsck
+    repairs, journal replay). *)
+
+val snapshot_meta : meta -> meta
+(** The private copy a write payload takes: {!copy_meta}, except that
+    an [Inodes] block copies only its slot array and shares the
+    dinodes, which the slot invariant keeps immutable. Later updates
+    of the source block never reach the snapshot. *)
 
 val copy_cell : cell -> cell
 

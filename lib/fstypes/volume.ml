@@ -30,6 +30,11 @@ let fits bits v = v >= 0 && v < 1 lsl bits
 
 let u32_ok v = v >= 0 && v <= 0xffffffff
 
+(* [Array.for_all u32_ok a] without the closure [Array.for_all]
+   allocates per call: this runs once per dinode on every inode-block
+   write. *)
+let rec u32s_ok a i = i >= Array.length a || (u32_ok a.(i) && u32s_ok a (i + 1))
+
 (* --- growable arenas --------------------------------------------------- *)
 
 type 'a arena = {
@@ -88,7 +93,7 @@ let dinode_conforms nd (d : Types.dinode) =
   Array.length d.Types.db = nd
   && u32_ok d.Types.nlink && u32_ok d.Types.gen && u32_ok d.Types.ib
   && u32_ok d.Types.ib2 && d.Types.size >= 0
-  && Array.for_all u32_ok d.Types.db
+  && u32s_ok d.Types.db 0
 
 let ino_conforms ds =
   let nd = ino_ndaddr ds in
@@ -268,7 +273,7 @@ let set t i cell =
       t.aux.(i) <- arena_alloc t.dir slab;
       Bytes.set_uint8 t.tags i tag_dir
     end
-  | Types.Meta (Types.Indirect ptrs) when Array.for_all u32_ok ptrs ->
+  | Types.Meta (Types.Indirect ptrs) when u32s_ok ptrs 0 ->
     let need = 4 * Array.length ptrs in
     if old = tag_ind && Bytes.length t.ind.items.(t.aux.(i)) = need then
       encode_ind t.ind.items.(t.aux.(i)) ptrs

@@ -171,6 +171,30 @@ let test_snapshot_payload () =
        | _ -> Alcotest.fail "unexpected cell");
       Bcache.release w.bc b)
 
+let test_cgroup_payload_unaliased () =
+  (* the volume stores a cylinder-group cell boxed, by reference: the
+     payload it was handed must not alias the buffer, or mutating the
+     buffer's maps in place after the write would rewrite the disk *)
+  let w = mk () in
+  let g = Geom.small in
+  let lbn = Geom.cg_header_frag g 0 in
+  in_proc w (fun () ->
+      let cg = Types.fresh_cg g in
+      Bytes.set cg.Types.frag_map 3 '\001';
+      let b =
+        Bcache.getblk w.bc ~lbn ~nfrags:g.Geom.frags_per_block ~init:(fun () ->
+            Buf.Cmeta (Types.Cgroup cg))
+      in
+      Bcache.bwrite_sync w.bc b;
+      Bytes.set cg.Types.frag_map 3 '\000';
+      Bytes.set cg.Types.frag_map 4 '\001';
+      Bcache.release w.bc b);
+  match (Su_disk.Disk.image_snapshot w.disk).(lbn) with
+  | Types.Meta (Types.Cgroup c) ->
+    Alcotest.(check string) "written bytes on disk" "\001\000"
+      (Bytes.sub_string c.Types.frag_map 3 2)
+  | _ -> Alcotest.fail "cylinder group missing"
+
 let test_eviction_lru () =
   let w = mk ~capacity:8 () in
   in_proc w (fun () ->
@@ -349,7 +373,7 @@ let test_pre_write_hook_rollback () =
   let w = mk () in
   let hooks = Bcache.hooks w.bc in
   hooks.Bcache.pre_write <-
-    (fun _b -> (Buf.Cdata [| Some Types.Zeroed |], true));
+    (fun _b -> ([| Types.Frag Types.Zeroed |], true));
   in_proc w (fun () ->
       let b =
         Bcache.getblk w.bc ~lbn:900 ~nfrags:1 ~init:(fun () ->
@@ -400,6 +424,8 @@ let suite =
       test_write_lock_blocks_updater;
     Alcotest.test_case "cb does not block" `Quick test_cb_does_not_block_updater;
     Alcotest.test_case "snapshot payload" `Quick test_snapshot_payload;
+    Alcotest.test_case "cgroup payload unaliased" `Quick
+      test_cgroup_payload_unaliased;
     Alcotest.test_case "eviction lru" `Quick test_eviction_lru;
     Alcotest.test_case "eviction writes dirty" `Quick test_eviction_writes_dirty;
     Alcotest.test_case "sticky not evicted" `Quick test_sticky_not_evicted;

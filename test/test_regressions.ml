@@ -139,7 +139,7 @@ let prop_buf_cells_roundtrip =
              slots)
       in
       let content = Su_cache.Buf.Cdata stamps in
-      let cells = Su_cache.Buf.to_cells content ~nfrags:(Array.length stamps) in
+      let cells = Su_cache.Buf.payload content ~nfrags:(Array.length stamps) in
       match Su_cache.Buf.of_cells cells with
       | Su_cache.Buf.Cdata back -> back = stamps
       | Su_cache.Buf.Cmeta _ -> false)

@@ -304,6 +304,115 @@ let test_no_order_never_blocks () =
   Alcotest.(check int) "no writes at all" 0 (writes w);
   Alcotest.(check bool) "memory speed" true (elapsed < 0.5)
 
+(* --- write payloads -------------------------------------------------------- *)
+
+(* The paper's five schemes plus journaling, each with and without the
+   block-copy enhancement (-CB). *)
+let payload_worlds =
+  List.concat_map
+    (fun scheme -> [ (scheme, false); (scheme, true) ])
+    (Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ])
+
+(* A write payload is the disk's private snapshot of the buffer at
+   issue: whatever the cache does to the buffer afterwards (in place,
+   under -CB, while the write is still in flight) must never reach it.
+   Record every payload with its per-cell digests, run a small copy and
+   remove, then digest the payloads again. *)
+let test_payloads_never_change () =
+  List.iter
+    (fun (scheme, cb) ->
+      let name =
+        Printf.sprintf "%s%s" (Fs.scheme_kind_name scheme)
+          (if cb then "-cb" else "")
+      in
+      let w =
+        Fs.make
+          { (Fs.config ~scheme ()) with
+            Fs.geom = Geom.small;
+            cache_mb = 1;
+            cb }
+      in
+      let hooks = Su_cache.Bcache.hooks w.Fs.cache in
+      let inner = hooks.Su_cache.Bcache.pre_write in
+      let issued = ref [] in
+      hooks.Su_cache.Bcache.pre_write <-
+        (fun b ->
+          let ((cells, _) as r) = inner b in
+          issued := (cells, Array.map Types.cell_digest cells) :: !issued;
+          r);
+      in_world w (fun () ->
+          let st = w.Fs.st in
+          let tree =
+            Su_workload.Tree.spec ~seed:3 ~files:40 ~total_bytes:(400 * 1024) ()
+          in
+          Fsops.mkdir st "/src";
+          Fsops.mkdir st "/dst";
+          Su_workload.Tree.populate st ~base:"/src" tree;
+          Fsops.sync st;
+          Su_workload.Tree.copy st ~src:"/src" ~dst:"/dst";
+          Su_workload.Tree.remove st "/src";
+          Fsops.sync st);
+      let inode_payloads =
+        List.length
+          (List.filter
+             (fun (cells, _) ->
+               match cells.(0) with
+               | Types.Meta (Types.Inodes _) -> true
+               | _ -> false)
+             !issued)
+      in
+      Alcotest.(check bool) (name ^ ": inode blocks written") true
+        (inode_payloads > 0);
+      let changed =
+        List.length
+          (List.filter
+             (fun (cells, digests) -> Array.map Types.cell_digest cells <> digests)
+             !issued)
+      in
+      Alcotest.(check int) (name ^ ": payloads changed after issue") 0 changed)
+    payload_worlds
+
+(* -CB: an inode-block write is in flight when a slot of the block is
+   updated. The disk gets the dinode as it was at issue; the buffer
+   keeps the new one. *)
+let test_cb_inode_update_in_flight () =
+  let w =
+    Fs.make
+      { (Fs.config ~scheme:Fs.Conventional ()) with
+        Fs.geom = Geom.small;
+        cache_mb = 8;
+        cb = true }
+  in
+  in_world w (fun () ->
+      let st = w.Fs.st in
+      Fsops.create st "/f";
+      Fsops.sync st;
+      let inum = Fsops.resolve st "/f" in
+      let slot = Geom.inode_index_in_block Geom.small inum in
+      let blk = Geom.inode_block_frag Geom.small inum in
+      let ip = Inode.iget st inum in
+      let nlink = ip.State.din.Types.nlink in
+      Inode.with_ibuf st inum (fun ibuf ->
+          ignore (Su_cache.Bcache.bawrite w.Fs.cache ibuf);
+          ip.State.din.Types.nlink <- nlink + 5;
+          Inode.update st ip;
+          Alcotest.(check bool) "updated while in flight" true
+            (ibuf.Su_cache.Buf.io_count > 0);
+          Su_cache.Bcache.wait_write w.Fs.cache ibuf;
+          (match Su_disk.Disk.peek w.Fs.disk blk with
+           | Types.Meta (Types.Inodes ds) ->
+             Alcotest.(check int) "disk holds the issue-time dinode" nlink
+               ds.(slot).Types.nlink
+           | _ -> Alcotest.fail "inode block missing");
+          match ibuf.Su_cache.Buf.content with
+          | Su_cache.Buf.Cmeta (Types.Inodes ds) ->
+            Alcotest.(check int) "buffer holds the new dinode" (nlink + 5)
+              ds.(slot).Types.nlink
+          | _ -> Alcotest.fail "inode buffer lost");
+      ip.State.din.Types.nlink <- nlink;
+      Inode.update st ip;
+      Inode.iput st ip)
+
 let suite =
   [
     Alcotest.test_case "conventional create syncs" `Quick
@@ -324,4 +433,8 @@ let suite =
       test_soft_deferred_decrement;
     Alcotest.test_case "soft workitems flow" `Quick test_soft_workitems_flow;
     Alcotest.test_case "no order never blocks" `Quick test_no_order_never_blocks;
+    Alcotest.test_case "payloads never change after issue" `Quick
+      test_payloads_never_change;
+    Alcotest.test_case "cb inode update in flight" `Quick
+      test_cb_inode_update_in_flight;
   ]

@@ -53,6 +53,53 @@ let test_fragment_extension_merge_rollback () =
          Alcotest.(check int) "size settled" 2048 d.Types.size
        | None -> Alcotest.fail "inode block missing"))
 
+let test_copy_on_undo () =
+  (* the payload shares the buffer's dinodes and copies a slot only to
+     roll it back: the buffer's own dinodes are never touched *)
+  let w = mk () in
+  in_world w (fun () ->
+      let st = w.Fs.st in
+      Fsops.create st "/f";
+      Fsops.create st "/g";
+      Fsops.append st "/f" ~bytes:1024;
+      let inum = Fsops.resolve st "/f" in
+      let slot = Geom.inode_index_in_block Geom.small inum in
+      Inode.with_ibuf st inum (fun ibuf ->
+          let live =
+            match ibuf.Su_cache.Buf.content with
+            | Su_cache.Buf.Cmeta (Types.Inodes ds) -> ds
+            | _ -> Alcotest.fail "inode buffer missing"
+          in
+          let cells, keep_dirty =
+            (Su_cache.Bcache.hooks w.Fs.cache).Su_cache.Bcache.pre_write ibuf
+          in
+          Alcotest.(check bool) "rolled back, kept dirty" true keep_dirty;
+          let sent =
+            match cells.(0) with
+            | Types.Meta (Types.Inodes ds) -> ds
+            | _ -> Alcotest.fail "payload is not an inode block"
+          in
+          Alcotest.(check bool) "rolled slot is a fresh dinode" true
+            (sent.(slot) != live.(slot));
+          Alcotest.(check int) "payload: old pointer" 0 sent.(slot).Types.db.(0);
+          Alcotest.(check int) "payload: old size" 0 sent.(slot).Types.size;
+          Alcotest.(check bool) "buffer: new pointer" true
+            (live.(slot).Types.db.(0) <> 0);
+          Alcotest.(check int) "buffer: new size" 1024 live.(slot).Types.size;
+          Array.iteri
+            (fun i d ->
+              if i <> slot then
+                Alcotest.(check bool)
+                  (Printf.sprintf "slot %d shared" i)
+                  true (d == live.(i)))
+            sent;
+          ignore (Su_cache.Bcache.bawrite w.Fs.cache ibuf);
+          Su_cache.Bcache.wait_write w.Fs.cache ibuf);
+      Fsops.sync st;
+      match on_disk_dinode w inum with
+      | Some d -> Alcotest.(check int) "size settled" 1024 d.Types.size
+      | None -> Alcotest.fail "inode block missing")
+
 let test_rollback_after_data_written () =
   (* once the data reaches the disk, the inode flush carries the real
      pointer (no rollback) *)
@@ -362,6 +409,7 @@ let suite =
       test_fragment_extension_merge_rollback;
     Alcotest.test_case "no rollback after data written" `Quick
       test_rollback_after_data_written;
+    Alcotest.test_case "copy on undo" `Quick test_copy_on_undo;
     Alcotest.test_case "deferred free not reusable" `Quick
       test_deferred_free_not_reusable;
     Alcotest.test_case "dir init before link" `Quick test_dir_init_before_link;
