@@ -39,8 +39,10 @@ let usage () =
      \                  events/s (a generous anti-regression floor, not a\n\
      \                  target), write-payload <= 300 words/write\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
-     \                  copy), full-sweep scaling across the pool, and\n\
-     \                  journal replay (gate: <= 128 words/record)\n\
+     \                  copy), full-sweep scaling across the pool,\n\
+     \                  journal replay (gate: <= 128 words/record) and\n\
+     \                  recovery of 1 GB crash states (gates: <= 800000\n\
+     \                  words/state, every state clean)\n\
      \  --loadgen       load-engine steady state (gates: zero majors,\n\
      \                  words/op at a doubled window within 1.15x) and\n\
      \                  directory-scale lookups (gate: 10k entries within\n\
@@ -360,7 +362,8 @@ let hotpaths ~quick ~jobs:_ =
       continuation per state) at --jobs 1 and --jobs N, pinning the
       work pool's scaling.
 
-   Then one [journal-replay] row (see [journal_replay_row]). *)
+   Then one [journal-replay] row (see [journal_replay_row]) and one
+   [recover-state] row (see [recover_state_row]). *)
 
 module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
@@ -477,6 +480,82 @@ let journal_replay_row ~reps =
              ~log_frags img;
            records))
 
+(* Recovery of sampled crash states of a default-geometry (1 GB) soft
+   updates volume holding 2,000 files, each through
+   [Explorer.verify_state]: fsck check and repair, remount, the
+   continuation and the probe's final check. The states come from a
+   short churn after the population is synced, and are materialized
+   outside the timed region. Words per state price the passes recovery
+   makes over the whole volume rather than over what it holds. Returns
+   the row and the states whose verdict was not clean. *)
+let recover_state_row ~quick ~reps =
+  let open Su_fs in
+  let cfg = Fs.config ~scheme:Fs.Soft_updates () in
+  let wl =
+    {
+      Explorer.wl_name = "recover-state";
+      wl_run =
+        (fun st ->
+          Fsops.mkdir st "/p";
+          for d = 0 to 9 do
+            let dir = Printf.sprintf "/p/d%d" d in
+            Fsops.mkdir st dir;
+            for f = 0 to 199 do
+              let p = Printf.sprintf "%s/f%d" dir f in
+              Fsops.create st p;
+              Fsops.append st p ~bytes:(512 * (1 + (f mod 6)))
+            done
+          done;
+          Fsops.sync st;
+          Fsops.mkdir st "/c";
+          for i = 0 to 9 do
+            let p = Printf.sprintf "/c/n%d" i in
+            Fsops.create st p;
+            Fsops.append st p ~bytes:2048;
+            Fsops.rename st ~src:p ~dst:(p ^ "r");
+            Fsops.unlink st (Printf.sprintf "/p/d%d/f%d" i i)
+          done;
+          Fsops.sync st);
+    }
+  in
+  let r = Explorer.record ~cfg wl in
+  let states = Explorer.crash_states ~torn:false r in
+  let n = if quick then 4 else 12 in
+  (* evenly over the churn's last 48 boundaries *)
+  let last = Array.length states - 1 in
+  let sample =
+    Array.init n (fun i -> states.(max 0 (last - ((n - 1 - i) * 48 / n))))
+  in
+  let unclean = ref 0 in
+  let measure () =
+    let cur =
+      Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+    in
+    Array.fold_left
+      (fun acc ((boundary, torn) as state) ->
+        let image = Explorer.materialize cur state in
+        let s =
+          bracket (fun () ->
+              let v = Explorer.verify_state ~cfg ~boundary ~torn image in
+              if
+                v.Explorer.v_pre_violations > 0
+                || v.Explorer.v_post_violations > 0
+                || not v.Explorer.v_remount_ok
+              then incr unclean;
+              1)
+        in
+        {
+          units = acc.units + s.units;
+          wall = acc.wall +. s.wall;
+          words = acc.words +. s.words;
+          major_gcs = acc.major_gcs + s.major_gcs;
+        })
+      { units = 0; wall = 0.0; words = 0.0; major_gcs = 0 }
+      sample
+  in
+  let row = best_of ~reps ~layer:"fsck" ~unit:"state" "recover-state" measure in
+  (row, !unclean)
+
 let crashsweep ~quick ~jobs =
   let jobs_n = Su_util.Pool.resolve_jobs jobs in
   let max_boundaries = if quick then Some 30 else None in
@@ -503,9 +582,14 @@ let crashsweep ~quick ~jobs =
       Explorer.builtin_workloads
   in
   let replay = journal_replay_row ~reps:(if quick then 1 else 3) in
-  ( List.concat_map fst per_workload @ [ replay ],
+  let recover, unclean =
+    recover_state_row ~quick ~reps:(if quick then 1 else 3)
+  in
+  ( List.concat_map fst per_workload @ [ replay; recover ],
     ("jobs", float_of_int jobs_n) :: List.concat_map snd per_workload,
-    [ at_most "journal-replay words_per_unit" replay.words_per_unit 128.0 ] )
+    [ at_most "journal-replay words_per_unit" replay.words_per_unit 128.0;
+      at_most "recover-state words_per_unit" recover.words_per_unit 800_000.0;
+      at_most "recover-state unclean states" (float_of_int unclean) 0.0 ] )
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 

@@ -84,6 +84,10 @@ type t = {
   mutable p_on_done : (Types.cell array option, Fault.error) result -> float -> unit;
   (* destage in flight (mutually exclusive with a foreground op) *)
   mutable p_destage : destage;
+  mutable installed : (Types.cell array * int list) option;
+      (* the image [install_image] mounted and where it held [Csum]
+         cells on the media; with the volume's written mark it rebuilds
+         [image_snapshot] without decoding every cell *)
 }
 
 let busy t = t.busy
@@ -554,6 +558,7 @@ let create ~engine ~params ~nfrags ?(nvram_frags = 0) ?(fault = Fault.none)
       p_nvram_hit = false;
       p_on_done = no_done;
       p_destage = { d_lbn = 0; d_nfrags = 0 };
+      installed = None;
     }
   in
   Float.Array.set t.fl 6 (Disk_params.rotation_time params);
@@ -568,14 +573,17 @@ let create ~engine ~params ~nfrags ?(nvram_frags = 0) ?(fault = Fault.none)
    | None -> ());
   t
 
-let install t lbn cell =
+let install_cell t lbn cell ~copy =
   if lbn < 0 || lbn >= Volume.length t.image then
     invalid_arg "Disk.install: address out of range";
   let phys = if lbn < t.media then phys_of t lbn else lbn in
-  Volume.set t.image phys cell;
+  if copy then Volume.set_copy t.image phys cell
+  else Volume.set t.image phys cell;
   match t.csum with
   | Some ca when lbn < t.media -> ca.(lbn) <- Types.cell_digest cell
   | Some _ | None -> ()
+
+let install t lbn cell = install_cell t lbn cell ~copy:false
 
 (* Load a persisted checksum region (a [Types.Csum] cell from a prior
    incarnation's image) over the live one, replacing the digests
@@ -586,6 +594,53 @@ let install_csum t cell =
   | Some ca, Types.Csum src ->
     Array.blit src 0 ca 0 (min (Array.length src) (Array.length ca))
   | (Some _ | None), _ -> ()
+
+(* A captured checksum region goes through [install_csum], never
+   positionally: the source layout's slot may differ from ours. [Empty]
+   media cells are skipped: the fresh media is all
+   [Empty] and its checksum region starts at the [Empty] digest, so
+   mount cost follows the cells in use. Past the media an [Empty] still
+   lands, as it may blank a reserved cell. *)
+let install_image t cells =
+  let csums = ref [] in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Types.Empty when i < t.media -> ()
+      | Types.Csum _ ->
+        if i < t.media then csums := i :: !csums;
+        install_csum t c
+      | _ -> install_cell t i c ~copy:true)
+    cells;
+  Volume.track_writes t.image;
+  t.installed <- Some (cells, !csums)
+
+(* An unwritten media cell still holds what [install_image] stored
+   from the mounted array (or the fresh [Empty] past its end), which
+   decodes structurally equal to the array's cell. Only written cells,
+   the array's [Csum] cells (never installed positionally) and the
+   cells past the media (the checksum region changes without a store)
+   are read back. *)
+let installed_snapshot t =
+  match t.installed with
+  | None -> invalid_arg "Disk.installed_snapshot: no image installed"
+  | Some (base, csums) ->
+    let n = Volume.length t.image in
+    let out =
+      if Array.length base = n then Array.copy base
+      else begin
+        let o = Array.make n Types.Empty in
+        Array.blit base 0 o 0 (min (Array.length base) t.media);
+        o
+      end
+    in
+    let reread i = out.(i) <- Volume.read t.image i in
+    Volume.iter_written t.image (fun i -> if i < t.media then reread i);
+    List.iter reread csums;
+    for i = t.media to n - 1 do
+      reread i
+    done;
+    out
 
 let peek t lbn =
   if lbn < 0 || lbn >= Volume.length t.image then
@@ -642,36 +697,10 @@ let reload_remap t =
   | None -> ()
   | Some r -> Remap.load r (Volume.peek t.image (Remap.table_slot r))
 
-let resolve_image cells ~nfrags =
-  if Array.length cells <= nfrags then Array.map Types.copy_cell cells
-  else begin
-    let logical = Array.init nfrags (fun i -> Types.copy_cell cells.(i)) in
-    (match cells.(nfrags) with
-     | Types.Rmap entries ->
-       List.iter
-         (fun (lbn, phys) ->
-            if lbn >= 0 && lbn < nfrags && phys < Array.length cells then
-              logical.(lbn) <- Types.copy_cell cells.(phys))
-         entries
-     | _ -> ());
-    (* carry the checksum region (wherever past the media it lives)
-       into the logical image, right after the media: checkers of a
-       rebuilt replacement drive keep end-to-end verification *)
-    let rec find_csum i =
-      if i >= Array.length cells then None
-      else
-        match cells.(i) with
-        | Types.Csum _ as c -> Some (Types.copy_cell c)
-        | _ -> find_csum (i + 1)
-    in
-    match find_csum nfrags with
-    | Some c -> Array.append logical [| c |]
-    | None -> logical
-  end
-
-(* Same construction as [resolve_image], reading the volume directly
-   (decoded copies) instead of snapshotting the whole physical image
-   first. *)
+(* The logical view: every remap entry resolved to its spare's content
+   (decoded copies), and the checksum region carried right after the
+   media so checkers of a rebuilt replacement drive keep end-to-end
+   verification. *)
 let logical_snapshot t =
   let total = Volume.length t.image in
   if total <= t.media then Array.init total (fun i -> Volume.read t.image i)

@@ -87,6 +87,28 @@ val install : t -> int -> Su_fstypes.Types.cell -> unit
     layout verbatim); addresses past the media hit the raw spare
     region. *)
 
+val install_image : t -> Su_fstypes.Types.cell array -> unit
+(** Mount a captured physical image (spare region, remap-table cell
+    and checksum region included when present): each cell is
+    {!install}ed as a private copy ({!Su_fstypes.Volume.set_copy}:
+    slab kinds encoded, only boxed kinds deep-copied), [Empty] media
+    cells are skipped, and a [Csum] cell (a checksum region captured
+    from a prior incarnation) is loaded over the live region instead
+    of installed positionally, replacing the digests the installs
+    computed, so corruption that predates the mount stays detectable.
+    Then starts the volume's written mark, so
+    {!installed_snapshot} can rebuild the image from [cells].
+    @raise Invalid_argument if [cells] is larger than the device. *)
+
+val installed_snapshot : t -> Su_fstypes.Types.cell array
+(** Structurally equal to {!image_snapshot}, built from the array
+    {!install_image} mounted plus the cells stored since: a written
+    cell, a [Csum] cell of that array and every cell past the media
+    are decoded from the volume; every other cell is shared with the
+    mounted array, so the result (and that array) must not be mutated
+    in place, only have its slots replaced.
+    @raise Invalid_argument if no image was installed. *)
+
 val peek : t -> int -> Su_fstypes.Types.cell
 (** Read one image cell directly (fsck / tests). Slab-encoded kinds
     (fragments, inode/dir/indirect blocks) decode to a fresh value —
@@ -117,23 +139,9 @@ val logical_snapshot : t -> Su_fstypes.Types.cell array
     above observe. Equals {!image_snapshot} when no spares are
     configured. *)
 
-val resolve_image :
-  Su_fstypes.Types.cell array -> nfrags:int -> Su_fstypes.Types.cell array
-(** [resolve_image cells ~nfrags] is the logical view of a captured
-    physical image: a deep copy truncated to [nfrags] cells with the
-    remap table at index [nfrags] (if present) applied. A plain
-    [nfrags]-length image passes through unchanged (deep-copied). *)
-
 val reload_remap : t -> unit
 (** Restore the in-core remap table from the persisted cell (mount
     after {!install}ing a captured image). No-op without spares. *)
-
-val install_csum : t -> Su_fstypes.Types.cell -> unit
-(** Load a persisted checksum region (a {!Su_fstypes.Types.cell.Csum}
-    cell captured from a prior incarnation) over the live one,
-    replacing the digests {!install} computed from the installed cells
-    — corruption that predates the mount stays detectable. No-op
-    without [checksums] or for any other cell. *)
 
 val checksums_enabled : t -> bool
 

@@ -57,7 +57,7 @@ let remount_probe ~dir cfg image =
     Su_sim.Engine.run w.Fs.engine;
     if not !finished then Error "continuation did not finish"
     else
-      let final = Su_disk.Disk.image_snapshot w.Fs.disk in
+      let final = Su_disk.Disk.installed_snapshot w.Fs.disk in
       Fs.recover_image cfg final;
       match
         (Fsck.check ~geom:cfg.Fs.geom ~image:final

@@ -246,21 +246,9 @@ let build ?image cfg =
    | Some cells ->
      if Array.length cells > max_image then
        invalid_arg "Fs.mount_image: image larger than the configured disk";
-     (* a captured checksum region is loaded over the digests the
-        installs compute, so pre-mount corruption stays detectable; it
-        must not be installed positionally (the source layout's slot
-        may differ from ours). [Empty] media cells are skipped: the
-        fresh media is all [Empty] and its checksum region starts at
-        the [Empty] digest, so mount cost follows the cells in use.
-        Past the media an [Empty] still lands, as it may blank a
-        reserved cell. *)
-     Array.iteri
-       (fun i c ->
-         match c with
-         | Types.Empty when i < total_frags -> ()
-         | Types.Csum _ -> Su_disk.Disk.install_csum disk c
-         | _ -> Su_disk.Disk.install disk i (Types.copy_cell c))
-       cells;
+     (* from here on the device marks what it stores, replica restores
+        included *)
+     Su_disk.Disk.install_image disk cells;
      (* restore the in-core remap table before anything reads through
         the device, then cross-check the superblock replicas *)
      Su_disk.Disk.reload_remap disk;

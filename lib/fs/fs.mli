@@ -118,6 +118,10 @@ val mount_image : config -> Su_fstypes.Types.cell array -> world
     first recovered (replayed, its log retired, its maps rebuilt) on a
     private copy, so the new mount's transactions are never overtaken
     by stale ones at the next recovery; the argument is not modified.
+    The disk keeps the array it mounted (the argument, or that
+    replayed copy) as the base of {!Su_disk.Disk.installed_snapshot},
+    so its cells must not be mutated in place while the world is in
+    use.
     @raise Invalid_argument if the image does not fit the configured
     geometry.
     @raise Mount_failure if no usable superblock replica survives. *)

@@ -61,10 +61,19 @@ let pp_violation ppf = function
 
 module A1 = Bigarray.Array1
 
+type bytemap = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
+
+(* 8 bytes of a byte map at once, in native order *)
+external get64 : bytemap -> int -> int64 = "%caml_bigstring_get64"
+
 type tables = {
   owner : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
       (* per fragment: the inode that claimed it first, 0 for none
          (inode numbers start at [Geom.root_inum]) *)
+  claimed : bytemap;
+      (* per fragment: 1 where [owner] is set, else 0 — laid out like a
+         group's [frag_map] shifted by its base, so the audit compares
+         and the map rebuild copies whole words *)
   refs : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
       (* per inode slot: the entries naming it *)
   state : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t;
@@ -87,6 +96,7 @@ let tables geom =
   let ninodes = Geom.total_inodes geom in
   {
     owner = A1.create Bigarray.int32 Bigarray.c_layout geom.Geom.nfrags;
+    claimed = A1.create Bigarray.char Bigarray.c_layout geom.Geom.nfrags;
     refs = A1.create Bigarray.int32 Bigarray.c_layout ninodes;
     state = A1.create Bigarray.int8_unsigned Bigarray.c_layout ninodes;
     parent = Hashtbl.create 64;
@@ -94,6 +104,7 @@ let tables geom =
 
 let reset t =
   A1.fill t.owner 0l;
+  A1.fill t.claimed '\000';
   A1.fill t.refs 0l;
   A1.fill t.state unseen;
   Hashtbl.reset t.parent
@@ -124,7 +135,10 @@ let claim_frags ctx ~inum ~start ~len =
       viol ctx (Bad_pointer { inum; lbn = -1; ptr = f })
     else
       let other = owner ctx.t f in
-      if other = 0 then A1.set ctx.t.owner f (Int32.of_int inum)
+      if other = 0 then begin
+        A1.set ctx.t.owner f (Int32.of_int inum);
+        A1.set ctx.t.claimed f '\001'
+      end
       else if other <> inum then
         viol ctx (Cross_allocated { frag = f; owners = (other, inum) })
   done
@@ -325,11 +339,29 @@ let audit ctx =
     | Types.Meta (Types.Cgroup cg) ->
       let base = Geom.cg_base g c in
       let data_first, data_count = Geom.cg_data_area g c in
-      for f = data_first to data_first + data_count - 1 do
+      let frag f =
         let marked_used = Bytes.get cg.Types.frag_map (f - base) <> '\000' in
-        let owned = owner t f <> 0 in
+        let owned = A1.get t.claimed f <> '\000' in
         if owned && not marked_used then incr stale_free
         else if marked_used && not owned then incr leaked_frags
+      in
+      (* equal words hold equal bytes, which agree on every fragment;
+         only a differing word (a leak, a stale free, or a map byte
+         other than 0 and 1) is looked at byte by byte *)
+      let k = ref 0 in
+      while !k + 8 <= data_count do
+        let f = data_first + !k in
+        if
+          Bytes.get_int64_ne cg.Types.frag_map (f - base)
+          <> get64 t.claimed f
+        then
+          for f = f to f + 7 do
+            frag f
+          done;
+        k := !k + 8
+      done;
+      for f = data_first + !k to data_first + data_count - 1 do
+        frag f
       done;
       let first_inum = Geom.first_inum_of_cg g c in
       for j = 0 to g.Geom.inodes_per_cg - 1 do
@@ -367,12 +399,18 @@ let walk_into t ~geom ~image ~check_exposure =
   walk ctx;
   ctx
 
-(* One full check, its walk left in [t]. *)
-let check_into t ~geom ~image ~check_exposure =
-  let ctx = walk_into t ~geom ~image ~check_exposure in
+(* The audit and checksum phases over a finished walk. [ctx] keeps
+   only the walk's own violations afterwards, so a later image change
+   the walk cannot see is reported by auditing again. *)
+let report_of ctx =
+  let walked = ctx.violations in
   let leaked_frags, leaked_inodes, stale_free, nlink_high = audit ctx in
+  let violations =
+    List.rev ctx.violations @ csum_violations ~geom:ctx.geom ctx.image
+  in
+  ctx.violations <- walked;
   {
-    violations = List.rev ctx.violations @ csum_violations ~geom image;
+    violations;
     leaked_frags;
     leaked_inodes;
     stale_free;
@@ -382,7 +420,26 @@ let check_into t ~geom ~image ~check_exposure =
   }
 
 let check ~geom ~image ~check_exposure =
-  check_into (tables geom) ~geom ~image ~check_exposure
+  report_of (walk_into (tables geom) ~geom ~image ~check_exposure)
+
+(* The number of non-zero bytes in [b.{off .. off + len - 1}], whose
+   bytes are all 0 or 1: a word's byte sum lands in its top byte when
+   multiplied by 0x0101...01 (at most 8, so no byte carries). *)
+let count_ones b off len =
+  let n = ref 0 and k = ref 0 in
+  while !k + 8 <= len do
+    let w = get64 b (off + !k) in
+    if w <> 0L then
+      n :=
+        !n
+        + Int64.to_int
+            (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56);
+    k := !k + 8
+  done;
+  for i = off + !k to off + len - 1 do
+    if A1.get b i <> '\000' then incr n
+  done;
+  !n
 
 (* Install fresh per-group bitmaps from the walk in [t]: everything
    before each data area is in use, and a data fragment or inode is in
@@ -394,16 +451,17 @@ let install_maps ?observer t ~geom ~image =
     let cg = Types.fresh_cg geom in
     let base = Geom.cg_base geom c in
     let data_first, data_count = Geom.cg_data_area geom c in
-    for off = 0 to data_first - base - 1 do
-      Bytes.set cg.Types.frag_map off '\001'
+    Bytes.fill cg.Types.frag_map 0 (data_first - base) '\001';
+    let k = ref 0 in
+    while !k + 8 <= data_count do
+      Bytes.set_int64_ne cg.Types.frag_map (data_first - base + !k)
+        (get64 t.claimed (data_first + !k));
+      k := !k + 8
     done;
-    cg.Types.nffree <- data_count;
-    for f = data_first to data_first + data_count - 1 do
-      if owner t f <> 0 then begin
-        Bytes.set cg.Types.frag_map (f - base) '\001';
-        cg.Types.nffree <- cg.Types.nffree - 1
-      end
+    for f = data_first + !k to data_first + data_count - 1 do
+      Bytes.set cg.Types.frag_map (f - base) (A1.get t.claimed f)
     done;
+    cg.Types.nffree <- data_count - count_ones t.claimed data_first data_count;
     let first = Geom.first_inum_of_cg geom c in
     cg.Types.nifree <- geom.Geom.inodes_per_cg;
     for j = 0 to geom.Geom.inodes_per_cg - 1 do
@@ -594,6 +652,10 @@ let repair_test_hook :
       ref =
   ref None
 
+type final_path = Unwritten | Reused_walk | Full_check
+
+let repair_final_oracle : (final_path -> unit) option ref = ref None
+
 let structural = function
   | Nlink_low _ | Csum_mismatch _ -> false
   | Dangling_entry _ | Bad_pointer _ | Cross_allocated _ | Exposure _
@@ -617,7 +679,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
        (hook image)
    | None -> ());
   let t = tables geom in
-  let check () = check_into t ~geom ~image ~check_exposure in
+  let rewalk () = walk_into t ~geom ~image ~check_exposure in
   let actions = ref [] in
   let note a = actions := a :: !actions in
   (* the parent map is the current round's walk, taken before any of
@@ -652,17 +714,21 @@ let repair ?observer ~geom ~image ~check_exposure () =
      keep uncovering each other stop at the round limit, reporting
      divergence instead of dying — the settle/reclaim passes below
      still leave the image as sane as possible. *)
-  let rec rounds n (r : report) =
+  let rec rounds n ctx (r : report) =
     match List.filter structural r.violations with
-    | [] -> (n, true)
+    | [] -> (n, true, ctx)
     | vs ->
       List.iter fix vs;
-      if n = 8 then (n + 1, false) else rounds (n + 1) (check ())
+      if n = 8 then (n + 1, false, ctx)
+      else
+        let ctx = rewalk () in
+        rounds (n + 1) ctx (report_of ctx)
   in
-  let initial = check () in
-  let rounds, converged = rounds 1 initial in
+  let first = rewalk () in
+  let initial = report_of first in
+  let rounds, converged, last = rounds 1 first initial in
   (* the last round's repairs are not in its walk yet *)
-  if not converged then ignore (check ());
+  let last = if converged then last else rewalk () in
   (* settle link counts against the observed reference counts *)
   let ninodes = Geom.total_inodes geom in
   for i = 0 to ninodes - 1 do
@@ -722,5 +788,26 @@ let repair ?observer ~geom ~image ~check_exposure () =
        Imglog.write ?observer image slot (Types.Csum fresh);
        note (Resynced_csums { frags = !changed })
      end);
-  let final = if !writes = 0 then initial else check () in
+  (* After convergence no reachable pointer targets anything but a data
+     fragment, and the passes above wrote only live inodes' [nlink],
+     unreachable dinodes, group headers and the checksum slot: nothing
+     the walk reads. Its tables still describe the image, so only the
+     audit and checksum phases run again. *)
+  let path =
+    if !writes = 0 then Unwritten
+    else if converged then Reused_walk
+    else Full_check
+  in
+  let final =
+    match path with
+    | Unwritten -> initial
+    | Reused_walk -> report_of last
+    | Full_check -> report_of (rewalk ())
+  in
+  (match !repair_final_oracle with
+   | None -> ()
+   | Some f ->
+     if path <> Full_check && check ~geom ~image ~check_exposure <> final then
+       failwith "Fsck.repair: final report differs from a full check";
+     f path);
   { actions = List.rev !actions; initial; final; rounds; converged }

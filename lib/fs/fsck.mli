@@ -60,7 +60,7 @@ val check :
   geom:Geom.t -> image:Types.cell array -> check_exposure:bool -> report
 (** Walk the directory tree from the root once, verify every reachable
     structure, then audit the allocation maps against what the walk
-    claimed. Its working tables (4 bytes per fragment, 5 per inode) are
+    claimed. Its working tables (5 bytes per fragment, 5 per inode) are
     private to the call, so checks may run in several domains at once.
     [Nlink_low] violations come in ascending inode order. *)
 
@@ -125,7 +125,12 @@ val repair :
     outcome. One tree walk per structural round: the settle, reclaim
     and map-rebuild phases reuse the last round's walk, and a repair
     that wrote nothing (counting {!repair_test_hook}'s writes) returns
-    its first check as [final] instead of checking again.
+    its first check as [final] instead of checking again. A converged
+    repair that wrote builds [final] from its last round's walk too,
+    re-running only the audit and checksum phases: once no reachable
+    pointer targets anything but a data fragment, its later passes
+    write nothing the walk reads. An unconverged repair checks again
+    in full.
 
     Every cell the repair changes flows through
     {!Su_fstypes.Imglog.write}: an [observer] sees repair's own write
@@ -143,3 +148,15 @@ val repair_test_hook :
     install a content-dependent hook here to prove the nested sweep
     catches a non-idempotent repair (one that never reaches a
     write-free round). Always reset to [None] afterwards. *)
+
+(** How {!repair} produced its [final] report. *)
+type final_path =
+  | Unwritten  (** nothing was written: [final] is [initial] *)
+  | Reused_walk  (** converged: the last round's walk, audited again *)
+  | Full_check  (** not converged: a fresh walk and audit *)
+
+val repair_final_oracle : (final_path -> unit) option ref
+(** Test-only. When set, {!repair} passes it the path its [final]
+    report took; before that, unless the path is [Full_check], it runs
+    a full {!check} of the repaired image and raises [Failure] if that
+    differs from [final]. Always reset to [None] afterwards. *)

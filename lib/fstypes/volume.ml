@@ -181,6 +181,15 @@ let decode_ind b =
 
 (* --- the volume -------------------------------------------------------- *)
 
+(* The written mark lives outside the OCaml heap, like fsck's tables:
+   every mount allocates one the size of the volume. *)
+type marks =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external marks_get64 : marks -> int -> int64 = "%caml_bigstring_get64"
+
+let no_marks = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
+
 type t = {
   n : int;
   tags : Bytes.t;
@@ -189,6 +198,9 @@ type t = {
   dir : dirslab arena;
   ind : Bytes.t arena;
   box : Types.cell arena;
+  mutable marks : marks;
+      (* one byte per cell, set by every [set] since [track_writes];
+         empty while not tracking *)
 }
 
 type stats = {
@@ -210,6 +222,7 @@ let create n =
     dir = arena no_dirslab;
     ind = arena Bytes.empty;
     box = arena Types.Empty;
+    marks = no_marks;
   }
 
 let length t = t.n
@@ -225,10 +238,16 @@ let release t i =
   | 7 -> arena_release t.box t.aux.(i)
   | _ -> ()
 
-let set t i cell =
+(* The encode-or-box decision. A boxed cell is stored as given, or as
+   a deep copy when [copy] asks for one: only those cells can alias a
+   caller's value, since slab kinds are re-encoded. *)
+let store t i cell ~copy =
   check t i "set";
+  if Bigarray.Array1.dim t.marks > 0 then
+    Bigarray.Array1.unsafe_set t.marks i '\001';
   let old = Bytes.get_uint8 t.tags i in
   let box c =
+    let c = if copy then Types.copy_cell c else c in
     if old = tag_box then t.box.items.(t.aux.(i)) <- c
     else begin
       release t i;
@@ -289,6 +308,30 @@ let set t i cell =
                | Types.Dir _ | Types.Indirect _)
   | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
     box cell
+
+let set t i cell = store t i cell ~copy:false
+let set_copy t i cell = store t i cell ~copy:true
+
+let track_writes t =
+  let m = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.n in
+  Bigarray.Array1.fill m '\000';
+  t.marks <- m
+
+(* Written cells are few: whole words of the mark are skipped. *)
+let iter_written t f =
+  let m = t.marks in
+  let n = Bigarray.Array1.dim m in
+  let k = ref 0 in
+  while !k + 8 <= n do
+    if marks_get64 m !k <> 0L then
+      for i = !k to !k + 7 do
+        if Bigarray.Array1.get m i <> '\000' then f i
+      done;
+    k := !k + 8
+  done;
+  for i = !k to n - 1 do
+    if Bigarray.Array1.get m i <> '\000' then f i
+  done
 
 let unpack_written a =
   Types.Written
@@ -407,6 +450,7 @@ let copy t =
         t.dir;
     ind = arena_map Bytes.copy t.ind;
     box = arena_map Types.copy_cell t.box;
+    marks = no_marks;
   }
 
 (* Only non-empty cells are decoded, so the cost follows what the
@@ -417,11 +461,6 @@ let snapshot t =
     if Bytes.get_uint8 t.tags i <> tag_empty then cells.(i) <- get t i ~live:false
   done;
   cells
-
-let of_cells cells =
-  let t = create (Array.length cells) in
-  Array.iteri (fun i c -> set t i c) cells;
-  t
 
 let stats t =
   let slab_bytes a =

@@ -50,6 +50,23 @@ val set : t -> int -> Types.cell -> unit
     overwrites allocate nothing.
     @raise Invalid_argument if the address is out of range. *)
 
+val set_copy : t -> int -> Types.cell -> unit
+(** Like {!set}, but a boxed kind is stored as a deep copy
+    ([Types.copy_cell]), so nothing the volume holds aliases the
+    argument. Slab kinds are encoded exactly as {!set} encodes them,
+    with no copy: this is how a mount installs a caller's image. *)
+
+val track_writes : t -> unit
+(** Start (or restart) the written mark: one byte per cell, set by
+    every later {!set}/{!set_copy} of that cell (no allocation per
+    write). Cells mutated in place without a store — a boxed cell's
+    own mutable fields, such as the live checksum array — are not
+    marked. *)
+
+val iter_written : t -> (int -> unit) -> unit
+(** [iter_written t f] calls [f i], in ascending order, on every cell
+    stored since {!track_writes}; none while not tracking. *)
+
 val read : t -> int -> Types.cell
 (** Decode a private copy: mutating the result never reaches the
     volume (boxed cells are deep-copied, matching what
@@ -70,14 +87,13 @@ val is_compact : t -> int -> bool
 
 val copy : t -> t
 (** Snapshot by slab blits ([Bytes.copy]/[Array.copy] per slab; boxed
-    cells are deep-copied). *)
+    cells are deep-copied). The copy does not track writes (see
+    {!track_writes}). *)
 
 val snapshot : t -> Types.cell array
 (** The legacy view: a cell array of private copies, equal to the
     [Array.map Types.copy_cell] snapshot of the equivalent cell
     image. Only non-empty cells are decoded. *)
-
-val of_cells : Types.cell array -> t
 
 val stats : t -> stats
 

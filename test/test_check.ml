@@ -431,6 +431,75 @@ let test_hook_catches_nonidempotent_repair () =
       Alcotest.(check bool) "non-idempotent repair caught as unsettled" true
         (s.Explorer.s_nested_unsettled > 0))
 
+(* --- repair's reused final walk ------------------------------------------ *)
+
+(* Run [f] with the test-only oracle on: a repair whose final report
+   reuses a walk also runs a full check and raises on any difference.
+   Returns [f]'s result, how many repairs ran and how many of them
+   reused their last walk. *)
+let with_walk_oracle f =
+  let repairs = Atomic.make 0 and reused = Atomic.make 0 in
+  Fsck.repair_final_oracle :=
+    Some
+      (fun path ->
+        Atomic.incr repairs;
+        if path = Fsck.Reused_walk then Atomic.incr reused);
+  Fun.protect
+    ~finally:(fun () -> Fsck.repair_final_oracle := None)
+    (fun () ->
+      let r = f () in
+      (r, Atomic.get repairs, Atomic.get reused))
+
+let test_oracle_builtin_sweeps () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun wl ->
+          let s, _, _ =
+            with_walk_oracle (fun () -> Explorer.sweep ~cfg:(sweep_cfg scheme) wl)
+          in
+          if not (Explorer.consistent s) then show_failures s;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s consistent" (Fs.scheme_kind_name scheme)
+               wl.Explorer.wl_name)
+            true (Explorer.consistent s))
+        Explorer.builtin_workloads)
+    [ Fs.Soft_updates; Fs.Journaled { group_commit = false } ];
+  (* soft updates leaves leaks behind, so its repairs write and converge *)
+  let _, _, reused =
+    with_walk_oracle (fun () ->
+        Explorer.sweep ~cfg:(sweep_cfg Fs.Soft_updates) Explorer.smallfiles)
+  in
+  Alcotest.(check bool) "reused walks were compared" true (reused > 0)
+
+let test_oracle_corrupt_campaign () =
+  let ops = Option.get (Su_workload.Fuzz.find_case "renamefile") in
+  let s, repairs, reused =
+    with_walk_oracle (fun () ->
+        Campaign.sweep ~jobs:1 ~cfg:(sweep_cfg Fs.Soft_updates) Campaign.Silent
+          (Su_workload.Fuzz.workload_of_ops ~name:"renamefile" ops))
+  in
+  Alcotest.(check bool) "campaign passes" true (Campaign.ok s);
+  Alcotest.(check bool) "failed runs were repaired, reusing walks" true
+    (repairs > 0 && reused > 0)
+
+let test_oracle_fuzz_seeds () =
+  List.iter
+    (fun seed ->
+      let r, _, reused =
+        with_walk_oracle (fun () ->
+            Su_workload.Fuzz.run_case ~jobs:1 ~cfg:(sweep_cfg Fs.Soft_updates)
+              ~name:(Printf.sprintf "fuzz-%d" seed)
+              (Su_workload.Fuzz.gen ~seed ~ops:6))
+      in
+      (match Su_workload.Fuzz.failure r with
+       | Some why -> Alcotest.failf "seed %d: %s" seed why
+       | None -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d reused walks compared" seed)
+        true (reused > 0))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "sweep: soft updates / smallfiles" `Quick
@@ -473,6 +542,12 @@ let suite =
            Explorer.smallfiles);
       Alcotest.test_case "nested sweep: no order repairs" `Slow
         test_no_order_nested_repairs;
+      Alcotest.test_case "reused-walk oracle: builtin sweeps" `Slow
+        test_oracle_builtin_sweeps;
+      Alcotest.test_case "reused-walk oracle: corrupt campaign" `Quick
+        test_oracle_corrupt_campaign;
+      Alcotest.test_case "reused-walk oracle: fuzz seeds" `Quick
+        test_oracle_fuzz_seeds;
       Alcotest.test_case "nested sweep flags non-idempotent repair" `Quick
         test_hook_catches_nonidempotent_repair;
     ]

@@ -150,6 +150,116 @@ let test_nvram_crash_safe () =
     [ Fs.Conventional; Fs.Soft_updates;
       Fs.Journaled { group_commit = false } ]
 
+(* --- the remount probe's snapshot ---------------------------------------- *)
+
+(* The probe rebuilds its post-continuation image from the array the
+   mount installed plus the cells stored since; it must equal the full
+   decode of the volume on every image flavour a mount handles
+   specially. *)
+type flavour = Plain | Checksums | Live_remap | Logged_journal | Damaged_replica
+
+let flavour_name = function
+  | Plain -> "plain"
+  | Checksums -> "checksums"
+  | Live_remap -> "live remap"
+  | Logged_journal -> "logged journal"
+  | Damaged_replica -> "damaged replica"
+
+let probe_config = function
+  | Logged_journal ->
+    { (Fs.config ~scheme:(Fs.Journaled { group_commit = false }) ()) with
+      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
+      cache_mb = 4;
+      journal_mb = 2 }
+  | (Plain | Checksums | Live_remap | Damaged_replica) as f ->
+    { (Fs.config ~scheme:Fs.Soft_updates ()) with
+      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
+      cache_mb = 4;
+      checksums = f = Checksums;
+      spare_frags = (if f = Live_remap then 16 else 0) }
+
+(* A short random mix of namespace and data operations under [/r];
+   an operation the current tree refuses is simply skipped. *)
+let random_ops st rng n =
+  let name () = Printf.sprintf "/r/f%d" (Rng.int rng 8) in
+  (try Fsops.mkdir st "/r" with Fsops.Eexist _ -> ());
+  for _ = 1 to n do
+    try
+      match Rng.int rng 6 with
+      | 0 | 1 ->
+        let p = name () in
+        Fsops.create st p;
+        Fsops.append st p ~bytes:(512 * Rng.int_range rng 1 10)
+      | 2 -> Fsops.append st (name ()) ~bytes:(1024 * Rng.int_range rng 1 4)
+      | 3 -> Fsops.rename st ~src:(name ()) ~dst:(name ())
+      | 4 -> Fsops.unlink st (name ())
+      | _ -> Fsops.mkdir st (Printf.sprintf "/r/d%d" (Rng.int rng 4))
+    with
+    | Fsops.Enoent _ | Fsops.Eexist _ | Fsops.Eisdir _ | Fsops.Enotdir _
+    | Fsops.Einval _ | Fsops.Enotempty _ ->
+      ()
+  done
+
+let run_to_sync w f =
+  ignore
+    (Proc.spawn w.Fs.engine ~name:"ops" (fun () ->
+         f w.Fs.st;
+         Fsops.sync w.Fs.st;
+         Fs.stop w;
+         Su_driver.Driver.quiesce w.Fs.driver;
+         Engine.stop w.Fs.engine));
+  Engine.run w.Fs.engine
+
+let holds_log image =
+  Array.exists (function Su_fstypes.Types.Jlog _ -> true | _ -> false) image
+
+let prop_probe_snapshot =
+  QCheck.Test.make ~name:"probe snapshot over its mounted base = image_snapshot"
+    ~count:20
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun flavour ->
+          let cfg = probe_config flavour in
+          let rng = Rng.create (seed + Hashtbl.hash (flavour_name flavour)) in
+          let w = Fs.make cfg in
+          run_to_sync w (fun st -> random_ops st rng 12);
+          let disk = w.Fs.disk in
+          if flavour = Live_remap then begin
+            (* remap the root's inode block and the first group header,
+               both rewritten by the continuation below: the spare
+               takes each fragment's current content *)
+            let g = cfg.Fs.geom in
+            List.iter
+              (fun lbn ->
+                let c = Su_fstypes.Types.copy_cell (Su_disk.Disk.peek disk lbn) in
+                assert (Su_disk.Disk.try_remap disk ~lbn);
+                Su_disk.Disk.install disk lbn c)
+              [ Su_fstypes.Geom.inode_block_frag g Su_fstypes.Geom.root_inum;
+                Su_fstypes.Geom.cg_header_frag g 0 ]
+          end;
+          let image = Su_disk.Disk.image_snapshot disk in
+          if flavour = Damaged_replica then
+            image.(Su_fstypes.Geom.cg_sb_frag cfg.Fs.geom 1) <-
+              Su_fstypes.Types.Empty;
+          if flavour = Logged_journal && not (holds_log image) then
+            QCheck.Test.fail_report "journaled image holds no log records";
+          let before = Su_fstypes.Types.copy_image image in
+          let w2 = Fs.mount_image cfg image in
+          if flavour = Damaged_replica
+             && Health.sb_restored w2.Fs.st.State.health = 0
+          then QCheck.Test.fail_report "mount restored no replica";
+          run_to_sync w2 (fun st -> random_ops st rng 12);
+          let probe = Su_disk.Disk.installed_snapshot w2.Fs.disk in
+          let full = Su_disk.Disk.image_snapshot w2.Fs.disk in
+          if probe <> full then
+            QCheck.Test.fail_reportf "%s: snapshots differ" (flavour_name flavour);
+          if image <> before then
+            QCheck.Test.fail_reportf "%s: the mounted array changed"
+              (flavour_name flavour);
+          true)
+        [ Plain; Checksums; Live_remap; Logged_journal; Damaged_replica ])
+
 let suite =
   List.map
     (fun scheme ->
@@ -164,4 +274,5 @@ let suite =
         test_soft_updates_leaks_only;
       QCheck_alcotest.to_alcotest prop_random_crash_safe;
       Alcotest.test_case "nvram crash safety" `Quick test_nvram_crash_safe;
+      QCheck_alcotest.to_alcotest prop_probe_snapshot;
     ]

@@ -312,6 +312,214 @@ let test_table_extremes () =
       (Bytes.get cg.Types.frag_map (geom.Geom.cg_frags - 1))
   | _ -> Alcotest.fail "last group header unreadable"
 
+(* How repair built [final]: unwritten, converged (the last walk
+   audited again, checked against a full check by the oracle) and
+   unconverged (a fresh walk). *)
+let test_repair_final_paths () =
+  let paths = ref [] in
+  Fsck.repair_final_oracle := Some (fun p -> paths := p :: !paths);
+  Fun.protect
+    ~finally:(fun () -> Fsck.repair_final_oracle := None)
+    (fun () ->
+      let repair image = Fsck.repair ~geom ~image ~check_exposure:true () in
+      let _w, image = clean_world () in
+      ignore (repair image);
+      let _w, image = clean_world () in
+      (dinode_of image (inum_of image "a")).Types.nlink <- 0;
+      let o = repair image in
+      Alcotest.(check bool) "converged" true o.Fsck.converged;
+      (* an unreadable group header is structural, and no round can fix
+         it: only the final map rebuild rewrites it *)
+      let _w, image = clean_world () in
+      image.(Geom.cg_header_frag geom 1) <- Types.Empty;
+      let o = repair image in
+      Alcotest.(check bool) "not converged" false o.Fsck.converged;
+      Alcotest.(check bool) "a full check of the repaired image" true
+        (o.Fsck.final = check image);
+      Alcotest.(check bool) "paths" true
+        (List.rev !paths = [ Fsck.Unwritten; Fsck.Reused_walk; Fsck.Full_check ]))
+
+(* --- word-wise map audit and rebuild -----------------------------------
+
+   The audit compares a group's fragment map with the walk's claims a
+   word at a time and the rebuild copies claims whole; both are checked
+   here against the per-fragment construction, on a geometry whose data
+   areas are not a multiple of 8 long and whose later groups start off
+   a word boundary. *)
+
+let odd_geom =
+  let cg_frags = Geom.small.Geom.cg_frags - 3 in
+  { Geom.small with Geom.cg_frags; nfrags = 4 * cg_frags }
+
+let group_header image g c =
+  match image.(Geom.cg_header_frag g c) with
+  | Types.Meta (Types.Cgroup cg) -> cg
+  | _ -> Alcotest.fail "group header unreadable"
+
+let dinode_of_g g image inum =
+  match image.(Geom.inode_block_frag g inum) with
+  | Types.Meta (Types.Inodes ds) -> ds.(Geom.inode_index_in_block g inum)
+  | _ -> Alcotest.fail "inode block unreadable"
+
+(* A freshly made file system with one-fragment files on the first and
+   last byte of data-area words and across each group's ragged tail,
+   marked in the maps: a consistent image, and the fragments the walk
+   must claim. *)
+let edge_image g =
+  let cfg =
+    { (Fs.config ~scheme:Fs.No_order ()) with Fs.geom = g; cache_mb = 4 }
+  in
+  let image = Su_disk.Disk.image_snapshot (Fs.make cfg).Fs.disk in
+  let root_blk = (dinode_of_g g image Geom.root_inum).Types.db.(0) in
+  let entries =
+    match Types.copy_cell image.(root_blk) with
+    | Types.Meta (Types.Dir e) as c ->
+      image.(root_blk) <- c;
+      e
+    | _ -> Alcotest.fail "root directory unreadable"
+  in
+  for c = 0 to Geom.cg_count g - 1 do
+    let first, count = Geom.cg_data_area g c in
+    let last = first + count - 1 in
+    let tail = count mod 8 in
+    let cg = match Types.copy_cell image.(Geom.cg_header_frag g c) with
+      | Types.Meta (Types.Cgroup cg) as cell ->
+        image.(Geom.cg_header_frag g c) <- cell;
+        cg
+      | _ -> Alcotest.fail "group header unreadable"
+    in
+    List.iteri
+      (fun k frag ->
+        let inum = Geom.first_inum_of_cg g c + 1 + k in
+        let d = Types.free_dinode g in
+        d.Types.ftype <- Types.F_reg;
+        d.Types.nlink <- 1;
+        d.Types.gen <- 1;
+        d.Types.size <- 1024;
+        d.Types.db.(0) <- frag;
+        let blk = Geom.inode_block_frag g inum in
+        (match image.(blk) with
+         | Types.Meta (Types.Inodes _) -> ()
+         | _ -> image.(blk) <- Types.Meta (Types.fresh_inode_block g));
+        (match Types.copy_cell image.(blk) with
+         | Types.Meta (Types.Inodes ds) as cell ->
+           ds.(Geom.inode_index_in_block g inum) <- d;
+           image.(blk) <- cell
+         | _ -> assert false);
+        image.(frag) <- Types.Frag (Types.Written { inum; gen = 1; flbn = 0 });
+        (match Types.dir_free_slot entries with
+         | Some s ->
+           entries.(s) <- Some { Types.name = Printf.sprintf "c%d.%d" c k; inum }
+         | None -> Alcotest.fail "root directory full");
+        Bytes.set cg.Types.frag_map (frag - Geom.cg_base g c) '\001';
+        cg.Types.nffree <- cg.Types.nffree - 1;
+        Bytes.set cg.Types.inode_map (inum - Geom.first_inum_of_cg g c) '\001';
+        cg.Types.nifree <- cg.Types.nifree - 1)
+      (List.sort_uniq compare
+         [ first + 15; first + 16; last - tail - 8; last - tail; last ])
+  done;
+  image
+
+(* The per-fragment header construction from a set of claims and live
+   inodes. *)
+let reference_header g c ~claimed ~live =
+  let cg = Types.fresh_cg g in
+  let base = Geom.cg_base g c in
+  let first, count = Geom.cg_data_area g c in
+  for off = 0 to first - base - 1 do
+    Bytes.set cg.Types.frag_map off '\001'
+  done;
+  cg.Types.nffree <- count;
+  for f = first to first + count - 1 do
+    if claimed f then begin
+      Bytes.set cg.Types.frag_map (f - base) '\001';
+      cg.Types.nffree <- cg.Types.nffree - 1
+    end
+  done;
+  cg.Types.nifree <- g.Geom.inodes_per_cg;
+  for j = 0 to g.Geom.inodes_per_cg - 1 do
+    if live (Geom.first_inum_of_cg g c + j) then begin
+      Bytes.set cg.Types.inode_map j '\001';
+      cg.Types.nifree <- cg.Types.nifree - 1
+    end
+  done;
+  cg
+
+let test_wordwise_maps () =
+  List.iter
+    (fun g ->
+      let image = edge_image g in
+      let r = Fsck.check ~geom:g ~image ~check_exposure:true in
+      check_violations "consistent" [] r;
+      Alcotest.(check (pair int int)) "no leak, no stale free" (0, 0)
+        (r.Fsck.leaked_frags, r.Fsck.stale_free);
+      (* the consistent maps are the claims *)
+      let clean =
+        Array.init (Geom.cg_count g) (fun c ->
+            match Types.copy_cell image.(Geom.cg_header_frag g c) with
+            | Types.Meta (Types.Cgroup cg) -> cg
+            | _ -> assert false)
+      in
+      let claimed f =
+        let c = Geom.cg_of_frag g f in
+        Bytes.get clean.(c).Types.frag_map (f - Geom.cg_base g c) <> '\000'
+      in
+      let live inum =
+        let c = Geom.cg_of_inode g inum in
+        Bytes.get clean.(c).Types.inode_map (inum - Geom.first_inum_of_cg g c)
+        <> '\000'
+      in
+      (* flip map bytes on word edges and in the tail: claimed ones to
+         0 (stale free) or to another non-zero value (no finding),
+         unclaimed ones to 1 or 0x81 (a leak) *)
+      for c = 0 to Geom.cg_count g - 1 do
+        let cg = match Types.copy_cell image.(Geom.cg_header_frag g c) with
+          | Types.Meta (Types.Cgroup cg) as cell ->
+            image.(Geom.cg_header_frag g c) <- cell;
+            cg
+          | _ -> assert false
+        in
+        let first, count = Geom.cg_data_area g c in
+        let last = first + count - 1 and tail = count mod 8 in
+        List.iteri
+          (fun k f ->
+            let v =
+              match claimed f, k mod 2 with
+              | true, 0 -> '\000'
+              | true, _ -> if k mod 4 = 1 then '\002' else '\255'
+              | false, 0 -> '\001'
+              | false, _ -> '\129'
+            in
+            Bytes.set cg.Types.frag_map (f - Geom.cg_base g c) v)
+          (List.sort_uniq compare
+             [ first; first + 7; first + 8; first + 15; first + 16; first + 17;
+               last - tail - 8; last - tail - 7; last - tail; last - 1; last ])
+      done;
+      let leaks = ref 0 and stale = ref 0 in
+      for c = 0 to Geom.cg_count g - 1 do
+        let cg = group_header image g c in
+        let first, count = Geom.cg_data_area g c in
+        for f = first to first + count - 1 do
+          let marked =
+            Bytes.get cg.Types.frag_map (f - Geom.cg_base g c) <> '\000'
+          in
+          if claimed f && not marked then incr stale
+          else if marked && not (claimed f) then incr leaks
+        done
+      done;
+      Alcotest.(check bool) "both findings seeded" true (!leaks > 0 && !stale > 0);
+      let r = Fsck.check ~geom:g ~image ~check_exposure:true in
+      Alcotest.(check (pair int int)) "word-wise audit = per-fragment count"
+        (!leaks, !stale) (r.Fsck.leaked_frags, r.Fsck.stale_free);
+      Fsck.rebuild_maps g image;
+      for c = 0 to Geom.cg_count g - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "group %d header as built per fragment" c)
+          true
+          (group_header image g c = reference_header g c ~claimed ~live)
+      done)
+    [ odd_geom; geom ]
+
 (* The explorer takes its pre-repair count from repair's first round:
    it must equal a standalone check of the same crash state. *)
 let test_verify_state_pre_matches_check () =
@@ -374,6 +582,9 @@ let suite =
     Alcotest.test_case "repair reuses its initial check" `Quick
       test_repair_reuses_initial_check;
     Alcotest.test_case "tables at their far ends" `Quick test_table_extremes;
+    Alcotest.test_case "repair final report paths" `Quick test_repair_final_paths;
+    Alcotest.test_case "word-wise map audit and rebuild" `Quick
+      test_wordwise_maps;
     Alcotest.test_case "verify_state pre count matches check" `Slow
       test_verify_state_pre_matches_check;
   ]
