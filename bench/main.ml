@@ -34,10 +34,12 @@ let usage () =
      perf sections (any combination, run in this order, never mixed\n\
      with experiment ids; each prints one row per bench and one line\n\
      per gate, and the run exits 1 if any gate fails):\n\
-     \  --hotpaths      driver-dispatch / cache-eviction / write-payload hot\n\
-     \                  paths; gates: every driver-burst-* row >= 20000\n\
-     \                  events/s (a generous anti-regression floor, not a\n\
-     \                  target), write-payload <= 300 words/write\n\
+     \  --hotpaths      driver-dispatch / cache-eviction / write-payload /\n\
+     \                  syncer-sweep hot paths; gates: every driver-burst-*\n\
+     \                  row >= 20000 events/s (a generous anti-regression\n\
+     \                  floor, not a target), write-payload <= 300\n\
+     \                  words/write, syncer-sweep ns/key at 8x the cache\n\
+     \                  within 1.5x, <= 300 words/sweep\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy), full-sweep scaling across the pool,\n\
      \                  journal replay (gate: <= 128 words/record) and\n\
@@ -128,18 +130,7 @@ let bracket run =
    covers only the hot path, not the one-off setup. *)
 let staged stage () = bracket (stage ())
 
-(* Run [measure] [reps] times and keep the fastest rep: wall times of
-   milliseconds to seconds are at the mercy of scheduler noise, and the
-   minimum is the stable estimate of what the code itself costs.
-   Allocation counts are deterministic per rep, so they come from the
-   same rep. *)
-let best_of ~reps ~layer ~unit name measure =
-  let best = ref (measure ()) in
-  for _ = 2 to reps do
-    let s = measure () in
-    if s.wall < !best.wall then best := s
-  done;
-  let s = !best in
+let row_of ~layer ~unit name s =
   {
     name;
     layer;
@@ -151,14 +142,30 @@ let best_of ~reps ~layer ~unit name measure =
     majors = s.major_gcs;
   }
 
+let fastest samples =
+  List.fold_left (fun b s -> if s.wall < b.wall then s else b) (List.hd samples) samples
+
+(* Run [measure] [reps] times and keep the fastest rep: wall times of
+   milliseconds to seconds are at the mercy of scheduler noise, and the
+   minimum is the stable estimate of what the code itself costs.
+   Allocation counts are deterministic per rep, so they come from the
+   same rep. *)
+let best_of ~reps ~layer ~unit name measure =
+  let best = ref (measure ()) in
+  for _ = 2 to reps do
+    let s = measure () in
+    if s.wall < !best.wall then best := s
+  done;
+  row_of ~layer ~unit name !best
+
 let find rows name = List.find (fun r -> r.name = name) rows
 
 (* --- driver and cache hot paths ----------------------------------------- *)
 
-(* Stress the two structures the paper's burst scenarios lean on: the
+(* Stress the structures the paper's burst scenarios lean on: the
    driver dispatch queue under thousands of simultaneously pending
-   requests (No Order / Soft Updates delayed-write bursts) and the
-   buffer-cache eviction path. *)
+   requests (No Order / Soft Updates delayed-write bursts), the
+   buffer-cache eviction path and the syncer's per-tick sweep. *)
 
 let hotpath_scale quick = if quick then 2_000 else 10_000
 
@@ -310,6 +317,53 @@ let bench_write_payload n () =
   Su_sim.Engine.run e;
   n
 
+(* Keys each syncer-sweep tick visits, at every cache size, and the
+   smaller of the two cache sizes; the larger (512 buffers, 32 passes)
+   is close to the daemon's default 30 passes. Both caches are small
+   and on adjacent fragments so that neither leaves a core's L2 cache,
+   even with a neighbour competing for it: at 2,000 and 16,000 buffers
+   eight fragments apart the larger cache cost 1.5-1.9x per visited
+   key in cache and TLB misses alone, and at 256 and 2,048 up to 1.48x
+   (2-core Xeon, 2 MB L2 per core), which would hide the algorithmic
+   cost under test. *)
+let sweep_slice = 16
+let sweep_nbufs = 64
+
+(* [nbufs] cached one-fragment buffers on adjacent fragments, every
+   tenth dirty, swept [sweeps] times by a syncer with no daemon, each
+   tick's writes drained before the next. [passes] is scaled with
+   [nbufs] so that every tick visits [sweep_slice] keys whatever the
+   cache size: a tick whose cost grows with the cache (a whole-cache
+   sort) then shows up in the time per visited key. A completed write
+   re-dirties its buffer, so a tenth of the cache stays dirty
+   throughout. *)
+let bench_syncer_sweep ~nbufs sweeps () =
+  let e, drv = mk_disk_driver ~mode:Su_driver.Ordering.Unordered
+      ~policy:Su_driver.Driver.Clook () in
+  let bc =
+    Su_cache.Bcache.create ~engine:e ~driver:drv
+      { Su_cache.Bcache.default_config with capacity_frags = nbufs }
+  in
+  (Su_cache.Bcache.hooks bc).Su_cache.Bcache.post_write <-
+    Su_cache.Bcache.bdwrite bc;
+  for i = 0 to nbufs - 1 do
+    let b =
+      Su_cache.Bcache.getblk bc ~lbn:i ~nfrags:1 ~init:(fun () ->
+          Su_cache.Buf.Cdata [| Some Su_fstypes.Types.Zeroed |])
+    in
+    if i mod 10 = 0 then Su_cache.Bcache.bdwrite bc b;
+    Su_cache.Bcache.release bc b
+  done;
+  let syn =
+    Su_cache.Syncer.create ~engine:e ~cache:bc ~passes:(nbufs / sweep_slice) ()
+  in
+  fun () ->
+  for _ = 1 to sweeps do
+    Su_cache.Syncer.sweep syn;
+    Su_sim.Engine.run e
+  done;
+  sweeps
+
 (* The benches run serially: a pool worker's allocation and a
    concurrent full major would leak into another bench's bracket. *)
 let hotpaths ~quick ~jobs:_ =
@@ -317,6 +371,7 @@ let hotpaths ~quick ~jobs:_ =
   let reps = if quick then 2 else 7 in
   let row layer name stage = best_of ~reps ~layer ~unit:"event" name (staged stage) in
   let burst = bench_driver_burst ~mode:Su_driver.Ordering.Unordered in
+  let sweeps = 4 * n in
   let rows =
     [
       row "driver" "driver-burst-unordered-clook" (burst n);
@@ -335,6 +390,34 @@ let hotpaths ~quick ~jobs:_ =
         (staged (bench_write_payload n));
     ]
   in
+  (* The gate compares two short runs on a possibly shared host: run
+     them in alternation and gate the median of the per-pair ratios,
+     which a slow spell during one rep cannot move. Both do [sweeps]
+     ticks of [sweep_slice] keys, so their wall ratio is their ns/key
+     ratio. *)
+  let sweep_pairs =
+    let small = staged (bench_syncer_sweep ~nbufs:sweep_nbufs sweeps)
+    and large = staged (bench_syncer_sweep ~nbufs:(8 * sweep_nbufs) sweeps) in
+    List.init (max reps 9) (fun _ ->
+        let s = small () in
+        (s, large ()))
+  in
+  let sweep_row name pick =
+    row_of ~layer:"cache" ~unit:"sweep" name (fastest (List.map pick sweep_pairs))
+  in
+  let rows =
+    rows
+    @ [ sweep_row "syncer-sweep-1x" fst; sweep_row "syncer-sweep-8x" snd ]
+  in
+  let ns_per_key name =
+    let r = find rows name in
+    r.wall_s *. 1e9 /. float_of_int (r.n * sweep_slice)
+  in
+  let sweep_ratio =
+    let r = Array.of_list (List.map (fun (s, l) -> l.wall /. s.wall) sweep_pairs) in
+    Array.sort compare r;
+    r.(Array.length r / 2)
+  in
   let gates =
     List.filter_map
       (fun r ->
@@ -343,9 +426,16 @@ let hotpaths ~quick ~jobs:_ =
         else None)
       rows
     @ [ at_most "write-payload words_per_unit"
-          (find rows "write-payload").words_per_unit 300.0 ]
+          (find rows "write-payload").words_per_unit 300.0;
+        at_most "syncer-sweep-8x/syncer-sweep-1x ns_per_key (median pair)"
+          sweep_ratio 1.5;
+        at_most "syncer-sweep-8x words_per_unit"
+          (find rows "syncer-sweep-8x").words_per_unit 300.0 ]
   in
-  (rows, [], gates)
+  ( rows,
+    [ ("syncer-sweep-1x ns_per_key", ns_per_key "syncer-sweep-1x");
+      ("syncer-sweep-8x ns_per_key", ns_per_key "syncer-sweep-8x") ],
+    gates )
 
 (* --- crash-state materialization, sweep scaling, journal replay -------- *)
 

@@ -80,12 +80,15 @@ type t = {
   config : config;
   hooks : hooks;
   tbl : (int, Buf.t) Hashtbl.t;
-  (* Every valid buffer sits on exactly one of two intrusive recency
-     lists (clean or dirty, per its dirty bit), each kept in ascending
-     stamp order: the head is the least recently used buffer. Victim
-     selection and the full-flush walk therefore never scan the table. *)
-  clean_lru : Buf.t Su_util.Lru.t;
-  dirty_lru : Buf.t Su_util.Lru.t;
+  keys : Su_util.Bitset.t;
+      (* the keys of [tbl], so the syncer steps through them in address
+         order without sorting the table *)
+  (* Every valid buffer, clean or dirty, sits on one intrusive recency
+     list in ascending stamp order: the head is the least recently used
+     buffer. Only [touch] moves a buffer; dirtying and cleaning are not
+     recency events. Victim selection and the full-flush walk therefore
+     never scan the table. *)
+  lru : Buf.t Su_util.Lru.t;
   mutable used : int;
   mutable copies : int;  (* fragments held by in-flight write snapshots *)
   mutable ndirty : int;
@@ -117,8 +120,8 @@ let create ~engine ~driver config =
     config;
     hooks = default_hooks ();
     tbl = Hashtbl.create 4096;
-    clean_lru = Su_util.Lru.create ();
-    dirty_lru = Su_util.Lru.create ();
+    keys = Su_util.Bitset.create ();
+    lru = Su_util.Lru.create ();
     used = 0;
     copies = 0;
     ndirty = 0;
@@ -166,46 +169,26 @@ let emit_buf t ~kind (b : Buf.t) =
       [ ("lbn", Su_obs.Json.Int b.Buf.key);
         ("nfrags", Su_obs.Json.Int b.Buf.nfrags) ]
 
-let lru_of t (b : Buf.t) = if b.Buf.dirty then t.dirty_lru else t.clean_lru
-
 let touch t (b : Buf.t) =
   t.lru_counter <- t.lru_counter + 1;
   b.Buf.lru.Su_util.Lru.stamp <- t.lru_counter;
   if b.Buf.valid then begin
-    (* fresh maximal stamp: move to the tail of its list, O(1) *)
-    let l = lru_of t b in
-    Su_util.Lru.remove l b.Buf.lru;
-    Su_util.Lru.append l b.Buf.lru
+    (* fresh maximal stamp: move to the tail, O(1) *)
+    Su_util.Lru.remove t.lru b.Buf.lru;
+    Su_util.Lru.append t.lru b.Buf.lru
   end
 
 let lookup t lbn = Hashtbl.find_opt t.tbl lbn
+let buffer_count t = Hashtbl.length t.tbl
+let next_key t k = Su_util.Bitset.next_geq t.keys k
 
 let all_bufs t = Hashtbl.fold (fun _ b acc -> b :: acc) t.tbl []
 
-let sorted_keys t =
-  (* one exact-length array per sweep, no intermediate list: [tbl] is
-     only ever updated with [replace], so its length counts distinct
-     keys *)
-  let arr = Array.make (Hashtbl.length t.tbl) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
-      arr.(!i) <- k;
-      incr i)
-    t.tbl;
-  Array.sort Int.compare arr;
-  arr
-
 let set_dirty t (b : Buf.t) v =
   if b.Buf.dirty <> v then begin
-    if b.Buf.valid then Su_util.Lru.remove (lru_of t b) b.Buf.lru;
     b.Buf.dirty <- v;
     t.ndirty <- t.ndirty + (if v then 1 else -1);
-    emit_buf t ~kind:(if v then "cache.dirty" else "cache.clean") b;
-    (* migrate with the stamp unchanged: dirtying/cleaning a buffer is
-       not a recency event (only [touch] is), so it keeps its position
-       in the global LRU order *)
-    if b.Buf.valid then Su_util.Lru.insert_by_stamp (lru_of t b) b.Buf.lru
+    emit_buf t ~kind:(if v then "cache.dirty" else "cache.clean") b
   end
 
 let bdwrite t b = set_dirty t b true
@@ -320,9 +303,10 @@ let prepare_modify t (b : Buf.t) =
 
 let remove_from_table t (b : Buf.t) =
   if b.Buf.valid then begin
-    Su_util.Lru.remove (lru_of t b) b.Buf.lru;
+    Su_util.Lru.remove t.lru b.Buf.lru;
     b.Buf.valid <- false;
     Hashtbl.remove t.tbl b.Buf.key;
+    Su_util.Bitset.clear t.keys b.Buf.key;
     t.used <- t.used - b.Buf.nfrags;
     if b.Buf.dirty then begin
       b.Buf.dirty <- false;
@@ -344,17 +328,32 @@ let evictable (b : Buf.t) =
 let pick_victim t =
   (* Prefer the least-recently-used clean buffer; fall back to the
      least-recently-used dirty one (which we must write first). The
-     lists are in ascending stamp order, so the first evictable buffer
-     from the head is the LRU evictable one; busy buffers (referenced,
-     in-flight or sticky) are merely stepped over. *)
-  match Su_util.Lru.find evictable t.clean_lru with
-  | Some b -> Some b
-  | None -> Su_util.Lru.find evictable t.dirty_lru
+     list is in ascending stamp order, so the first evictable clean
+     buffer from the head is the LRU one, and the first evictable dirty
+     buffer passed on the way is the fallback; busy buffers
+     (referenced, in-flight or sticky) are merely stepped over. Once
+     every clean buffer has been passed (all but [ndirty] of the
+     table: [remove_from_table] uncounts a dirty buffer it drops), the
+     fallback found so far is the answer. *)
+  let rec walk clean_left fallback = function
+    | None -> fallback
+    | Some _ when clean_left = 0 && Option.is_some fallback -> fallback
+    | Some (n : Buf.t Su_util.Lru.node) ->
+      let b = n.Su_util.Lru.value in
+      if not b.Buf.dirty then
+        if evictable b then Some b else walk (clean_left - 1) fallback n.next
+      else
+        let fallback =
+          if Option.is_none fallback && evictable b then Some b else fallback
+        in
+        walk clean_left fallback n.next
+  in
+  walk (Hashtbl.length t.tbl - t.ndirty) None (Su_util.Lru.first t.lru)
 
 let lru_keys t ~dirty =
   List.map
     (fun (b : Buf.t) -> b.Buf.key)
-    (Su_util.Lru.to_list (if dirty then t.dirty_lru else t.clean_lru))
+    (Su_util.Lru.filter (fun (b : Buf.t) -> b.Buf.dirty = dirty) t.lru)
 
 let ensure_space t needed =
   let attempts = ref 0 in
@@ -423,6 +422,7 @@ let new_buf t ~lbn ~nfrags content =
   in
   touch t b;
   Hashtbl.replace t.tbl lbn b;
+  Su_util.Bitset.set t.keys lbn;
   t.used <- t.used + nfrags;
   emit_buf t ~kind:"cache.fill" b;
   b
@@ -546,17 +546,18 @@ let sync_all t =
                  (List.length t.workitems)
                  t.nio_failures;
              buffers =
-               List.map stuck_buffer_of (Su_util.Lru.to_list t.dirty_lru);
+               List.map stuck_buffer_of
+                 (Su_util.Lru.filter (fun (b : Buf.t) -> b.Buf.dirty) t.lru);
            });
     let dirty0 = t.ndirty and fail0 = t.nio_failures in
     List.iter (fun item -> item ()) (take_workitems t);
-    (* the dirty list already holds exactly the valid dirty buffers in
-       LRU (ascending stamp) order; snapshot it, skipping buffers with
-       a write already in flight *)
+    (* the recency list holds exactly the valid buffers in LRU
+       (ascending stamp) order; snapshot its dirty ones, skipping
+       buffers with a write already in flight *)
     let dirty =
-      List.filter
-        (fun (b : Buf.t) -> b.Buf.io_count = 0)
-        (Su_util.Lru.to_list t.dirty_lru)
+      Su_util.Lru.filter
+        (fun (b : Buf.t) -> b.Buf.dirty && b.Buf.io_count = 0)
+        t.lru
     in
     List.iter
       (fun b ->

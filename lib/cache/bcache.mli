@@ -92,6 +92,14 @@ val cb_enabled : t -> bool
 val lookup : t -> int -> Buf.t option
 (** By extent start address; no I/O, no reference taken. *)
 
+val buffer_count : t -> int
+(** Valid buffers cached. *)
+
+val next_key : t -> int -> int
+(** [next_key t k] is the smallest cached extent start address [>= k],
+    or [-1] if there is none: an address-ordered walk over the cache
+    that neither sorts nor allocates (syncer sweep). *)
+
 val getblk : t -> lbn:int -> nfrags:int -> init:(unit -> Buf.content) -> Buf.t
 (** Find or create a buffer without reading the disk (used when the
     caller will fully initialise it). Takes a reference.
@@ -187,18 +195,18 @@ val pick_victim : t -> Buf.t option
 
 val lru_keys : t -> dirty:bool -> int list
 (** Extent keys of the clean ([dirty:false]) or dirty ([dirty:true])
-    recency list, least recently used first. Exposed for the test
-    suite. *)
+    buffers, least recently used first: one walk of the cache's single
+    recency list, which holds every valid buffer in stamp order.
+    Exposed for the test suite. *)
 
 val all_bufs : t -> Buf.t list
 (** Valid buffers in unspecified order. *)
 
-val sorted_keys : t -> int array
-(** Extent start addresses in increasing order (syncer sweep). *)
-
 val sync_all : t -> unit
 (** Flush every dirty buffer and quiesce the driver, iterating until
-    dependency rollbacks converge.
+    dependency rollbacks converge. Each round writes the dirty buffers
+    with no write in flight in least-recently-used order, taken from
+    the recency list in one walk.
     @raise Io_error if the dirty set stops shrinking because the
     device keeps failing writes definitively (permanent fault with the
     spare pool exhausted or absent).

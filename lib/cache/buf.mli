@@ -25,8 +25,7 @@ type t = {
   mutable refcount : int;
   lru : t Su_util.Lru.node;
       (** intrusive recency node; [lru.value == t]. Owned by the cache:
-          on the clean list when valid and not dirty, on the dirty list
-          when valid and dirty, detached when invalid. *)
+          on its recency list while valid, detached when invalid. *)
   mutable wflag : bool;  (** issue the next write with the ordering flag *)
   mutable wdeps : int list;  (** chains: request ids the next write depends on *)
   mutable aux : aux option;

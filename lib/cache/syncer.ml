@@ -13,6 +13,23 @@ type t = {
   residency : Su_obs.Hist.t;  (* dirty-buffer count sampled per sweep *)
 }
 
+(* The first cached key at or past [k], wrapping to the smallest past
+   the largest. *)
+let next_wrapping cache k =
+  match Bcache.next_key cache k with -1 -> Bcache.next_key cache 0 | k -> k
+
+(* Mark the dirty idle blocks among [left] keys in address order from
+   [key]; [left] is at most the buffer count, so no key is visited
+   twice. The next tick continues after the last key visited. *)
+let rec mark_slice t key left =
+  (match Bcache.lookup t.cache key with
+   | Some b when b.Buf.dirty && b.Buf.io_count = 0 ->
+     b.Buf.syncer_marked <- true;
+     t.marked <- key :: t.marked
+   | Some _ | None -> ());
+  if left > 1 then mark_slice t (next_wrapping t.cache (key + 1)) (left - 1)
+  else t.cursor <- key + 1
+
 (* Issue writes for the blocks marked one pass ago (if still dirty),
    then mark the dirty blocks in the next 1/passes slice of the cache.
    A block is therefore written within roughly (passes + 1) x interval
@@ -33,36 +50,11 @@ let sweep t =
       | Some b -> b.Buf.syncer_marked <- false
       | None -> ())
     due;
-  let keys = Bcache.sorted_keys t.cache in
-  let n = Array.length keys in
-  if n > 0 then begin
-    let slice = max 1 ((n + t.passes - 1) / t.passes) in
-    let start =
-      (* first key at or past the cursor (binary search over the
-         sorted keys), wrapping to the beginning when there is none *)
-      let rec find lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if keys.(mid) >= t.cursor then find lo mid else find (mid + 1) hi
-      in
-      let i = find 0 n in
-      if i >= n then 0 else i
-    in
-    for off = 0 to slice - 1 do
-      let idx = (start + off) mod n in
-      match Bcache.lookup t.cache keys.(idx) with
-      | None -> ()
-      | Some b ->
-        if b.Buf.dirty && b.Buf.io_count = 0 then begin
-          b.Buf.syncer_marked <- true;
-          t.marked <- keys.(idx) :: t.marked
-        end
-    done;
-    (* next tick continues after the last key processed; when we ran
-       off the end the search above wraps to the beginning *)
-    t.cursor <- keys.((start + slice - 1) mod n) + 1
-  end;
+  let n = Bcache.buffer_count t.cache in
+  if n > 0 then
+    mark_slice t
+      (next_wrapping t.cache t.cursor)
+      (max 1 ((n + t.passes - 1) / t.passes));
   Su_obs.Hist.add t.batch (float_of_int (t.writes - writes_before))
 
 let rec loop t () =
@@ -78,18 +70,21 @@ let rec loop t () =
     loop t ()
   end
 
-let start ~engine ~cache ?(interval = 1.0) ?(passes = 30) () =
-  let t =
-    { engine; cache; interval; passes; cursor = 0; marked = []; stopped = false;
-      writes = 0; items = 0; npasses = 0;
-      batch = Su_obs.Hist.create ~base:1.0 ~buckets:32 ();
-      residency = Su_obs.Hist.create ~base:1.0 ~buckets:32 () }
-  in
+let create ~engine ~cache ?(interval = 1.0) ?(passes = 30) () =
+  { engine; cache; interval; passes; cursor = 0; marked = []; stopped = false;
+    writes = 0; items = 0; npasses = 0;
+    batch = Su_obs.Hist.create ~base:1.0 ~buckets:32 ();
+    residency = Su_obs.Hist.create ~base:1.0 ~buckets:32 () }
+
+let start ~engine ~cache ?interval ?passes () =
+  let t = create ~engine ~cache ?interval ?passes () in
   ignore (Su_sim.Proc.spawn engine ~name:"syncer" (loop t));
   t
 
 let stop t = t.stopped <- true
 
+let cursor t = t.cursor
+let marked t = t.marked
 let writes_issued t = t.writes
 let workitems_run t = t.items
 let passes_run t = t.npasses

@@ -21,6 +21,29 @@ val start :
 (** Spawn the daemon process. Defaults: [interval = 1.0] s,
     [passes = 30]. *)
 
+val create :
+  engine:Su_sim.Engine.t ->
+  cache:Bcache.t ->
+  ?interval:float ->
+  ?passes:int ->
+  unit ->
+  t
+(** A syncer with no daemon process, driven by calling {!sweep}
+    (tests and benches). *)
+
+val sweep : t -> unit
+(** One tick's pass without the workitems: write the blocks marked
+    last pass that are still dirty and idle, then mark the dirty idle
+    blocks among the next [ceil(n / passes)] cached keys in address
+    order, [n] being the buffer count, starting at the first key at or
+    past {!cursor} and wrapping past the largest. *)
+
+val cursor : t -> int
+(** Where the next sweep starts: one past the last key visited. *)
+
+val marked : t -> int list
+(** Keys marked by the last sweep, most recently marked first. *)
+
 val stop : t -> unit
 (** The daemon exits at its next wake-up. *)
 

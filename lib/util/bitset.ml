@@ -69,32 +69,30 @@ let mem t i =
   && i lsr 5 < Array.length t.levels.(0)
   && t.levels.(0).(i lsr 5) land (1 lsl (i land 31)) <> 0
 
+(* The per-level walks are top-level functions over [levels], not
+   closures local to [set]/[clear]/[next_geq]: without flambda a local
+   recursive function capturing [t] is allocated on every call. *)
+let rec set_up levels lvl i =
+  let w = i lsr 5 and b = i land 31 in
+  let a = levels.(lvl) in
+  let old = a.(w) in
+  a.(w) <- old lor (1 lsl b);
+  (* a word that was already nonzero is already summarized above *)
+  if old = 0 && lvl + 1 < Array.length levels then set_up levels (lvl + 1) w
+
 let set t i =
   if i < 0 then invalid_arg "Bitset.set: negative index";
   if i >= capacity t then grow t i;
-  let nlevels = Array.length t.levels in
-  let rec up lvl i =
-    let w = i lsr 5 and b = i land 31 in
-    let a = t.levels.(lvl) in
-    let old = a.(w) in
-    a.(w) <- old lor (1 lsl b);
-    (* a word that was already nonzero is already summarized above *)
-    if old = 0 && lvl + 1 < nlevels then up (lvl + 1) w
-  in
-  up 0 i
+  set_up t.levels 0 i
 
-let clear t i =
-  if i >= 0 && i < capacity t then begin
-    let nlevels = Array.length t.levels in
-    let rec up lvl i =
-      let w = i lsr 5 and b = i land 31 in
-      let a = t.levels.(lvl) in
-      let nw = a.(w) land lnot (1 lsl b) in
-      a.(w) <- nw;
-      if nw = 0 && lvl + 1 < nlevels then up (lvl + 1) w
-    in
-    up 0 i
-  end
+let rec clear_up levels lvl i =
+  let w = i lsr 5 and b = i land 31 in
+  let a = levels.(lvl) in
+  let nw = a.(w) land lnot (1 lsl b) in
+  a.(w) <- nw;
+  if nw = 0 && lvl + 1 < Array.length levels then clear_up levels (lvl + 1) w
+
+let clear t i = if i >= 0 && i < capacity t then clear_up t.levels 0 i
 
 (* Number of trailing zeros of a nonzero 32-bit value, branch-chain
    binary search — no table, no allocation. *)
@@ -108,34 +106,28 @@ let ntz m =
   if x land 0x55555555 <> 0 then n := !n - 1;
   !n
 
-let next_geq t i =
-  let i = if i < 0 then 0 else i in
-  let nlevels = Array.length t.levels in
-  if nlevels = 0 then -1
-  else begin
-    (* Climb: at [lvl], look for a set bit at position >= idx; within
-       the current word it is a mask test, otherwise the next word up
-       a level summarizes everything to the right. Descend: a set
-       summary bit names a nonzero word below; follow lowest bits back
-       to level 0. *)
-    let rec up lvl idx =
-      if lvl >= nlevels then -1
-      else
-        let w = idx lsr 5 in
-        let a = t.levels.(lvl) in
-        if w >= Array.length a then -1
-        else
-          let m = a.(w) land ((-1) lsl (idx land 31)) in
-          if m <> 0 then down lvl ((w lsl 5) lor ntz m)
-          else up (lvl + 1) (w + 1)
-    and down lvl pos =
-      if lvl = 0 then pos
-      else
-        let m = t.levels.(lvl - 1).(pos) in
-        down (lvl - 1) ((pos lsl 5) lor ntz m)
-    in
-    up 0 i
-  end
+(* Climb: at [lvl], look for a set bit at position >= idx; within the
+   current word it is a mask test, otherwise the next word up a level
+   summarizes everything to the right. Descend: a set summary bit names
+   a nonzero word below; follow lowest bits back to level 0. *)
+let rec next_up levels lvl idx =
+  if lvl >= Array.length levels then -1
+  else
+    let w = idx lsr 5 in
+    let a = levels.(lvl) in
+    if w >= Array.length a then -1
+    else
+      let m = a.(w) land ((-1) lsl (idx land 31)) in
+      if m <> 0 then next_down levels lvl ((w lsl 5) lor ntz m)
+      else next_up levels (lvl + 1) (w + 1)
+
+and next_down levels lvl pos =
+  if lvl = 0 then pos
+  else
+    let m = levels.(lvl - 1).(pos) in
+    next_down levels (lvl - 1) ((pos lsl 5) lor ntz m)
+
+let next_geq t i = next_up t.levels 0 (if i < 0 then 0 else i)
 
 let min_elt t = next_geq t 0
 

@@ -44,65 +44,23 @@ let remove t n =
     t.length <- t.length - 1
   end
 
-let insert_after t p n =
-  n.prev <- Some p;
-  n.next <- p.next;
-  (match p.next with
-   | None -> t.tail <- Some n
-   | Some nx -> nx.prev <- Some n);
-  p.next <- Some n;
-  n.in_list <- true;
-  t.length <- t.length + 1
-
-let insert_by_stamp t n =
-  if n.in_list then invalid_arg "Lru.insert_by_stamp: node already in a list";
-  (* walk from the tail so insertions with a fresh (maximal) stamp —
-     the common case — are O(1) *)
-  let rec find_pred = function
-    | None -> None
-    | Some c -> if c.stamp <= n.stamp then Some c else find_pred c.prev
-  in
-  match find_pred t.tail with
-  | Some p -> insert_after t p n
-  | None ->
-    n.prev <- None;
-    n.next <- t.head;
-    (match t.head with
-     | None -> t.tail <- Some n
-     | Some h -> h.prev <- Some n);
-    t.head <- Some n;
-    n.in_list <- true;
-    t.length <- t.length + 1
-
+let first t = t.head
 let head t = Option.map (fun n -> n.value) t.head
 
-let iter f t =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-      let nx = n.next in
-      f n.value;
-      go nx
-  in
-  go t.head
-
-let find f t =
-  let rec go = function
-    | None -> None
-    | Some n -> if f n.value then Some n.value else go n.next
-  in
-  go t.head
-
-let to_list t =
+(* walk from the tail so the result comes out head first without a
+   reversal: the returned list is the only allocation *)
+let filter f t =
   let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n.value :: acc) n.next
+    | None -> acc
+    | Some n -> go (if f n.value then n.value :: acc else acc) n.prev
   in
-  go [] t.head
+  go [] t.tail
+
+let to_list t = filter (fun _ -> true) t
 
 let stamps t =
   let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n.stamp :: acc) n.next
+    | None -> acc
+    | Some n -> go (n.stamp :: acc) n.prev
   in
-  go [] t.head
+  go [] t.tail

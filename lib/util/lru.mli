@@ -6,9 +6,7 @@
     are kept ordered by ascending [stamp] — a recency counter assigned
     by the owner — so the head is always the least recently used
     element. Moving a node to the tail with a fresh maximal stamp is
-    O(1) ({!remove} + {!append}); migrating a node between lists while
-    keeping its old stamp ({!insert_by_stamp}) walks from the tail and
-    is O(1) when the stamp is fresh.
+    O(1) ({!remove} + {!append}).
 
     The caller owns the stamp discipline: {!append} does not check
     that the new node's stamp exceeds the tail's. *)
@@ -34,22 +32,18 @@ val append : 'a t -> 'a node -> unit
 (** Add at the tail (most recent end).
     @raise Invalid_argument if the node is already in a list. *)
 
-val insert_by_stamp : 'a t -> 'a node -> unit
-(** Insert keeping the list sorted by ascending stamp, walking from
-    the tail.
-    @raise Invalid_argument if the node is already in a list. *)
-
 val remove : 'a t -> 'a node -> unit
 (** Unlink; a no-op when the node is not in a list. *)
+
+val first : 'a t -> 'a node option
+(** Head node, for a walk along [next] that may stop early. *)
 
 val head : 'a t -> 'a option
 (** Least recently used element. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Head to tail; safe against removal of the visited node. *)
-
-val find : ('a -> bool) -> 'a t -> 'a option
-(** First match walking from the head (least recent first). *)
+val filter : ('a -> bool) -> 'a t -> 'a list
+(** Matching values, head (least recent) to tail, in one walk that
+    allocates only the result. *)
 
 val to_list : 'a t -> 'a list
 (** Values, head (least recent) to tail. *)

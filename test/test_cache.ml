@@ -281,20 +281,20 @@ let test_lru_lists_track_state () =
       ignore (get 10);
       Alcotest.(check (list int)) "touched moved last" [ 20; 30; 10 ]
         (Bcache.lru_keys w.bc ~dirty:false);
-      (* dirtying migrates to the dirty list at its recency position *)
+      (* dirtying keeps a buffer's recency position *)
       Bcache.bdwrite w.bc b20;
       Bcache.bdwrite w.bc b10;
       Alcotest.(check (list int)) "clean remainder" [ 30 ]
         (Bcache.lru_keys w.bc ~dirty:false);
       Alcotest.(check (list int)) "dirty keeps recency order" [ 20; 10 ]
         (Bcache.lru_keys w.bc ~dirty:true);
-      (* flushing migrates back into the clean list by recency *)
+      (* so does cleaning it by a flush *)
       Bcache.sync_all w.bc;
       Alcotest.(check (list int)) "dirty empty again" []
         (Bcache.lru_keys w.bc ~dirty:true);
       Alcotest.(check (list int)) "clean merged by recency" [ 20; 30; 10 ]
         (Bcache.lru_keys w.bc ~dirty:false);
-      (* invalidation detaches from the lists *)
+      (* invalidation detaches from the list *)
       Bcache.invalidate w.bc b20;
       Alcotest.(check (list int)) "invalidated gone" [ 30; 10 ]
         (Bcache.lru_keys w.bc ~dirty:false))
@@ -411,6 +411,339 @@ let test_copy_memory_pressure () =
   Engine.run w.e;
   Alcotest.(check int) "all eventually issued" 4 !issued
 
+(* --- syncer sweep against the sorted-array walk ------------------------ *)
+
+(* The sweep as it ran before the cache kept an ordered key set: sort
+   every cached key, binary-search the cursor, step [slice] entries
+   round the array. Kept here as the oracle for [Syncer.sweep]. *)
+type oracle = {
+  mutable o_cursor : int;
+  mutable o_marked : int list;
+  mutable o_writes : int;
+}
+
+let oracle_sweep bc ~passes o =
+  let due = o.o_marked in
+  o.o_marked <- [];
+  List.iter
+    (fun key ->
+      match Bcache.lookup bc key with
+      | Some b when b.Buf.dirty && b.Buf.io_count = 0 && b.Buf.syncer_marked ->
+        b.Buf.syncer_marked <- false;
+        o.o_writes <- o.o_writes + 1;
+        ignore (Bcache.bawrite bc b)
+      | Some b -> b.Buf.syncer_marked <- false
+      | None -> ())
+    due;
+  let keys =
+    Array.of_list (List.map (fun (b : Buf.t) -> b.Buf.key) (Bcache.all_bufs bc))
+  in
+  Array.sort compare keys;
+  let n = Array.length keys in
+  if n > 0 then begin
+    let slice = max 1 ((n + passes - 1) / passes) in
+    let rec find lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if keys.(mid) >= o.o_cursor then find lo mid else find (mid + 1) hi
+    in
+    let i = find 0 n in
+    let start = if i >= n then 0 else i in
+    for off = 0 to slice - 1 do
+      let key = keys.((start + off) mod n) in
+      match Bcache.lookup bc key with
+      | Some b when b.Buf.dirty && b.Buf.io_count = 0 ->
+        b.Buf.syncer_marked <- true;
+        o.o_marked <- key :: o.o_marked
+      | Some _ | None -> ()
+    done;
+    o.o_cursor <- keys.((start + slice - 1) mod n) + 1
+  end
+
+type sweep_op = Fill of int | Drop of int | Dirty of int | Complete | Tick
+
+let sweep_op_to_string = function
+  | Fill k -> Printf.sprintf "fill %d" k
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Dirty k -> Printf.sprintf "dirty %d" k
+  | Complete -> "complete"
+  | Tick -> "tick"
+
+(* Replay [ops] on two identical caches, one swept by the syncer and one
+   by the oracle; per tick, the marked keys (in order), the cursor and
+   the writes issued so far, from each side. *)
+let sweep_traces ~passes ops =
+  let apply w sweep op =
+    match op with
+    | Fill k ->
+      Bcache.release w.bc
+        (Bcache.getblk w.bc ~lbn:k ~nfrags:1 ~init:(fun () ->
+             data_content 1 (stampw k)))
+    | Drop k -> Option.iter (Bcache.invalidate w.bc) (Bcache.lookup w.bc k)
+    | Dirty k -> Option.iter (Bcache.bdwrite w.bc) (Bcache.lookup w.bc k)
+    | Complete -> Engine.run w.e
+    | Tick -> sweep ()
+  in
+  let ws = mk () and wo = mk () in
+  let syn = Syncer.create ~engine:ws.e ~cache:ws.bc ~passes () in
+  let o = { o_cursor = 0; o_marked = []; o_writes = 0 } in
+  List.fold_left
+    (fun (got, want) op ->
+      apply ws (fun () -> Syncer.sweep syn) op;
+      apply wo (fun () -> oracle_sweep wo.bc ~passes o) op;
+      if op <> Tick then (got, want)
+      else
+        ( (Syncer.marked syn, Syncer.cursor syn, Syncer.writes_issued syn) :: got,
+          (o.o_marked, o.o_cursor, o.o_writes) :: want ))
+    ([], []) ops
+
+let tick_t = Alcotest.(list (triple (list int) int int))
+
+let test_sweep_edge_cases () =
+  let check name ~passes ops =
+    let got, want = sweep_traces ~passes ops in
+    Alcotest.check tick_t name want got;
+    got
+  in
+  ignore (check "empty cache" ~passes:30 [ Tick; Tick ]);
+  ignore
+    (check "one key" ~passes:30
+       [ Fill 7; Dirty 7; Tick; Tick; Complete; Dirty 7; Tick ]);
+  let keys = [ 10; 20; 30; 40; 50 ] in
+  let fill = List.concat_map (fun k -> [ Fill k; Dirty k ]) keys in
+  (match check "slice = n" ~passes:1 (fill @ [ Tick ]) with
+   | [ (marked, cursor, _) ] ->
+     Alcotest.(check (list int)) "every key marked" [ 50; 40; 30; 20; 10 ] marked;
+     Alcotest.(check int) "cursor past the last" 51 cursor
+   | _ -> Alcotest.fail "one tick expected");
+  (* two keys per tick: the third tick visits the largest key and wraps
+     to the smallest, which the second tick wrote (so it is clean) *)
+  (match check "wrap" ~passes:3 (fill @ [ Tick; Tick; Tick ]) with
+   | (marked, cursor, _) :: _ ->
+     Alcotest.(check (list int)) "wrapped slice" [ 50 ] marked;
+     Alcotest.(check int) "cursor after the wrap" 11 cursor
+   | [] -> Alcotest.fail "ticks expected");
+  (* the first tick leaves the cursor at 31; dropping 40 and 50 puts it
+     past the largest key, so the second tick wraps to the new key 5 *)
+  (match
+     check "cursor past the largest key" ~passes:2
+       (fill @ [ Tick; Drop 40; Drop 50; Fill 5; Dirty 5; Tick ])
+   with
+   | [ (marked, cursor, writes); (_, first_cursor, _) ] ->
+     Alcotest.(check int) "first tick's cursor" 31 first_cursor;
+     Alcotest.(check (list int)) "wrapped to the smallest" [ 5 ] marked;
+     Alcotest.(check int) "cursor after the wrap" 11 cursor;
+     Alcotest.(check int) "marked survivors written" 3 writes
+   | _ -> Alcotest.fail "two ticks expected");
+  ignore
+    (check "keys removed between ticks" ~passes:2
+       (fill @ [ Tick; Drop 10; Drop 50; Tick; Drop 30; Tick; Complete; Tick ]))
+
+let sweep_op_gen =
+  QCheck.Gen.(
+    let key = map (fun i -> if i = 23 then 60_000 else i * 40) (int_bound 23) in
+    frequency
+      [
+        (3, map (fun k -> Fill k) key);
+        (1, map (fun k -> Drop k) key);
+        (2, map (fun k -> Dirty k) key);
+        (1, return Complete);
+        (2, return Tick);
+      ])
+
+let prop_sweep_matches_sorted_walk =
+  QCheck.Test.make ~name:"syncer sweep matches the sorted-array walk" ~count:300
+    QCheck.(
+      pair (oneofl [ 1; 2; 3; 7; 30 ])
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map sweep_op_to_string ops))
+           Gen.(list_size (int_bound 60) sweep_op_gen)))
+    (fun (passes, ops) ->
+      let got, want = sweep_traces ~passes ops in
+      got = want)
+
+(* --- one recency list against the clean/dirty pair --------------------- *)
+
+(* The cache as it was with two recency lists: each kept in ascending
+   stamp order, a touch moving a buffer to the tail of its own list, a
+   dirtying or cleaning moving it to the other list at its stamp. *)
+type two_lists = {
+  mutable clean : (Buf.t * int) list;
+  mutable dirty : (Buf.t * int) list;
+  mutable clock : int;
+}
+
+let model_mem l b = List.exists (fun (b', _) -> b' == b) l
+let model_drop l b = List.filter (fun (b', _) -> b' != b) l
+
+let model_touch m b =
+  m.clock <- m.clock + 1;
+  if model_mem m.clean b then m.clean <- model_drop m.clean b @ [ (b, m.clock) ]
+  else if model_mem m.dirty b then m.dirty <- model_drop m.dirty b @ [ (b, m.clock) ]
+
+let model_set_dirty m b v =
+  let src, dst = if v then (m.clean, m.dirty) else (m.dirty, m.clean) in
+  match List.find_opt (fun (b', _) -> b' == b) src with
+  | None -> ()
+  | Some (_, s) ->
+    let before, after = List.partition (fun (_, s') -> s' < s) dst in
+    let dst = before @ ((b, s) :: after) in
+    if v then (m.clean <- model_drop src b; m.dirty <- dst)
+    else (m.dirty <- model_drop src b; m.clean <- dst)
+
+let model_keys l = List.map (fun ((b : Buf.t), _) -> b.Buf.key) l
+
+let model_victim m =
+  let ev ((b : Buf.t), _) =
+    b.Buf.refcount = 0 && b.Buf.io_count = 0 && not b.Buf.sticky
+  in
+  match List.find_opt ev m.clean with
+  | Some (b, _) -> b.Buf.key
+  | None -> (match List.find_opt ev m.dirty with Some (b, _) -> b.Buf.key | None -> -1)
+
+type lru_op =
+  | Get of int | Read of int | Hold of int | Let_go | Bdwrite of int
+  | Bawrite of int | Settle | Sticky of int | Invalidate of int | Sync
+
+let lru_op_to_string = function
+  | Get k -> Printf.sprintf "get %d" k
+  | Read k -> Printf.sprintf "read %d" k
+  | Hold k -> Printf.sprintf "hold %d" k
+  | Let_go -> "release"
+  | Bdwrite k -> Printf.sprintf "bdwrite %d" k
+  | Bawrite k -> Printf.sprintf "bawrite %d" k
+  | Settle -> "settle"
+  | Sticky k -> Printf.sprintf "sticky %d" k
+  | Invalidate k -> Printf.sprintf "invalidate %d" k
+  | Sync -> "sync_all"
+
+(* Replay [ops] in one process against the cache and the model; false
+   at the first disagreement on the victim, either key order or a
+   sync_all write order. *)
+let recency_agrees ops =
+  let w = mk () in
+  let m = { clean = []; dirty = []; clock = 0 } in
+  let written = ref [] in
+  let hooks = Bcache.hooks w.bc in
+  let default_pre_write = hooks.Bcache.pre_write in
+  hooks.Bcache.pre_write <-
+    (fun b ->
+      written := b.Buf.key :: !written;
+      default_pre_write b);
+  let held = Queue.create () in
+  (* take a reference; a miss enters the clean list with a fresh stamp *)
+  let acquire ~read k =
+    let cached = Bcache.lookup w.bc k <> None in
+    let b =
+      if read then Bcache.bread w.bc ~lbn:k ~nfrags:1
+      else
+        Bcache.getblk w.bc ~lbn:k ~nfrags:1 ~init:(fun () ->
+            data_content 1 (stampw k))
+    in
+    if cached then model_touch m b
+    else begin
+      m.clock <- m.clock + 1;
+      m.clean <- m.clean @ [ (b, m.clock) ]
+    end;
+    b
+  in
+  let release b =
+    Bcache.release w.bc b;
+    model_touch m b
+  in
+  let get k =
+    match Bcache.lookup w.bc k with
+    | Some b -> b
+    | None ->
+      let b = acquire ~read:false k in
+      release b;
+      b
+  in
+  let agrees () =
+    model_victim m
+    = (match Bcache.pick_victim w.bc with Some b -> b.Buf.key | None -> -1)
+    && model_keys m.clean = Bcache.lru_keys w.bc ~dirty:false
+    && model_keys m.dirty = Bcache.lru_keys w.bc ~dirty:true
+  in
+  let step op =
+    match op with
+    | Get k ->
+      release (acquire ~read:false k);
+      true
+    | Read k ->
+      release (acquire ~read:true k);
+      true
+    | Hold k ->
+      Queue.push (acquire ~read:false k) held;
+      true
+    | Let_go ->
+      Option.iter release (Queue.take_opt held);
+      true
+    | Bdwrite k ->
+      let b = get k in
+      Bcache.bdwrite w.bc b;
+      model_set_dirty m b true;
+      true
+    | Bawrite k ->
+      let b = get k in
+      ignore (Bcache.bawrite w.bc b);
+      model_set_dirty m b false;
+      true
+    | Settle ->
+      Proc.sleep w.e 1.0;
+      true
+    | Sticky k ->
+      let b = get k in
+      b.Buf.sticky <- not b.Buf.sticky;
+      true
+    | Invalidate k ->
+      Option.iter
+        (fun b ->
+          Bcache.invalidate w.bc b;
+          m.clean <- model_drop m.clean b;
+          m.dirty <- model_drop m.dirty b)
+        (Bcache.lookup w.bc k);
+      true
+    | Sync ->
+      (* a round writes the idle dirty buffers in recency order; one
+         already in flight is written by the next round *)
+      let idle, busy =
+        List.partition (fun ((b : Buf.t), _) -> b.Buf.io_count = 0) m.dirty
+      in
+      let want = model_keys idle @ model_keys busy in
+      written := [];
+      Bcache.sync_all w.bc;
+      List.iter (fun (b, _) -> model_set_dirty m b false) m.dirty;
+      List.rev !written = want
+  in
+  in_proc w (fun () -> List.for_all (fun op -> step op && agrees ()) ops)
+
+let lru_op_gen =
+  QCheck.Gen.(
+    let key = map (fun i -> i * 8) (int_bound 11) in
+    frequency
+      [
+        (3, map (fun k -> Get k) key);
+        (1, map (fun k -> Read k) key);
+        (1, map (fun k -> Hold k) key);
+        (1, return Let_go);
+        (3, map (fun k -> Bdwrite k) key);
+        (2, map (fun k -> Bawrite k) key);
+        (1, return Settle);
+        (1, map (fun k -> Sticky k) key);
+        (1, map (fun k -> Invalidate k) key);
+        (1, return Sync);
+      ])
+
+let prop_recency_matches_two_lists =
+  QCheck.Test.make ~name:"one recency list matches the clean/dirty pair"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map lru_op_to_string ops))
+       QCheck.Gen.(list_size (int_bound 80) lru_op_gen))
+    recency_agrees
+
 let suite =
   [
     Alcotest.test_case "getblk and lookup" `Quick test_getblk_and_lookup;
@@ -434,4 +767,7 @@ let suite =
     Alcotest.test_case "sync_all" `Quick test_sync_all;
     Alcotest.test_case "workitems run" `Quick test_workitems_run_by_syncer;
     Alcotest.test_case "pre_write rollback" `Quick test_pre_write_hook_rollback;
+    Alcotest.test_case "syncer sweep edge cases" `Quick test_sweep_edge_cases;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_sorted_walk;
+    QCheck_alcotest.to_alcotest prop_recency_matches_two_lists;
   ]
