@@ -43,7 +43,7 @@ let usage () =
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy), full-sweep scaling across the pool,\n\
      \                  journal replay (gate: <= 128 words/record) and\n\
-     \                  recovery of 1 GB crash states (gates: <= 800000\n\
+     \                  recovery of 1 GB crash states (gates: <= 160000\n\
      \                  words/state, every state clean)\n\
      \  --loadgen       load-engine steady state (gates: zero majors,\n\
      \                  words/op at a doubled window within 1.15x) and\n\
@@ -678,7 +678,7 @@ let crashsweep ~quick ~jobs =
   ( List.concat_map fst per_workload @ [ replay; recover ],
     ("jobs", float_of_int jobs_n) :: List.concat_map snd per_workload,
     [ at_most "journal-replay words_per_unit" replay.words_per_unit 128.0;
-      at_most "recover-state words_per_unit" recover.words_per_unit 800_000.0;
+      at_most "recover-state words_per_unit" recover.words_per_unit 160_000.0;
       at_most "recover-state unclean states" (float_of_int unclean) 0.0 ] )
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
@@ -865,9 +865,10 @@ let corrupt ~quick ~jobs:_ =
      mkfs must stay under 64 minor words per inode (one boxed dinode
      record alone costs ~22 words before its block array lands).
 
-   - volume-resident: live major-heap bytes per inode with the
-     formatted volume fully resident (measured across Fs.make between
-     two full majors), next to the volume's own slab accounting
+   - volume-resident: resident bytes per inode with the formatted
+     volume fully resident: live major-heap bytes (measured across
+     Fs.make between two full majors) plus the volume's off-heap
+     payload plane, next to the volume's own slab accounting
      (Disk.image_stats). Gate: <= 192 resident bytes per inode — the
      bound that makes a million-inode volume a ~100-200 MB object
      instead of an unbounded record graph.
@@ -947,7 +948,10 @@ let volume ~quick ~jobs:_ =
   let st = Su_disk.Disk.image_stats w.Su_fs.Fs.disk in
   Su_fs.Fs.stop w;
   let per_inode x = float_of_int x /. float_of_int inodes in
-  let bytes_per_inode = per_inode ((live1 - live0) * 8) in
+  (* the payload plane lives outside the heap, and still is resident *)
+  let bytes_per_inode =
+    per_inode (((live1 - live0) * 8) + st.Su_fstypes.Volume.offheap_bytes)
+  in
   let clients = if quick then 5_000 else 120_000 in
   let base = Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates () in
   let bigvol =
@@ -966,6 +970,7 @@ let volume ~quick ~jobs:_ =
     [
       ("volume-resident.bytes_per_inode", bytes_per_inode);
       ("volume-resident.slab_bytes_per_inode", per_inode st.Su_fstypes.Volume.slab_bytes);
+      ("volume-resident.offheap_bytes_per_inode", per_inode st.offheap_bytes);
       ("volume-resident.inode_slabs", float_of_int st.inode_slabs);
       ("volume-resident.dir_slabs", float_of_int st.dir_slabs);
       ("volume-resident.indirect_slabs", float_of_int st.indirect_slabs);

@@ -282,19 +282,26 @@ let crash_states ?(torn = true) ?max_boundaries r =
   Array.of_list (List.rev !states)
 
 (* Materialize one crash state as a private image a verifier may
-   mutate: seek the cursor to the boundary (O(cells touched)), take a
-   copy-on-share snapshot (immutable cells shared, mutable metadata
-   deep-copied by [Types.copy_image]), then overlay any torn prefix. *)
+   recover: seek the cursor to the boundary (O(cells touched)), copy its
+   slots, then overlay any torn prefix. Cells are shared with the
+   cursor and the log: recovery writes copy-on-write (journal replay,
+   fsck's repairs and map rebuilds, [Imglog.write]) and the remount
+   probe writes back into slots, so only the checksum region, which
+   [Fs.recover_image] updates in place, is copied. *)
 let materialize cur (boundary, torn) =
   Delta.seek cur boundary;
-  let img = Types.copy_image (Delta.image cur) in
+  let img = Array.copy (Delta.image cur) in
   (match torn with
    | None -> ()
    | Some applied ->
      let d = (Delta.log cur).(boundary) in
-     for i = 0 to applied - 1 do
-       img.(d.Delta.d_lbn + i) <- Types.copy_cell d.Delta.d_post.(i)
-     done);
+     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied);
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Types.Csum ca -> img.(i) <- Types.Csum (Array.copy ca)
+      | _ -> ())
+    img;
   img
 
 let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested

@@ -89,8 +89,10 @@ val verify_state :
   torn:int option ->
   Types.cell array ->
   verdict
-(** Full recovery pipeline on one crash image (mutates it: journal
-    replay, then repair). With [nested] (default false), the pipeline's
+(** Full recovery pipeline on one crash image (consumes it: journal
+    replay, repair, then the remount probe, all of which replace its
+    slots copy-on-write, so a {!materialize}d image leaves its cursor
+    intact). With [nested] (default false), the pipeline's
     own write stream is recorded — every cell the journal replay, log
     retirement, map rebuild and fsck repair change — and recovery is
     re-crashed after every prefix of it: each truncated state must
@@ -135,10 +137,13 @@ val crash_states :
     the write boundaries explored (smoke runs). *)
 
 val materialize : Delta.cursor -> int * int option -> Types.cell array
-(** Materialize one crash state as a private image the verify
-    pipeline may mutate: seek the cursor, snapshot, overlay any torn
-    prefix. Seeking costs O(cells touched) per boundary crossed; the
-    snapshot shares immutable cells and deep-copies only metadata. *)
+(** Materialize one crash state as an image the verify pipeline may
+    recover: seek the cursor, copy its slots, overlay any torn prefix.
+    Seeking costs O(cells touched) per boundary crossed. The copy is
+    shallow — cells are shared with the cursor and its log — except
+    for [Csum] cells, which {!Su_fs.Fs.recover_image} updates in place:
+    a caller may replace the image's slots, and may mutate nothing else
+    (every recovery write is copy-on-write). *)
 
 val sweep_recording :
   ?torn:bool ->

@@ -84,10 +84,9 @@ type t = {
   mutable p_on_done : (Types.cell array option, Fault.error) result -> float -> unit;
   (* destage in flight (mutually exclusive with a foreground op) *)
   mutable p_destage : destage;
-  mutable installed : (Types.cell array * int list) option;
-      (* the image [install_image] mounted and where it held [Csum]
-         cells on the media; with the volume's written mark it rebuilds
-         [image_snapshot] without decoding every cell *)
+  mutable mounted : Types.cell array option;
+      (* the array [install_image] mounted, which the volume reads
+         through until [take_image] writes the stored cells back *)
 }
 
 let busy t = t.busy
@@ -558,7 +557,7 @@ let create ~engine ~params ~nfrags ?(nvram_frags = 0) ?(fault = Fault.none)
       p_nvram_hit = false;
       p_on_done = no_done;
       p_destage = { d_lbn = 0; d_nfrags = 0 };
-      installed = None;
+      mounted = None;
     }
   in
   Float.Array.set t.fl 6 (Disk_params.rotation_time params);
@@ -573,17 +572,14 @@ let create ~engine ~params ~nfrags ?(nvram_frags = 0) ?(fault = Fault.none)
    | None -> ());
   t
 
-let install_cell t lbn cell ~copy =
+let install t lbn cell =
   if lbn < 0 || lbn >= Volume.length t.image then
     invalid_arg "Disk.install: address out of range";
   let phys = if lbn < t.media then phys_of t lbn else lbn in
-  if copy then Volume.set_copy t.image phys cell
-  else Volume.set t.image phys cell;
+  Volume.set t.image phys cell;
   match t.csum with
   | Some ca when lbn < t.media -> ca.(lbn) <- Types.cell_digest cell
   | Some _ | None -> ()
-
-let install t lbn cell = install_cell t lbn cell ~copy:false
 
 (* Load a persisted checksum region (a [Types.Csum] cell from a prior
    incarnation's image) over the live one, replacing the digests
@@ -595,51 +591,46 @@ let install_csum t cell =
     Array.blit src 0 ca 0 (min (Array.length src) (Array.length ca))
   | (Some _ | None), _ -> ()
 
-(* A captured checksum region goes through [install_csum], never
-   positionally: the source layout's slot may differ from ours. [Empty]
-   media cells are skipped: the fresh media is all
-   [Empty] and its checksum region starts at the [Empty] digest, so
-   mount cost follows the cells in use. Past the media an [Empty] still
-   lands, as it may blank a reserved cell. *)
+(* The array is mounted by reference: its cells are neither encoded
+   nor copied, only digested for the checksum region. A captured
+   checksum region goes through [install_csum], never positionally (the
+   source layout's slot may differ from ours), so the cell it sat in
+   keeps what it held. [Empty] media cells leave their digest alone:
+   the fresh region starts at the [Empty] digest, so mount cost follows
+   the cells in use. *)
 let install_image t cells =
-  let csums = ref [] in
+  if Array.length cells > Volume.length t.image then
+    invalid_arg "Disk.install_image: image larger than the device";
+  if has_remaps t then invalid_arg "Disk.install_image: device already remapped";
+  let kept = ref [] in
   Array.iteri
     (fun i c ->
-      match c with
-      | Types.Empty when i < t.media -> ()
-      | Types.Csum _ ->
-        if i < t.media then csums := i :: !csums;
+      match c, t.csum with
+      | Types.Empty, _ -> ()
+      | Types.Csum _, _ ->
+        kept := (i, Volume.peek t.image i) :: !kept;
         install_csum t c
-      | _ -> install_cell t i c ~copy:true)
+      | _, Some ca when i < t.media -> ca.(i) <- Types.cell_digest c
+      | _, (Some _ | None) -> ())
     cells;
-  Volume.track_writes t.image;
-  t.installed <- Some (cells, !csums)
+  Volume.mount t.image cells;
+  List.iter (fun (i, c) -> Volume.set t.image i c) !kept;
+  t.mounted <- Some cells
 
-(* An unwritten media cell still holds what [install_image] stored
-   from the mounted array (or the fresh [Empty] past its end), which
-   decodes structurally equal to the array's cell. Only written cells,
-   the array's [Csum] cells (never installed positionally) and the
-   cells past the media (the checksum region changes without a store)
-   are read back. *)
-let installed_snapshot t =
-  match t.installed with
-  | None -> invalid_arg "Disk.installed_snapshot: no image installed"
-  | Some (base, csums) ->
+(* Every cell the volume does not read through the mounted array —
+   stored since the mount, or a [Csum] cell's slot, or past its end —
+   is read back into that array; the rest already are its cells. *)
+let take_image t =
+  match t.mounted with
+  | None -> invalid_arg "Disk.take_image: no image installed"
+  | Some base ->
+    t.mounted <- None;
     let n = Volume.length t.image in
     let out =
-      if Array.length base = n then Array.copy base
-      else begin
-        let o = Array.make n Types.Empty in
-        Array.blit base 0 o 0 (min (Array.length base) t.media);
-        o
-      end
+      if Array.length base = n then base
+      else Array.append base (Array.make (n - Array.length base) Types.Empty)
     in
-    let reread i = out.(i) <- Volume.read t.image i in
-    Volume.iter_written t.image (fun i -> if i < t.media then reread i);
-    List.iter reread csums;
-    for i = t.media to n - 1 do
-      reread i
-    done;
+    Volume.iter_written t.image (fun i -> out.(i) <- Volume.read t.image i);
     out
 
 let peek t lbn =

@@ -89,25 +89,28 @@ val install : t -> int -> Su_fstypes.Types.cell -> unit
 
 val install_image : t -> Su_fstypes.Types.cell array -> unit
 (** Mount a captured physical image (spare region, remap-table cell
-    and checksum region included when present): each cell is
-    {!install}ed as a private copy ({!Su_fstypes.Volume.set_copy}:
-    slab kinds encoded, only boxed kinds deep-copied), [Empty] media
-    cells are skipped, and a [Csum] cell (a checksum region captured
-    from a prior incarnation) is loaded over the live region instead
-    of installed positionally, replacing the digests the installs
-    computed, so corruption that predates the mount stays detectable.
-    Then starts the volume's written mark, so
-    {!installed_snapshot} can rebuild the image from [cells].
-    @raise Invalid_argument if [cells] is larger than the device. *)
+    and checksum region included when present) on a fresh device, by
+    reference ({!Su_fstypes.Volume.mount}): the volume reads each cell
+    through to [cells] until it is stored over, with nothing encoded
+    or copied. A [Csum] cell (a checksum region captured from a prior
+    incarnation) is not mounted positionally: it is loaded over the
+    live region, replacing the digests of the other cells, so
+    corruption that predates the mount stays detectable, and its slot
+    keeps what the device held there. The caller must neither mutate
+    [cells]' cells in place nor replace its slots while the device
+    lives, until {!take_image} hands the array back.
+    @raise Invalid_argument if [cells] is larger than the device or
+    the device already holds remap entries. *)
 
-val installed_snapshot : t -> Su_fstypes.Types.cell array
-(** Structurally equal to {!image_snapshot}, built from the array
-    {!install_image} mounted plus the cells stored since: a written
-    cell, a [Csum] cell of that array and every cell past the media
-    are decoded from the volume; every other cell is shared with the
-    mounted array, so the result (and that array) must not be mutated
-    in place, only have its slots replaced.
-    @raise Invalid_argument if no image was installed. *)
+val take_image : t -> Su_fstypes.Types.cell array
+(** Consume the mount: write every cell stored since {!install_image}
+    (and the checksum region's slot, and any cell past the mounted
+    array's end) back into the array it mounted, and return that array
+    — structurally equal to {!image_snapshot} at this instant, at the
+    cost of the cells written rather than of the volume. If the array
+    was shorter than the device, the result is a longer copy. The
+    device must not be used afterwards.
+    @raise Invalid_argument if no image is mounted. *)
 
 val peek : t -> int -> Su_fstypes.Types.cell
 (** Read one image cell directly (fsck / tests). Slab-encoded kinds

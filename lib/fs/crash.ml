@@ -37,7 +37,9 @@ let crash_and_check w time = fsck_image w (crash_at w time)
 
 (* Remount the (repaired) image and keep living in it: a directory
    create, file writes, a rename and a sync must all succeed, and the
-   image must still check out clean afterwards. *)
+   image must still check out clean afterwards. The final image is the
+   mounted array itself, with what the continuation wrote written back
+   into it. *)
 let remount_probe ~dir cfg image =
   let probe () =
     let w = Fs.mount_image cfg image in
@@ -57,7 +59,7 @@ let remount_probe ~dir cfg image =
     Su_sim.Engine.run w.Fs.engine;
     if not !finished then Error "continuation did not finish"
     else
-      let final = Su_disk.Disk.installed_snapshot w.Fs.disk in
+      let final = Su_disk.Disk.take_image w.Fs.disk in
       Fs.recover_image cfg final;
       match
         (Fsck.check ~geom:cfg.Fs.geom ~image:final

@@ -41,7 +41,10 @@ val remount_probe :
     file in it, write, rename, sync, then require the final image to
     check clean. [Error] carries why it did not: the text of the
     exception that escaped (a {!Fs.Mount_failure}, say), "continuation
-    did not finish", or "final image not clean (N violations)". The
-    final image is {!Su_disk.Disk.installed_snapshot}: the mounted
-    array plus what the continuation wrote, not a decode of the whole
-    volume. [image] must not be mutated in place during the call. *)
+    did not finish", or "final image not clean (N violations)".
+    Consumes [image]: it is mounted by reference, and the final image
+    is {!Su_disk.Disk.take_image}, the mounted array with what the
+    continuation wrote written back into its slots (for a journaled
+    image still holding its log, the replayed copy mounted instead).
+    Pass the last use of [image]; its cells are never mutated in
+    place. *)

@@ -118,10 +118,11 @@ val mount_image : config -> Su_fstypes.Types.cell array -> world
     first recovered (replayed, its log retired, its maps rebuilt) on a
     private copy, so the new mount's transactions are never overtaken
     by stale ones at the next recovery; the argument is not modified.
-    The disk keeps the array it mounted (the argument, or that
-    replayed copy) as the base of {!Su_disk.Disk.installed_snapshot},
-    so its cells must not be mutated in place while the world is in
-    use.
+    The disk mounts the array by reference (the argument, or that
+    replayed copy; see {!Su_disk.Disk.install_image}): the caller must
+    neither mutate its cells in place nor replace its slots while the
+    world lives, and {!Su_disk.Disk.take_image} hands it back with the
+    world's writes in it.
     @raise Invalid_argument if the image does not fit the configured
     geometry.
     @raise Mount_failure if no usable superblock replica survives. *)

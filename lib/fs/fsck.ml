@@ -55,9 +55,12 @@ let pp_violation ppf = function
    One walk of the tree fills flat tables indexed by fragment and by
    inode; the map audit, and repair's settle, reclaim and map-rebuild
    phases, read them instead of walking again. A set of tables belongs
-   to one check, one map rebuild or one repair (cleared before each of
-   its walks), and is never shared: Pool runs fsck in several domains
-   at once. *)
+   to one check, one map rebuild or one repair at a time (cleared
+   before each of its walks), and is never shared across domains: Pool
+   runs fsck in several at once. Each domain keeps one spare set
+   ([with_tables]), which every call takes and hands back, so a
+   recovery allocates the 5.6 MB (default geometry) once per domain
+   rather than once per check. *)
 
 module A1 = Bigarray.Array1
 
@@ -101,6 +104,27 @@ let tables geom =
     state = A1.create Bigarray.int8_unsigned Bigarray.c_layout ninodes;
     parent = Hashtbl.create 64;
   }
+
+(* The domain's spare set: taken for the length of one call, so a
+   nested call (a check inside a repair, say) finds it gone and
+   allocates its own; a set sized for another geometry is replaced. *)
+let spare : tables option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let with_tables geom f =
+  let slot = Domain.DLS.get spare in
+  let t =
+    match !slot with
+    | Some t
+      when A1.dim t.owner = geom.Geom.nfrags
+           && A1.dim t.refs = Geom.total_inodes geom ->
+      slot := None;
+      t
+    | Some _ | None -> tables geom
+  in
+  let r = f t in
+  slot := Some t;
+  r
 
 let reset t =
   A1.fill t.owner 0l;
@@ -420,7 +444,7 @@ let report_of ctx =
   }
 
 let check ~geom ~image ~check_exposure =
-  report_of (walk_into (tables geom) ~geom ~image ~check_exposure)
+  with_tables geom (fun t -> report_of (walk_into t ~geom ~image ~check_exposure))
 
 (* The number of non-zero bytes in [b.{off .. off + len - 1}], whose
    bytes are all 0 or 1: a word's byte sum lands in its top byte when
@@ -476,9 +500,9 @@ let install_maps ?observer t ~geom ~image =
 
 (* Recovery needs the walk's claims, not the audit. *)
 let rebuild_maps ?observer geom image =
-  let t = tables geom in
-  ignore (walk_into t ~geom ~image ~check_exposure:false);
-  install_maps ?observer t ~geom ~image
+  with_tables geom (fun t ->
+      ignore (walk_into t ~geom ~image ~check_exposure:false);
+      install_maps ?observer t ~geom ~image)
 
 let ok (r : report) = r.violations = []
 
@@ -678,7 +702,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
        (fun (lbn, cell) -> Imglog.write ?observer image lbn cell)
        (hook image)
    | None -> ());
-  let t = tables geom in
+  with_tables geom @@ fun t ->
   let rewalk () = walk_into t ~geom ~image ~check_exposure in
   let actions = ref [] in
   let note a = actions := a :: !actions in

@@ -60,8 +60,11 @@ val check :
   geom:Geom.t -> image:Types.cell array -> check_exposure:bool -> report
 (** Walk the directory tree from the root once, verify every reachable
     structure, then audit the allocation maps against what the walk
-    claimed. Its working tables (5 bytes per fragment, 5 per inode) are
-    private to the call, so checks may run in several domains at once.
+    claimed. Its working tables (5 bytes per fragment, 5 per inode,
+    outside the OCaml heap) are private to the call, so checks may run
+    in several domains at once; each domain keeps one set between
+    calls ({!check}, {!rebuild_maps} and {!repair} reuse it, and a call
+    nested inside another allocates its own).
     [Nlink_low] violations come in ascending inode order. *)
 
 val ok : report -> bool

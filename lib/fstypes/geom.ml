@@ -63,12 +63,14 @@ let cg_of_inode g inum = (inum - root_inum) / g.inodes_per_cg
 
 let first_inum_of_cg g c = root_inum + (c * g.inodes_per_cg)
 
+(* [inode_block_frag] and [data_frag_in_cg] run for every inode read
+   and every claimed fragment: they compute the areas inline instead of
+   building [cg_inode_area]'s and [cg_data_area]'s pairs. *)
 let inode_block_frag g inum =
   let c = cg_of_inode g inum in
   let idx = inum - first_inum_of_cg g c in
   let blk = idx / g.inodes_per_block in
-  let first, _ = cg_inode_area g c in
-  first + (blk * g.frags_per_block)
+  cg_base g c + (2 * g.frags_per_block) + (blk * g.frags_per_block)
 
 let inode_index_in_block g inum =
   (inum - root_inum) mod g.inodes_per_cg mod g.inodes_per_block
@@ -79,8 +81,7 @@ let data_frag_in_cg g frag =
   frag > 0 && frag < g.nfrags
   &&
   let c = cg_of_frag g frag in
-  let first, count = cg_data_area g c in
-  frag >= first && frag < first + count
+  frag >= cg_base g c + (2 * g.frags_per_block) + inode_frags g
 
 let frags_of_bytes g bytes =
   if bytes <= 0 then 0 else ((bytes - 1) / g.frag_bytes) + 1

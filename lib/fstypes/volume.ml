@@ -19,6 +19,7 @@ let tag_ino = 4 (* aux = inode-slab arena index *)
 let tag_dir = 5 (* aux = dir-slab arena index *)
 let tag_ind = 6 (* aux = indirect-slab arena index *)
 let tag_box = 7 (* aux = boxed-cell arena index *)
+let tag_mounted = 8 (* the cell is [base.(i)] of the mounted array *)
 
 (* Packed [Written] stamp: inum:21 | gen:19 | flbn:20 = 60 bits, safely
    inside OCaml's 63-bit int. Covers 2M inodes, 512k generations and
@@ -181,26 +182,24 @@ let decode_ind b =
 
 (* --- the volume -------------------------------------------------------- *)
 
-(* The written mark lives outside the OCaml heap, like fsck's tables:
-   every mount allocates one the size of the volume. *)
-type marks =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+module A1 = Bigarray.Array1
 
-external marks_get64 : marks -> int -> int64 = "%caml_bigstring_get64"
-
-let no_marks = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
+(* The payload plane lives outside the OCaml heap, like fsck's tables:
+   a word per cell the GC would otherwise scan on every major cycle.
+   It is never cleared: a word is read only under a tag that wrote it. *)
+type plane = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
 type t = {
   n : int;
   tags : Bytes.t;
-  aux : int array;
+  aux : plane;
   ino : Bytes.t arena;
   dir : dirslab arena;
   ind : Bytes.t arena;
   box : Types.cell arena;
-  mutable marks : marks;
-      (* one byte per cell, set by every [set] since [track_writes];
-         empty while not tracking *)
+  mutable base : Types.cell array;
+      (* the array [mount] read through: a [tag_mounted] cell is
+         [base.(i)], never copied in *)
 }
 
 type stats = {
@@ -210,6 +209,7 @@ type stats = {
   indirect_slabs : int;
   boxed : int;
   slab_bytes : int;
+  offheap_bytes : int;
 }
 
 let create n =
@@ -217,12 +217,12 @@ let create n =
   {
     n;
     tags = Bytes.make n '\000';
-    aux = Array.make n 0;
+    aux = A1.create Bigarray.int Bigarray.c_layout n;
     ino = arena Bytes.empty;
     dir = arena no_dirslab;
     ind = arena Bytes.empty;
     box = arena Types.Empty;
-    marks = no_marks;
+    base = [||];
   }
 
 let length t = t.n
@@ -232,26 +232,21 @@ let check t i who =
 
 let release t i =
   match Bytes.get_uint8 t.tags i with
-  | 4 -> arena_release t.ino t.aux.(i)
-  | 5 -> arena_release t.dir t.aux.(i)
-  | 6 -> arena_release t.ind t.aux.(i)
-  | 7 -> arena_release t.box t.aux.(i)
+  | 4 -> arena_release t.ino (A1.get t.aux i)
+  | 5 -> arena_release t.dir (A1.get t.aux i)
+  | 6 -> arena_release t.ind (A1.get t.aux i)
+  | 7 -> arena_release t.box (A1.get t.aux i)
   | _ -> ()
 
-(* The encode-or-box decision. A boxed cell is stored as given, or as
-   a deep copy when [copy] asks for one: only those cells can alias a
-   caller's value, since slab kinds are re-encoded. *)
-let store t i cell ~copy =
+(* The encode-or-box decision. A boxed cell is stored as given. *)
+let set t i cell =
   check t i "set";
-  if Bigarray.Array1.dim t.marks > 0 then
-    Bigarray.Array1.unsafe_set t.marks i '\001';
   let old = Bytes.get_uint8 t.tags i in
   let box c =
-    let c = if copy then Types.copy_cell c else c in
-    if old = tag_box then t.box.items.(t.aux.(i)) <- c
+    if old = tag_box then t.box.items.(A1.get t.aux i) <- c
     else begin
       release t i;
-      t.aux.(i) <- arena_alloc t.box c;
+      A1.set t.aux i (arena_alloc t.box c);
       Bytes.set_uint8 t.tags i tag_box
     end
   in
@@ -268,39 +263,39 @@ let store t i cell ~copy =
   | Types.Frag (Types.Written { inum; gen; flbn })
     when fits inum_bits inum && fits gen_bits gen && fits flbn_bits flbn ->
     release t i;
-    t.aux.(i) <- (inum lsl (gen_bits + flbn_bits)) lor (gen lsl flbn_bits) lor flbn;
+    A1.set t.aux i ((inum lsl (gen_bits + flbn_bits)) lor (gen lsl flbn_bits) lor flbn);
     Bytes.set_uint8 t.tags i tag_fragw
   | Types.Meta (Types.Inodes ds) when ino_conforms ds ->
     let need = ino_bytes ds in
-    if old = tag_ino && Bytes.length t.ino.items.(t.aux.(i)) = need then
-      encode_ino t.ino.items.(t.aux.(i)) ds
+    if old = tag_ino && Bytes.length t.ino.items.(A1.get t.aux i) = need then
+      encode_ino t.ino.items.(A1.get t.aux i) ds
     else begin
       release t i;
       let b = Bytes.create need in
       encode_ino b ds;
-      t.aux.(i) <- arena_alloc t.ino b;
+      A1.set t.aux i (arena_alloc t.ino b);
       Bytes.set_uint8 t.tags i tag_ino
     end
   | Types.Meta (Types.Dir entries) when dir_conforms entries ->
     let len = Array.length entries in
-    if old = tag_dir && Array.length t.dir.items.(t.aux.(i)).dinums = len then
-      encode_dir t.dir.items.(t.aux.(i)) entries
+    if old = tag_dir && Array.length t.dir.items.(A1.get t.aux i).dinums = len then
+      encode_dir t.dir.items.(A1.get t.aux i) entries
     else begin
       release t i;
       let slab = { dnames = Array.make len ""; dinums = Array.make len none_inum } in
       encode_dir slab entries;
-      t.aux.(i) <- arena_alloc t.dir slab;
+      A1.set t.aux i (arena_alloc t.dir slab);
       Bytes.set_uint8 t.tags i tag_dir
     end
   | Types.Meta (Types.Indirect ptrs) when u32s_ok ptrs 0 ->
     let need = 4 * Array.length ptrs in
-    if old = tag_ind && Bytes.length t.ind.items.(t.aux.(i)) = need then
-      encode_ind t.ind.items.(t.aux.(i)) ptrs
+    if old = tag_ind && Bytes.length t.ind.items.(A1.get t.aux i) = need then
+      encode_ind t.ind.items.(A1.get t.aux i) ptrs
     else begin
       release t i;
       let b = Bytes.create need in
       encode_ind b ptrs;
-      t.aux.(i) <- arena_alloc t.ind b;
+      A1.set t.aux i (arena_alloc t.ind b);
       Bytes.set_uint8 t.tags i tag_ind
     end
   | Types.Frag (Types.Written _)
@@ -309,28 +304,41 @@ let store t i cell ~copy =
   | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
     box cell
 
-let set t i cell = store t i cell ~copy:false
-let set_copy t i cell = store t i cell ~copy:true
-
-let track_writes t =
-  let m = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.n in
-  Bigarray.Array1.fill m '\000';
-  t.marks <- m
-
-(* Written cells are few: whole words of the mark are skipped. *)
-let iter_written t f =
-  let m = t.marks in
-  let n = Bigarray.Array1.dim m in
+(* Tags are 0 .. 8, so a word of eight tags with neither bit 2 nor
+   bit 3 set in any byte holds no slab, boxed or mounted cell. *)
+let mount t base =
+  let len = Array.length base in
+  if len > t.n then invalid_arg "Volume.mount: array larger than the volume";
+  if t.base != [||] then invalid_arg "Volume.mount: already mounted";
   let k = ref 0 in
-  while !k + 8 <= n do
-    if marks_get64 m !k <> 0L then
+  while !k + 8 <= len do
+    if Int64.logand (Bytes.get_int64_ne t.tags !k) 0x0c0c0c0c0c0c0c0cL <> 0L
+    then
       for i = !k to !k + 7 do
-        if Bigarray.Array1.get m i <> '\000' then f i
+        release t i
       done;
     k := !k + 8
   done;
-  for i = !k to n - 1 do
-    if Bigarray.Array1.get m i <> '\000' then f i
+  for i = !k to len - 1 do
+    release t i
+  done;
+  Bytes.fill t.tags 0 len (Char.chr tag_mounted);
+  t.base <- base
+
+(* Written cells are few: words of eight mounted tags are skipped. *)
+let all_mounted = 0x0808080808080808L
+
+let iter_written t f =
+  let k = ref 0 in
+  while !k + 8 <= t.n do
+    if Bytes.get_int64_ne t.tags !k <> all_mounted then
+      for i = !k to !k + 7 do
+        if Bytes.get_uint8 t.tags i <> tag_mounted then f i
+      done;
+    k := !k + 8
+  done;
+  for i = !k to t.n - 1 do
+    if Bytes.get_uint8 t.tags i <> tag_mounted then f i
   done
 
 let unpack_written a =
@@ -341,18 +349,29 @@ let unpack_written a =
       flbn = a land ((1 lsl flbn_bits) - 1);
     }
 
+(* A boxed or mounted cell, copied as {!read} and {!peek} promise:
+   immutable kinds are shared, and [peek] copies only the slab-class
+   kinds, which a decode would have returned fresh. *)
+let held_cell c ~live =
+  match c with
+  | Types.Empty | Types.Pad | Types.Frag _ | Types.Rmap _ -> c
+  | Types.Meta (Types.Inodes _ | Types.Dir _ | Types.Indirect _) ->
+    Types.copy_cell c
+  | Types.Meta (Types.Superblock _ | Types.Cgroup _) | Types.Jlog _
+  | Types.Csum _ ->
+    if live then c else Types.copy_cell c
+
 let get t i ~live =
   match Bytes.get_uint8 t.tags i with
   | 0 -> Types.Empty
   | 1 -> Types.Pad
   | 2 -> Types.Frag Types.Zeroed
-  | 3 -> Types.Frag (unpack_written t.aux.(i))
-  | 4 -> Types.Meta (decode_ino t.ino.items.(t.aux.(i)))
-  | 5 -> Types.Meta (decode_dir t.dir.items.(t.aux.(i)))
-  | 6 -> Types.Meta (decode_ind t.ind.items.(t.aux.(i)))
-  | _ ->
-    let c = t.box.items.(t.aux.(i)) in
-    if live then c else Types.copy_cell c
+  | 3 -> Types.Frag (unpack_written (A1.get t.aux i))
+  | 4 -> Types.Meta (decode_ino t.ino.items.(A1.get t.aux i))
+  | 5 -> Types.Meta (decode_dir t.dir.items.(A1.get t.aux i))
+  | 6 -> Types.Meta (decode_ind t.ind.items.(A1.get t.aux i))
+  | 7 -> held_cell t.box.items.(A1.get t.aux i) ~live
+  | _ -> held_cell t.base.(i) ~live
 
 let read t i =
   check t i "read";
@@ -364,7 +383,7 @@ let peek t i =
 
 let is_compact t i =
   check t i "is_compact";
-  Bytes.get_uint8 t.tags i <> tag_box
+  Bytes.get_uint8 t.tags i < tag_box
 
 (* --- digests off the slabs --------------------------------------------- *)
 
@@ -424,25 +443,28 @@ let digest t i =
   | 2 -> Types.d_byte (Types.d_byte Types.fnv_offset 3) 1 land max_int
   | 3 ->
     let h = Types.d_byte (Types.d_byte Types.fnv_offset 3) 2 in
-    let a = t.aux.(i) in
+    let a = A1.get t.aux i in
     Types.d_int
       (Types.d_int
          (Types.d_int h (a lsr (gen_bits + flbn_bits)))
          ((a lsr flbn_bits) land ((1 lsl gen_bits) - 1)))
       (a land ((1 lsl flbn_bits) - 1))
     land max_int
-  | 4 -> digest_ino t.ino.items.(t.aux.(i))
-  | 5 -> digest_dir t.dir.items.(t.aux.(i))
-  | 6 -> digest_ind t.ind.items.(t.aux.(i))
-  | _ -> Types.cell_digest t.box.items.(t.aux.(i))
+  | 4 -> digest_ino t.ino.items.(A1.get t.aux i)
+  | 5 -> digest_dir t.dir.items.(A1.get t.aux i)
+  | 6 -> digest_ind t.ind.items.(A1.get t.aux i)
+  | 7 -> Types.cell_digest t.box.items.(A1.get t.aux i)
+  | _ -> Types.cell_digest t.base.(i)
 
 (* --- snapshots --------------------------------------------------------- *)
 
 let copy t =
+  let aux = A1.create Bigarray.int Bigarray.c_layout t.n in
+  A1.blit t.aux aux;
   {
     n = t.n;
     tags = Bytes.copy t.tags;
-    aux = Array.copy t.aux;
+    aux;
     ino = arena_map Bytes.copy t.ino;
     dir =
       arena_map
@@ -450,7 +472,7 @@ let copy t =
         t.dir;
     ind = arena_map Bytes.copy t.ind;
     box = arena_map Types.copy_cell t.box;
-    marks = no_marks;
+    base = t.base;
   }
 
 (* Only non-empty cells are decoded, so the cost follows what the
@@ -477,20 +499,26 @@ let stats t =
     indirect_slabs = arena_live t.ind;
     boxed = arena_live t.box;
     slab_bytes = slab_bytes t.ino + slab_bytes t.ind + Bytes.length t.tags;
+    offheap_bytes = A1.size_in_bytes t.aux;
   }
 
 (* --- (lbn, slot) accessors --------------------------------------------- *)
+
+(* The cell behind a boxed or mounted tag. *)
+let held t i =
+  if Bytes.get_uint8 t.tags i = tag_box then t.box.items.(A1.get t.aux i)
+  else t.base.(i)
 
 let inode_at t ~lbn ~slot =
   check t lbn "inode_at";
   match Bytes.get_uint8 t.tags lbn with
   | 4 ->
-    let b = t.ino.items.(t.aux.(lbn)) in
+    let b = t.ino.items.(A1.get t.aux lbn) in
     let ipb = get_u32 b 0 in
     if slot < 0 || slot >= ipb then invalid_arg "Volume.inode_at: bad slot";
     decode_dinode b (get_u32 b 4) slot
-  | 7 -> (
-    match t.box.items.(t.aux.(lbn)) with
+  | 7 | 8 -> (
+    match held t lbn with
     | Types.Meta (Types.Inodes ds) ->
       if slot < 0 || slot >= Array.length ds then
         invalid_arg "Volume.inode_at: bad slot";
@@ -502,13 +530,13 @@ let dirent_at t ~lbn ~slot =
   check t lbn "dirent_at";
   match Bytes.get_uint8 t.tags lbn with
   | 5 ->
-    let s = t.dir.items.(t.aux.(lbn)) in
+    let s = t.dir.items.(A1.get t.aux lbn) in
     if slot < 0 || slot >= Array.length s.dinums then
       invalid_arg "Volume.dirent_at: bad slot";
     if s.dinums.(slot) = none_inum then None
     else Some { Types.name = s.dnames.(slot); inum = s.dinums.(slot) }
-  | 7 -> (
-    match t.box.items.(t.aux.(lbn)) with
+  | 7 | 8 -> (
+    match held t lbn with
     | Types.Meta (Types.Dir entries) ->
       if slot < 0 || slot >= Array.length entries then
         invalid_arg "Volume.dirent_at: bad slot";
@@ -520,12 +548,12 @@ let indirect_at t ~lbn ~slot =
   check t lbn "indirect_at";
   match Bytes.get_uint8 t.tags lbn with
   | 6 ->
-    let b = t.ind.items.(t.aux.(lbn)) in
+    let b = t.ind.items.(A1.get t.aux lbn) in
     if slot < 0 || slot >= Bytes.length b / 4 then
       invalid_arg "Volume.indirect_at: bad slot";
     get_u32 b (4 * slot)
-  | 7 -> (
-    match t.box.items.(t.aux.(lbn)) with
+  | 7 | 8 -> (
+    match held t lbn with
     | Types.Meta (Types.Indirect ptrs) ->
       if slot < 0 || slot >= Array.length ptrs then
         invalid_arg "Volume.indirect_at: bad slot";

@@ -2,8 +2,9 @@
 
     A volume stores one {!Types.cell} per fragment address, but not as
     a cell array: the representation is a flat tag byte plus one word
-    of payload per address, with the bulky metadata kinds encoded into
-    fixed-stride [Bytes] slabs:
+    of payload per address (an off-heap [Bigarray], so the GC never
+    scans it), with the bulky metadata kinds encoded into fixed-stride
+    [Bytes] slabs:
 
     - [Empty]/[Pad]/[Frag Zeroed] are the tag byte alone;
     - a [Frag (Written _)] stamp packs its three fields into the
@@ -18,7 +19,9 @@
       checksum region) — and any slab-class cell whose fields exceed
       the encoding's ranges — stays a boxed cell, stored as given, so
       reserved-cell aliasing (e.g. the live [Csum] array) behaves
-      exactly as the legacy cell-array image did.
+      exactly as the legacy cell-array image did;
+    - a cell of a {!mount}ed array is the tag byte alone: it reads
+      through to that array's cell until it is stored over.
 
     The encoding is exact: [read] after [set] returns a cell
     structurally equal to the one stored, and {!digest} folds the
@@ -34,6 +37,7 @@ type stats = {
   indirect_slabs : int;
   boxed : int;
   slab_bytes : int;  (** bytes held by [Bytes]-backed slabs *)
+  offheap_bytes : int;  (** bytes outside the OCaml heap (the payload plane) *)
 }
 
 val create : int -> t
@@ -50,31 +54,38 @@ val set : t -> int -> Types.cell -> unit
     overwrites allocate nothing.
     @raise Invalid_argument if the address is out of range. *)
 
-val set_copy : t -> int -> Types.cell -> unit
-(** Like {!set}, but a boxed kind is stored as a deep copy
-    ([Types.copy_cell]), so nothing the volume holds aliases the
-    argument. Slab kinds are encoded exactly as {!set} encodes them,
-    with no copy: this is how a mount installs a caller's image. *)
-
-val track_writes : t -> unit
-(** Start (or restart) the written mark: one byte per cell, set by
-    every later {!set}/{!set_copy} of that cell (no allocation per
-    write). Cells mutated in place without a store — a boxed cell's
-    own mutable fields, such as the live checksum array — are not
-    marked. *)
+val mount : t -> Types.cell array -> unit
+(** [mount t base] makes every cell [i < Array.length base] read
+    through to [base.(i)], by reference: nothing is encoded or copied,
+    and the slabs those cells held are released. Cells past the end
+    of [base] keep their content. A later {!set} of a cell replaces
+    the reference. The caller must not mutate [base]'s cells in place
+    nor replace its slots while the volume reads through it. A volume
+    mounts at most once.
+    @raise Invalid_argument if [base] is longer than the volume, or
+    the volume (or the volume it was {!copy}ed from) already mounted
+    an array. *)
 
 val iter_written : t -> (int -> unit) -> unit
 (** [iter_written t f] calls [f i], in ascending order, on every cell
-    stored since {!track_writes}; none while not tracking. *)
+    that does not read through the last {!mount}ed array: the cells
+    stored since that mount and those past the array's end (every
+    cell, before any mount). A scan of the tag plane that skips eight
+    mounted cells at a time. Cells mutated in place without a store —
+    a boxed cell's own mutable fields, such as the live checksum
+    array — count only if they were stored since the mount. *)
 
 val read : t -> int -> Types.cell
 (** Decode a private copy: mutating the result never reaches the
-    volume (boxed cells are deep-copied, matching what
-    [Types.copy_cell] did on the legacy image). *)
+    volume (boxed and mounted cells are deep-copied, matching what
+    [Types.copy_cell] did on the legacy image; immutable kinds are
+    shared). *)
 
 val peek : t -> int -> Types.cell
-(** Like {!read} for slab-encoded cells (a fresh decode), but a boxed
-    cell is returned live, without the deep copy — do not mutate
+(** Like {!read} for the slab-class kinds ([Inodes]/[Dir]/[Indirect]:
+    a fresh decode, or a copy of a boxed or mounted block), but the
+    boxed kinds (superblock, cgroup, journal, remap table, checksum
+    region) are returned live, without the deep copy — do not mutate
     those. This is the cheap accessor behind [Disk.peek]. *)
 
 val digest : t -> int -> int
@@ -83,12 +94,13 @@ val digest : t -> int -> int
 
 val is_compact : t -> int -> bool
 (** Whether the cell at [i] lives in the compact encoding (false =
-    boxed). For tests and accounting. *)
+    boxed, or read through a mounted array). For tests and
+    accounting. *)
 
 val copy : t -> t
 (** Snapshot by slab blits ([Bytes.copy]/[Array.copy] per slab; boxed
-    cells are deep-copied). The copy does not track writes (see
-    {!track_writes}). *)
+    cells are deep-copied). Mounted cells stay mounted: the copy reads
+    through the same array. *)
 
 val snapshot : t -> Types.cell array
 (** The legacy view: a cell array of private copies, equal to the

@@ -563,6 +563,110 @@ let test_verify_state_pre_matches_check () =
     schemes;
   Alcotest.(check bool) "some states were dirty" true (!dirty > 0)
 
+(* --- the per-domain spare tables -------------------------------------------
+
+   [check], [repair] and [rebuild_maps] reuse one set of tables per
+   domain. Back to back, in either order and across geometries, each
+   call must report exactly what the same call reports with fresh
+   tables — those of a newly spawned domain. *)
+
+(* A world of [g] holding a few files, its image made dirty: a link
+   count too low, a block shared by two files and a dangling entry. *)
+let dirty_image g =
+  let cfg = { (Fs.config ~scheme:Fs.No_order ()) with Fs.geom = g; cache_mb = 8 } in
+  let w = Fs.make cfg in
+  ignore
+    (Proc.spawn w.Fs.engine ~name:"setup" (fun () ->
+         let st = w.Fs.st in
+         Fsops.mkdir st "/d";
+         List.iter
+           (fun (name, bytes) ->
+             Fsops.create st name;
+             Fsops.append st name ~bytes)
+           [ ("/d/a", 4096); ("/d/b", 12288); ("/d/c", 2048); ("/e", 9000) ];
+         Fsops.sync st;
+         Fs.stop w));
+  Engine.run w.Fs.engine;
+  let image = Su_disk.Disk.image_snapshot w.Fs.disk in
+  let dinode name = dinode_of_g g image (inum_of image name) in
+  (dinode "a").Types.nlink <- 0;
+  (dinode "b").Types.db.(0) <- (dinode "a").Types.db.(0);
+  let _, entries = find_dir_entries image "c" in
+  (match Types.dir_free_slot entries with
+   | Some s -> entries.(s) <- Some { Types.name = "ghost"; inum = 77 }
+   | None -> Alcotest.fail "directory full");
+  (g, image)
+
+type fsck_result =
+  | Checked of Fsck.report
+  | Repaired of Fsck.repair_outcome * Types.cell array
+  | Rebuilt of Types.cell array
+
+let run_call (g, image) = function
+  | `Check -> Checked (Fsck.check ~geom:g ~image ~check_exposure:true)
+  | `Repair ->
+    let image = Types.copy_image image in
+    Repaired (Fsck.repair ~geom:g ~image ~check_exposure:true (), image)
+  | `Rebuild ->
+    let image = Types.copy_image image in
+    Fsck.rebuild_maps g image;
+    Rebuilt image
+
+let test_table_reuse () =
+  let small = dirty_image Geom.small and big = dirty_image Geom.default in
+  (match run_call small `Check with
+   | Checked r -> Alcotest.(check bool) "the small image is dirty" false (Fsck.ok r)
+   | _ -> assert false);
+  let fresh img call = Domain.join (Domain.spawn (fun () -> run_call img call)) in
+  let expected =
+    List.map
+      (fun img -> List.map (fun call -> (call, fresh img call)) [ `Check; `Repair; `Rebuild ])
+      [ small; big ]
+  in
+  let name = function `Check -> "check" | `Repair -> "repair" | `Rebuild -> "rebuild_maps" in
+  let run_sequence ~label imgs calls =
+    List.iter
+      (fun img ->
+        let want = List.assq img (List.combine [ small; big ] expected) in
+        List.iter
+          (fun call ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s on %d fragments" label (name call)
+                 (fst img).Geom.nfrags)
+              true
+              (run_call img call = List.assoc call want))
+          calls)
+      imgs
+  in
+  List.iter
+    (fun (imgs, calls) ->
+      run_sequence ~label:"reused" imgs calls;
+      (* the oracle checks inside a repair, while the repair holds the
+         domain's tables *)
+      Fsck.repair_final_oracle := Some ignore;
+      Fun.protect
+        ~finally:(fun () -> Fsck.repair_final_oracle := None)
+        (fun () -> run_sequence ~label:"oracle" imgs calls))
+    [ ([ small; big ], [ `Check; `Repair; `Rebuild ]);
+      ([ big; small ], [ `Rebuild; `Repair; `Check ]) ];
+  (* a check nested inside a repair (here from its write observer)
+     takes tables of its own: both match their fresh results *)
+  let g, image = small in
+  let other = snd (dirty_image g) in
+  (dinode_of_g g other (inum_of other "b")).Types.nlink <- 0;
+  let nested = ref [] in
+  let observer ~lbn:_ ~pre:_ ~post:_ =
+    nested := Fsck.check ~geom:g ~image:other ~check_exposure:true :: !nested
+  in
+  let repaired = Types.copy_image image in
+  let o = Fsck.repair ~observer ~geom:g ~image:repaired ~check_exposure:true () in
+  Alcotest.(check bool) "the observer ran" true (!nested <> []);
+  Alcotest.(check bool) "repair beside nested checks" true
+    (Repaired (o, repaired) = List.assoc `Repair (List.hd expected));
+  let want = fresh (g, other) `Check in
+  Alcotest.(check bool) "nested checks" true
+    (List.for_all (fun r -> Checked r = want) !nested)
+
 let suite =
   [
     Alcotest.test_case "clean baseline" `Quick test_clean_baseline;
@@ -587,4 +691,6 @@ let suite =
       test_wordwise_maps;
     Alcotest.test_case "verify_state pre count matches check" `Slow
       test_verify_state_pre_matches_check;
+    Alcotest.test_case "tables reused across calls and geometries" `Quick
+      test_table_reuse;
   ]

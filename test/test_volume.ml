@@ -90,20 +90,21 @@ let prop_volume_equals_cells =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      (* not a whole number of words: the written mark's ragged tail *)
+      (* not a whole number of words: the tag scan's ragged tail *)
       let n = 27 in
       let vol = Volume.create n in
       let ref_ = Array.make n Types.Empty in
       let written = Array.make n false in
-      Volume.track_writes vol;
+      (* the written cells are those no longer read through the mount *)
+      Volume.mount vol (Array.make n Types.Empty);
       let ok = ref true in
       let check b = if not b then ok := false in
       for _ = 1 to 150 do
         let i = Rng.int rng n in
         match Rng.int rng 6 with
-        | 0 | 1 as k ->
+        | 0 | 1 ->
           let c = rand_cell rng in
-          if k = 0 then Volume.set vol i c else Volume.set_copy vol i c;
+          Volume.set vol i c;
           ref_.(i) <- Types.copy_cell c;
           written.(i) <- true
         | 2 -> check (Volume.read vol i = ref_.(i))
@@ -123,6 +124,72 @@ let prop_volume_equals_cells =
           check (Volume.read vol i = ref_.(i))
       done;
       !ok)
+
+(* A mounted array reads exactly like the same cells installed one by
+   one as private copies (what mounting did before it read through), under
+   any mix of later stores, and only the stored cells — plus those past
+   the array's end — stop reading through. *)
+let prop_mounted_equals_installed =
+  QCheck.Test.make ~name:"mounted volume == per-cell install under random stores"
+    ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 27 in
+      let len = if Rng.int rng 3 = 0 then Rng.int rng n else n in
+      let base = Array.init len (fun _ -> rand_cell rng) in
+      let pristine = Array.map Types.copy_cell base in
+      let vol = Volume.create n and ref_ = Volume.create n in
+      (* whatever the volume held before is replaced, up to [len] *)
+      for i = 0 to n - 1 do
+        let c = rand_cell rng in
+        Volume.set vol i (Types.copy_cell c);
+        Volume.set ref_ i c
+      done;
+      Volume.mount vol base;
+      Array.iteri (fun i c -> Volume.set ref_ i (Types.copy_cell c)) base;
+      let stored = Array.init n (fun i -> i >= len) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let agree i =
+        check (Volume.read vol i = Volume.read ref_ i);
+        check (Volume.peek vol i = Volume.peek ref_ i);
+        check (Volume.digest vol i = Volume.digest ref_ i)
+      in
+      for _ = 1 to 60 do
+        let i = Rng.int rng n in
+        match Rng.int rng 5 with
+        | 0 | 1 ->
+          let c = rand_cell rng in
+          Volume.set vol i (Types.copy_cell c);
+          Volume.set ref_ i c;
+          stored.(i) <- true
+        | 2 ->
+          (* a peeked slab kind is a private copy *)
+          (match Volume.peek vol i with
+           | Types.Meta (Types.Inodes ds) when Array.length ds > 0 ->
+             ds.(0) <- Types.free_dinode gs;
+             ds.(0).Types.nlink <- 4242
+           | Types.Meta (Types.Dir es) when Array.length es > 0 ->
+             es.(0) <- Some { Types.name = "mutated"; inum = 1 }
+           | Types.Meta (Types.Indirect ps) when Array.length ps > 0 ->
+             ps.(0) <- 31337
+           | _ -> ());
+          agree i
+        | 3 -> agree i
+        | _ ->
+          check (Volume.snapshot vol = Volume.snapshot ref_);
+          let written = ref [] in
+          Volume.iter_written vol (fun j -> written := j :: !written);
+          check
+            (List.rev !written
+            = List.filter (fun j -> stored.(j)) (List.init n Fun.id))
+      done;
+      for i = 0 to n - 1 do
+        agree i
+      done;
+      (* nothing reached the mounted array *)
+      !ok && base = pristine)
 
 (* Digest equality pinned per kind, including the fallback paths. *)
 let test_digest_every_kind () =
@@ -177,13 +244,7 @@ let test_boxed_aliasing () =
    | Types.Csum a ->
      a.(2) <- 0;
      Alcotest.(check int) "read is a private copy" 99 ca.(2)
-   | _ -> Alcotest.fail "wrong cell");
-  (* set_copy stores a boxed kind as a copy: no aliasing *)
-  Volume.set_copy v 0 (Types.Csum ca);
-  ca.(2) <- 7;
-  match Volume.peek v 0 with
-  | Types.Csum a -> Alcotest.(check int) "set_copy does not alias" 99 a.(2)
-  | _ -> Alcotest.fail "wrong cell"
+   | _ -> Alcotest.fail "wrong cell")
 
 (* Mutating a decoded cell never writes back through the slab. *)
 let test_decode_isolated () =
@@ -325,9 +386,80 @@ let prop_delta_roundtrip_on_volume =
       done;
       forward_ok && img = initial)
 
+(* [Disk.install_image] against the install loop it replaced: every
+   cell but [Empty] media cells installed as a private copy, and a
+   [Csum] cell (inside the media, at the region's slot or past it)
+   loaded over the live region instead. Equal images, digests and
+   checksum regions after the mount and after later installs, and
+   [take_image] hands back the mounted array equal to the snapshot. *)
+let prop_install_image_equals_installs =
+  QCheck.Test.make ~name:"install_image == per-cell install, take_image == snapshot"
+    ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let media = 40 in
+      let disk () =
+        Su_disk.Disk.create ~engine:(Su_sim.Engine.create ())
+          ~params:Su_disk.Disk_params.hp_c2447 ~nfrags:media ~checksums:true
+          ~spare_frags:(if seed mod 2 = 0 then 4 else 0) ()
+      in
+      let d = disk () and r = disk () in
+      let total = Array.length (Su_disk.Disk.image_snapshot d) in
+      let len = if Rng.int rng 4 = 0 then media + Rng.int rng (total - media) else total in
+      let cell () =
+        match Rng.int rng 8 with
+        | 0 -> Types.Empty
+        | 1 -> Types.Csum (Array.init media (fun _ -> Rng.int rng max_int))
+        | _ -> rand_cell rng
+      in
+      let cells = Array.init len (fun _ -> cell ()) in
+      let pristine = Array.map Types.copy_cell cells in
+      (* the live region, which a later install may unseat from its slot *)
+      let live =
+        match Su_disk.Disk.peek r (total - 1) with
+        | Types.Csum ca -> ca
+        | _ -> assert false
+      in
+      Array.iteri
+        (fun i c ->
+          match c with
+          | Types.Empty when i < media -> ()
+          | Types.Csum src ->
+            Array.blit src 0 live 0 (min (Array.length src) (Array.length live))
+          | _ -> Su_disk.Disk.install r i (Types.copy_cell c))
+        cells;
+      Su_disk.Disk.install_image d cells;
+      let same () =
+        Su_disk.Disk.image_snapshot d = Su_disk.Disk.image_snapshot r
+        && List.for_all
+             (fun i ->
+               Su_disk.Disk.frag_digest d i = Su_disk.Disk.frag_digest r i
+               && Su_disk.Disk.expected_digest d i
+                  = Su_disk.Disk.expected_digest r i)
+             (List.init total Fun.id)
+      in
+      let mounted_ok = same () in
+      for _ = 1 to 20 do
+        let i = Rng.int rng total in
+        let c = rand_cell rng in
+        Su_disk.Disk.install d i (Types.copy_cell c);
+        Su_disk.Disk.install r i c
+      done;
+      let stored_ok = same () in
+      let full = Su_disk.Disk.image_snapshot r in
+      let taken = Su_disk.Disk.take_image d in
+      let untouched =
+        (* the array came back, or (shorter than the device) a copy *)
+        if len = total then taken == cells else cells = pristine
+      in
+      mounted_ok && stored_ok && taken = full && untouched)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_volume_equals_cells;
+    QCheck_alcotest.to_alcotest prop_mounted_equals_installed;
+    QCheck_alcotest.to_alcotest prop_install_image_equals_installs;
     Alcotest.test_case "digest equality, every kind" `Quick test_digest_every_kind;
     Alcotest.test_case "compact kinds + arena release" `Quick test_compact_kinds;
     Alcotest.test_case "boxed cells keep live aliasing" `Quick test_boxed_aliasing;
