@@ -13,9 +13,7 @@
 
 module Json = Su_obs.Json
 
-let available =
-  [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "tab1"; "tab2"; "tab3"; "fig6";
-    "chains-dealloc"; "chains-cb"; "crash"; "soft-ablate"; "journal"; "nvram"; "aging" ]
+let available = List.map fst (Su_experiments.Experiments.all `Quick)
 
 let usage () =
   print_string
@@ -458,13 +456,7 @@ let hotpaths ~quick ~jobs:_ =
 module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
 
-let crashsweep_cfg =
-  {
-    (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
-    Su_fs.Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let crashsweep_cfg = Explorer.sweep_cfg Su_fs.Fs.Soft_updates
 
 (* The pre-delta materialization: advance a private base incrementally,
    then take a full deep-copy snapshot per state (plus the torn-prefix
@@ -660,8 +652,8 @@ let crashsweep ~quick ~jobs =
         in
         let materialize f = repeat_for_quarter_second (fun () -> f r states) in
         let sweep jobs () =
-          (Explorer.sweep_recording ~jobs ?max_boundaries ~cfg:crashsweep_cfg
-             ~workload:name r).Explorer.s_states
+          (Explorer.sweep ~jobs ?max_boundaries ~recording:r ~cfg:crashsweep_cfg
+             wl).Explorer.s_states
         in
         let deep = row "-materialize-deepcopy" "check" (materialize materialize_deepcopy) in
         let delta = row "-materialize-delta" "check" (materialize materialize_delta) in
@@ -1167,36 +1159,26 @@ let run_experiments ~quick ~jobs ~json selected =
   let rendered =
     Su_util.Pool.map ~jobs (Array.length wanted) (fun i ->
         let id = wanted.(i) in
-        match List.assoc_opt id (Su_experiments.Experiments.all scale) with
-        | None -> (id, None)
-        | Some thunk ->
-          let t0 = Unix.gettimeofday () in
-          let tables = thunk () in
-          let buf = Buffer.create 4096 in
-          List.iter
-            (fun t -> Buffer.add_string buf (Su_util.Text_table.render t))
-            tables;
-          (id, Some (Buffer.contents buf, tables, Unix.gettimeofday () -. t0)))
+        let t0 = Unix.gettimeofday () in
+        let tables = List.assoc id (Su_experiments.Experiments.all scale) () in
+        let buf = Buffer.create 4096 in
+        List.iter
+          (fun t -> Buffer.add_string buf (Su_util.Text_table.render t))
+          tables;
+        (id, Buffer.contents buf, tables, Unix.gettimeofday () -. t0))
   in
   Array.iter
-    (fun (id, outcome) ->
-      match outcome with
-      | None -> Printf.eprintf "unknown experiment %S (try --list)\n" id
-      | Some (text, _, wall) ->
-        print_string text;
-        Printf.printf "[%s took %.1fs wall]\n\n%!" id wall)
+    (fun (id, text, _, wall) ->
+      print_string text;
+      Printf.printf "[%s took %.1fs wall]\n\n%!" id wall)
     rendered;
   Option.iter
     (fun path ->
-      let entries =
-        Array.to_list rendered
-        |> List.filter_map (fun (id, outcome) ->
-               Option.map (fun (_, tables, wall) -> (id, wall, tables)) outcome)
-      in
       write_json path
         (Su_experiments.Shapes.experiments_json
            ~scale:(if quick then "quick" else "full")
-           entries))
+           (Array.to_list rendered
+           |> List.map (fun (id, _, tables, wall) -> (id, wall, tables)))))
     json;
   Printf.printf "# total wall time: %.1fs\n" (Unix.gettimeofday () -. t_start)
 

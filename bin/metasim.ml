@@ -11,6 +11,7 @@
 open Cmdliner
 open Su_fs
 open Su_workload
+module Explorer = Su_check.Explorer
 
 let scheme_conv =
   let parse s =
@@ -453,8 +454,8 @@ let workloads_arg =
     value
     & opt (list string)
         (List.map
-           (fun w -> w.Su_check.Explorer.wl_name)
-           Su_check.Explorer.builtin_workloads)
+           (fun w -> w.Explorer.wl_name)
+           Explorer.builtin_workloads)
     & info [ "w"; "workloads" ]
         ~doc:
           "Comma-separated built-in workloads: smallfiles, dirtree, \
@@ -474,6 +475,12 @@ let cap_arg name ~doc =
   Arg.(
     value & opt (some (nonneg_conv name)) None & info [ name ] ~docv:"N" ~doc)
 
+let max_boundaries_arg =
+  cap_arg "max-boundaries"
+    ~doc:
+      "Cap the write boundaries explored per sweep or fuzz case (smoke \
+       runs; default: all)."
+
 let no_torn_arg =
   Arg.(
     value & flag
@@ -484,7 +491,10 @@ let fail_fast_arg =
   Arg.(
     value & flag
     & info [ "fail-fast" ]
-        ~doc:"Stop at the first row (or case) that misses its promise.")
+        ~doc:
+          "Stop at the first crash state, injection or fuzz case that misses \
+           its promise (sweeps run in fixed chunks of 8, so the output is \
+           the same at any $(b,--jobs)).")
 
 let sweep_json_arg =
   Arg.(
@@ -494,17 +504,6 @@ let sweep_json_arg =
         ~doc:
           "Also write the sweep summaries (one object per scheme x workload \
            row, with the verdict) as JSON to $(docv).")
-
-(* A compact volume keeps each per-state or per-injection pipeline
-   (run, fsck, repair, remount, continue) cheap enough to repeat at
-   every write boundary or touched sector. *)
-let sweep_cfg scheme =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
 
 let resolve_workloads ~cmd find names =
   let found =
@@ -607,12 +606,6 @@ let crashsweep_cmd =
       value & opt float 0.1
       & info [ "fault-rate" ] ~doc:"Transient failure probability per request.")
   in
-  let max_boundaries_arg =
-    cap_arg "max-boundaries"
-      ~doc:
-        "Cap the write boundaries explored per sweep (smoke runs; default: \
-         all)."
-  in
   let nested_arg =
     Arg.(
       value & flag
@@ -637,7 +630,7 @@ let crashsweep_cmd =
   in
   let run schemes workload_names no_torn faults fault_rate jobs max_boundaries
       nested fail_fast demand json_path =
-    let module E = Su_check.Explorer in
+    let module E = Explorer in
     let workloads =
       resolve_workloads ~cmd:"crashsweep" E.find_workload workload_names
     in
@@ -671,66 +664,34 @@ let crashsweep_cmd =
       ~workload_name:(fun s -> s.E.s_workload)
       (fun scheme wl ->
         let s =
-          E.sweep ~torn:(not no_torn) ~jobs ?max_boundaries ~nested
-            ~cfg:(sweep_cfg scheme) wl
+          E.sweep ~torn:(not no_torn) ~jobs ?max_boundaries ~nested ~fail_fast
+            ~demand ~cfg:(E.sweep_cfg scheme) wl
         in
-        (* No Order promises only repairability; every ordered scheme
-           (and the journal) must come through consistent. *)
-        let ok =
-          match (demand, scheme) with
-          | `Consistent, _ -> E.consistent s
-          | `Default, Fs.No_order -> E.repairable s
-          | `Default, _ -> E.consistent s
-        in
-        let verdict =
-          if E.consistent s then "consistent"
-          else if E.repairable s then "repairable"
-          else "BROKEN"
-        in
-        (s, verdict, ok));
-    if faults then begin
-      let table =
-        Su_util.Text_table.create
-          ~title:
-            (Printf.sprintf
-               "transient-fault shakedown (rate %.3f per request)" fault_rate)
-          ~headers:
-            [
-              "scheme"; "workload"; "injected"; "retries"; "failures";
-              "cache-fail"; "verdict";
-            ]
-      in
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun wl ->
-              let cfg =
-                {
-                  (sweep_cfg scheme) with
-                  Fs.fault =
-                    Su_disk.Fault.transient ~seed:97 ~rate:fault_rate ();
-                }
-              in
-              let f = E.fault_shakedown ~cfg wl in
-              let verdict =
-                if f.E.f_completed && f.E.f_consistent && f.E.f_failures = 0
-                then "rode it out"
-                else "BROKEN"
-              in
-              Su_util.Text_table.add_row table
-                [
-                  Fs.scheme_kind_name scheme;
-                  wl.E.wl_name;
-                  Su_util.Text_table.cell_i f.E.f_injected;
-                  Su_util.Text_table.cell_i f.E.f_retries;
-                  Su_util.Text_table.cell_i f.E.f_failures;
-                  Su_util.Text_table.cell_i f.E.f_cache_failures;
-                  verdict;
-                ])
-            workloads)
-        schemes;
-      Su_util.Text_table.print table
-    end
+        let level = E.level s in
+        (s, E.level_name level, E.keeps ~demand scheme level));
+    if faults then
+      (* the shakedown promises the stack absorbed every transient *)
+      run_sweeps ~cmd:"crashsweep"
+        ~title:
+          (Printf.sprintf "transient-fault shakedown (rate %.3f per request)"
+             fault_rate)
+        ~columns:
+          [
+            col "injected" (fun (_, f) -> f.E.f_injected);
+            col "retries" (fun (_, f) -> f.E.f_retries);
+            col "failures" (fun (_, f) -> f.E.f_failures);
+            col ~header:"cache-fail" "cache_failures" (fun (_, f) ->
+                f.E.f_cache_failures);
+          ]
+        ~json_header:[] ~fail_fast ~json_path:None ~schemes ~workloads
+        ~workload_name:fst
+        (fun scheme wl ->
+          let fault = Su_disk.Fault.transient ~seed:97 ~rate:fault_rate () in
+          let f =
+            E.fault_shakedown ~cfg:{ (E.sweep_cfg scheme) with Fs.fault } wl
+          in
+          let ok = f.E.f_completed && f.E.f_consistent && f.E.f_failures = 0 in
+          ((wl.E.wl_name, f), (if ok then "rode it out" else "BROKEN"), ok))
   in
   Cmd.v
     (Cmd.info "crashsweep"
@@ -792,7 +753,7 @@ let campaign_cmd campaign ~doc ~title ~promise ~max_injections_arg ~columns
       ~workloads:(resolve ~spares workload_names)
       ~workload_name:(fun s -> s.Campaign.s_workload)
       (fun scheme (wl, oracle) ->
-        let cfg = sweep_cfg scheme in
+        let cfg = Explorer.sweep_cfg scheme in
         let s =
           Campaign.sweep ~jobs ~spares ?max_injections ~fail_fast
             ?oracle:(oracle cfg) ~cfg campaign wl
@@ -832,7 +793,7 @@ let faultsweep_cmd =
     ~resolve:(fun ~spares:_ names ->
       List.map
         (fun wl -> (wl, fun _ -> None))
-        (resolve_workloads ~cmd:"faultsweep" Su_check.Explorer.find_workload
+        (resolve_workloads ~cmd:"faultsweep" Explorer.find_workload
            names))
 
 let corruptsweep_cmd =
@@ -902,10 +863,6 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "n"; "count" ] ~doc:"Consecutive seeds to fuzz.")
   in
-  let max_boundaries_arg =
-    cap_arg "max-boundaries"
-      ~doc:"Cap the write boundaries swept per case (smoke runs)."
-  in
   let no_nested_arg =
     Arg.(
       value & flag
@@ -933,7 +890,7 @@ let fuzz_cmd =
        List.iter
          (fun scheme ->
            let cfg =
-             { (sweep_cfg scheme) with
+             { (Explorer.sweep_cfg scheme) with
                Fs.fault =
                  fault_of ~flip ~lost ~misdirect ~seed:fault_seed
                    ~rate:fault_rate ~bad_sectors:[] ();
@@ -955,9 +912,9 @@ let fuzz_cmd =
                  Fs.scheme_kind_name scheme;
                  string_of_int seed;
                  Su_util.Text_table.cell_i (List.length ops);
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_writes;
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_states;
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_nested_states;
+                 Su_util.Text_table.cell_i s.Explorer.s_writes;
+                 Su_util.Text_table.cell_i s.Explorer.s_states;
+                 Su_util.Text_table.cell_i s.Explorer.s_nested_states;
                  (match why with None -> "pass" | Some w -> "FAIL: " ^ w);
                ];
              match why with
@@ -1052,8 +1009,8 @@ let trace_cmd =
 let exp_cmd =
   (* Validated against the experiment registry so an unknown name is a
      non-zero command-line error, same as [run]'s benchmark arg. *)
+  let names = List.map fst (Su_experiments.Experiments.all `Quick) in
   let name_conv =
-    let names = List.map fst (Su_experiments.Experiments.all `Quick) in
     let parse s =
       if List.mem s names then Ok s
       else
@@ -1066,8 +1023,9 @@ let exp_cmd =
   in
   let names_arg =
     Arg.(value & pos_all name_conv [ "tab2" ] & info [] ~docv:"EXPERIMENT"
-           ~doc:"fig1..fig6, tab1..tab3, chains-dealloc, chains-cb, crash, soft-ablate. \
-                 Several may be given; they render in argument order.")
+           ~doc:
+             (String.concat ", " names
+             ^ ". Several may be given; they render in argument order."))
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced workload sizes.")

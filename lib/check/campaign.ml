@@ -1,4 +1,3 @@
-open Su_sim
 open Su_fs
 
 (* Systematic fault campaigns. One fault-free recording run splits the
@@ -49,18 +48,8 @@ let touched_sectors ~cfg wl =
     { cfg with Fs.fault = Su_disk.Fault.none; keep_trace_records = true }
   in
   let w = Fs.make cfg in
-  let controller () =
-    let h =
-      Proc.spawn w.Fs.engine ~name:"workload" (fun () ->
-          wl.Explorer.wl_run w.Fs.st)
-    in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
+  Option.iter raise
+    (Explorer.run ~child:true w (fun w -> wl.Explorer.wl_run w.Fs.st));
   let reads = Hashtbl.create 1024 and writes = Hashtbl.create 1024 in
   List.iter
     (fun r ->
@@ -167,37 +156,31 @@ let run_one ~cfg ~spares ?oracle wl inj =
       keep_trace_records = false }
   in
   let w = Fs.make run_cfg in
-  let outcome = ref (Escaped "hang: event queue drained mid-run") in
-  let controller () =
-    (try
-       wl.Explorer.wl_run w.Fs.st;
-       (* the workload ended in a sync; a lost or misdirected write
-          the foreground never re-read is still latent on the media —
-          surface it now, while the cache's clean copies are alive to
-          repair from *)
-       let unrepaired =
-         match w.Fs.integrity with
-         | Some integ when is_silent -> Integrity.full_verify integ
-         | Some _ | None -> 0
-       in
-       outcome :=
-         if unrepaired > 0 then
-           Failed_typed
-             (Printf.sprintf "integrity: %d fragment(s) unrecoverable"
-                unrepaired)
-         else Completed
-     with e -> outcome := outcome_of_exn e);
-    (* quiesce whatever survives; a typed flush failure here does not
-       change the verdict already taken *)
-    (try
-       Fs.stop w;
-       Su_driver.Driver.quiesce w.Fs.driver
-     with e -> if typed_failure e = None then raise e);
-    Engine.stop w.Fs.engine
+  let unrepaired = ref 0 in
+  let escaped =
+    (* quiesce whatever survives; a typed flush failure there does not
+       change the verdict the workload took *)
+    Explorer.run w
+      ~wind_down:(fun e -> if typed_failure e = None then raise e)
+      (fun w ->
+        wl.Explorer.wl_run w.Fs.st;
+        (* the workload ended in a sync; a lost or misdirected write
+           the foreground never re-read is still latent on the media —
+           surface it now, while the cache's clean copies are alive to
+           repair from *)
+        match w.Fs.integrity with
+        | Some integ when is_silent -> unrepaired := Integrity.full_verify integ
+        | Some _ | None -> ())
   in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  (try Engine.run w.Fs.engine
-   with Proc.Process_failure (_, e) -> outcome := outcome_of_exn e);
+  let outcome =
+    match escaped with
+    | Some Explorer.Hang -> Escaped "hang: event queue drained mid-run"
+    | Some e -> outcome_of_exn e
+    | None when !unrepaired > 0 ->
+      Failed_typed
+        (Printf.sprintf "integrity: %d fragment(s) unrecoverable" !unrepaired)
+    | None -> Completed
+  in
   let detected, repaired =
     match w.Fs.integrity with
     | Some i -> (Integrity.mismatches i, Integrity.repaired i)
@@ -211,7 +194,7 @@ let run_one ~cfg ~spares ?oracle wl inj =
   let pre = Fsck.check ~geom:run_cfg.Fs.geom ~image ~check_exposure in
   let pre_violations = List.length pre.Fsck.violations in
   let converged, post =
-    match !outcome with
+    match outcome with
     | Completed -> (true, pre_violations)  (* nothing should need repair *)
     | Failed_typed _ | Escaped _ ->
       let o = Fsck.repair ~geom:run_cfg.Fs.geom ~image ~check_exposure () in
@@ -219,12 +202,12 @@ let run_one ~cfg ~spares ?oracle wl inj =
   in
   let divergences =
     (* the oracle only constrains runs that claim success *)
-    match (!outcome, oracle) with
+    match (outcome, oracle) with
     | Completed, Some oracle -> List.length (oracle image)
     | Completed, None | (Failed_typed _ | Escaped _), _ -> 0
   in
   let remount =
-    match !outcome with
+    match outcome with
     | Escaped _ -> Error "not probed: the run escaped"
     | Completed | Failed_typed _ ->
       let campaign = if is_silent then Silent else Permanent in
@@ -238,7 +221,7 @@ let run_one ~cfg ~spares ?oracle wl inj =
   in
   {
     v_injection = inj;
-    v_outcome = !outcome;
+    v_outcome = outcome;
     v_remaps = Su_disk.Disk.remaps w.Fs.disk;
     v_injected = Su_disk.Disk.faults_injected w.Fs.disk > 0;
     v_detected = detected;
@@ -251,29 +234,6 @@ let run_one ~cfg ~spares ?oracle wl inj =
   }
 
 (* --- the campaign ----------------------------------------------------- *)
-
-(* Fail-fast chunk size: fixed (never derived from [jobs]) so the
-   result list — and any digest of it — is identical at any [--jobs]
-   value: always every result up to and including the first
-   rejected one. *)
-let fail_fast_chunk = 8
-
-let fan_out ?(jobs = 1) ~fail_fast ~clean n f =
-  if not fail_fast then Array.to_list (Su_util.Pool.map ~jobs n f)
-  else
-    let rec from base acc =
-      if base >= n then List.rev acc
-      else
-        let k = min fail_fast_chunk (n - base) in
-        let chunk = Su_util.Pool.map ~jobs k (fun i -> f (base + i)) in
-        let rec take i acc =
-          if i = k then from (base + k) acc
-          else if clean chunk.(i) then take (i + 1) (chunk.(i) :: acc)
-          else List.rev (chunk.(i) :: acc)
-        in
-        take 0 acc
-    in
-    from 0 []
 
 type summary = {
   s_scheme : Fs.scheme_kind;
@@ -304,13 +264,9 @@ let sweep ?jobs ?(spares = 64) ?max_injections ?(fail_fast = false) ?oracle
   in
   let injections = plan campaign ~reads ~writes in
   let planned = Array.length injections in
-  let last =
-    match max_injections with
-    | Some m -> min (max m 0) planned
-    | None -> planned
-  in
   let verdicts =
-    fan_out ?jobs ~fail_fast ~clean last (fun i ->
+    Explorer.fan_out ?jobs ~fail_fast ~clean ~init:ignore
+      (Explorer.cap max_injections planned) (fun () i ->
         run_one ~cfg ~spares ?oracle wl injections.(i))
   in
   let count p = List.length (List.filter p verdicts) in

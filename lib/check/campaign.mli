@@ -110,18 +110,6 @@ val run_one :
     completed run and returns divergence descriptions ([[]] = the
     image matches the model); without one nothing diverges. *)
 
-val fan_out :
-  ?jobs:int ->
-  fail_fast:bool ->
-  clean:('a -> bool) ->
-  int ->
-  (int -> 'a) ->
-  'a list
-(** [fan_out ~jobs ~fail_fast ~clean n f] is [[f 0; ...; f (n-1)]],
-    computed over a {!Su_util.Pool} of [jobs] domains. With
-    [fail_fast], indices run in fixed chunks of 8 and the list ends at
-    the first result [clean] rejects — the same list at any [jobs]. *)
-
 type summary = {
   s_scheme : Su_fs.Fs.scheme_kind;
   s_workload : string;
@@ -155,5 +143,5 @@ val sweep :
   summary
 (** The campaign: discover the touched sectors (checksums on for
     [Silent]), plan, and {!run_one} each planned injection through
-    {!fan_out}. [spares] (default 64) sizes each run's spare pool;
-    [max_injections] runs only a prefix of the plan (smoke runs). *)
+    {!Explorer.fan_out}. [spares] (default 64) sizes each run's spare
+    pool; [max_injections] runs only a prefix of the plan (smoke runs). *)

@@ -96,15 +96,72 @@ let builtin_workloads = [ smallfiles; dirtree; renamefile; renamedir ]
 let find_workload name =
   List.find_opt (fun w -> w.wl_name = name) builtin_workloads
 
+(* --- the sweep engine: volume, runner, fan-out ------------------------ *)
+
+(* Small enough to repeat run, fsck, repair, remount and continue at
+   every write boundary or touched sector. *)
+let sweep_cfg scheme =
+  {
+    (Fs.config ~scheme ()) with
+    Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
+    cache_mb = 4;
+    journal_mb = 2;
+  }
+
+(* [n], or at most [limit] of it *)
+let cap limit n = match limit with Some m -> min (max m 0) n | None -> n
+
+exception Hang
+
+(* Spawn order and nesting decide the event order, so each caller
+   keeps the schedule its digests were recorded with ([child] or not). *)
+let run ?(child = false) ?(wind_down = raise) w body =
+  let escaped = ref None and body_done = ref false in
+  let body () =
+    (try body w with e -> escaped := Some e);
+    body_done := true
+  in
+  let controller () =
+    if child then
+      Proc.join_all w.Fs.engine [ Proc.spawn w.Fs.engine ~name:"workload" body ]
+    else body ();
+    (try
+       Fs.stop w;
+       Su_driver.Driver.quiesce w.Fs.driver
+     with e -> wind_down e);
+    Engine.stop w.Fs.engine
+  in
+  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
+  (try Engine.run w.Fs.engine
+   with Proc.Process_failure (_, e) -> escaped := Some e);
+  if !body_done || Option.is_some !escaped then !escaped else Some Hang
+
+(* The fail-fast chunk is fixed, never derived from [jobs], so the
+   result list — every result up to and including the first rejected
+   one — is identical at any [--jobs]. Without fail-fast one chunk
+   holds every index. *)
+let fan_out ?(jobs = 1) ~fail_fast ~clean ~init n f =
+  let size = if fail_fast then 8 else n in
+  let rec from base acc =
+    let k = min size (n - base) in
+    if k <= 0 then List.rev acc
+    else
+      let chunk =
+        Su_util.Pool.map_with ~jobs ~init k (fun s i -> f s (base + i))
+      in
+      match Array.find_index (fun v -> fail_fast && not (clean v)) chunk with
+      | Some i ->
+        List.rev_append acc (Array.to_list (Array.sub chunk 0 (i + 1)))
+      | None -> from (base + k) (List.rev_append (Array.to_list chunk) acc)
+  in
+  from 0 []
+
 (* --- recording ------------------------------------------------------- *)
 
 type recording = {
   rec_initial : Types.cell array;
   rec_deltas : Delta.t array;
 }
-
-let rec_writes r =
-  Array.map (fun d -> (d.Delta.d_lbn, d.Delta.d_post)) r.rec_deltas
 
 (* One fault-free run under the given configuration, observing every
    extent the disk applies to the media (in completion order) together
@@ -126,15 +183,7 @@ let record ~cfg wl =
   let deltas = ref [] in
   Su_disk.Disk.set_delta_observer w.Fs.disk (fun ~lbn ~pre ~post ->
       deltas := Delta.v ~lbn ~pre ~post :: !deltas);
-  let controller () =
-    let h = Proc.spawn w.Fs.engine ~name:"workload" (fun () -> wl.wl_run w.Fs.st) in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
+  Option.iter raise (run ~child:true w (fun w -> wl.wl_run w.Fs.st));
   { rec_initial = initial; rec_deltas = Array.of_list (List.rev !deltas) }
 
 (* --- per-state verification ------------------------------------------ *)
@@ -174,7 +223,7 @@ let nested_verify ?max_boundaries ~cfg base events =
   in
   let cur = Delta.cursor ~initial:base ~log in
   let n = Array.length log in
-  let last = match max_boundaries with Some m -> min (max m 0) n | None -> n in
+  let last = cap max_boundaries n in
   let check_exposure = Fs.check_exposure cfg in
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
@@ -235,6 +284,36 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
     v_nested;
   }
 
+(* --- the promise ----------------------------------------------------- *)
+
+type level = Consistent | Repairable | Broken
+
+let state_level v =
+  let settled =
+    v.v_repair_converged && v.v_post_violations = 0 && v.v_remount_ok
+    && match v.v_nested with
+       | None -> true
+       | Some n -> n.n_unrecovered = 0 && n.n_unsettled = 0
+  in
+  if not settled then Broken
+  else if v.v_pre_violations > 0 then Repairable
+  else Consistent
+
+let level_name = function
+  | Consistent -> "consistent"
+  | Repairable -> "repairable"
+  | Broken -> "BROKEN"
+
+type demand = [ `Default | `Consistent ]
+
+(* No Order promises only repairability; every ordered scheme (and the
+   journal) must come through consistent, and [`Consistent] holds every
+   scheme to that. *)
+let keeps ?(demand = `Default) scheme level =
+  match (demand, scheme) with
+  | `Default, Fs.No_order -> level <> Broken
+  | (`Default | `Consistent), _ -> level = Consistent
+
 (* --- the sweep ------------------------------------------------------- *)
 
 type summary = {
@@ -245,7 +324,6 @@ type summary = {
   s_torn_states : int;
   s_dirty_states : int;  (** states with pre-repair violations *)
   s_unrepaired : int;  (** states still violated after repair *)
-  s_unconverged : int;  (** states where repair hit its round limit *)
   s_remount_failures : int;
   s_nested_states : int;  (** crash-during-recovery states verified *)
   s_nested_unrecovered : int;
@@ -253,21 +331,14 @@ type summary = {
   s_verdicts : verdict list;  (** per-state detail, crash order *)
 }
 
-let consistent s =
-  s.s_dirty_states = 0 && s.s_unrepaired = 0 && s.s_unconverged = 0
-  && s.s_remount_failures = 0
-  && s.s_nested_unrecovered = 0 && s.s_nested_unsettled = 0
-
-let repairable s =
-  s.s_unrepaired = 0 && s.s_unconverged = 0 && s.s_remount_failures = 0
-  && s.s_nested_unrecovered = 0 && s.s_nested_unsettled = 0
+let level s =
+  List.fold_left (fun l v -> max l (state_level v)) Consistent s.s_verdicts
 
 (* Enumerate the crash states of a recording in sweep order: each
    write boundary, then (optionally) every torn prefix of the next
    write. [max_boundaries] caps the boundaries explored (CI smoke). *)
 let crash_states ?(torn = true) ?max_boundaries r =
-  let n = Array.length r.rec_deltas in
-  let last = match max_boundaries with Some m -> min (max m 0) n | None -> n in
+  let last = cap max_boundaries (Array.length r.rec_deltas) in
   let states = ref [] in
   for k = 0 to last do
     states := (k, None) :: !states;
@@ -304,16 +375,18 @@ let materialize cur (boundary, torn) =
     img;
   img
 
-let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested
-    ?nested_max_boundaries ~cfg ~workload r =
+let sweep ?torn ?jobs ?max_boundaries ?nested ?nested_max_boundaries
+    ?(fail_fast = false) ?demand ?recording ~cfg wl =
+  let r = match recording with Some r -> r | None -> record ~cfg wl in
   let states = crash_states ?torn ?max_boundaries r in
-  (* Fan the per-state verification jobs out over a Domain pool. Each
-     worker owns a private cursor; indices are claimed in increasing
-     order, so a worker's cursor only ever seeks forward. Results are
-     merged by job index: verdict order — and therefore every digest
-     or table derived from it — is identical at any [jobs] value. *)
+  (* Each worker owns a private cursor; indices are claimed in
+     increasing order, so a worker's cursor only ever seeks forward.
+     Results are merged by job index: verdict order — and therefore
+     every digest or table derived from it — is identical at any
+     [jobs] value. *)
   let verdicts =
-    Su_util.Pool.map_with ~jobs
+    fan_out ?jobs ~fail_fast
+      ~clean:(fun v -> keeps ?demand cfg.Fs.scheme (state_level v))
       ~init:(fun () -> Delta.cursor ~initial:r.rec_initial ~log:r.rec_deltas)
       (Array.length states)
       (fun cur i ->
@@ -321,7 +394,6 @@ let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested
         verify_state ?nested ?nested_max_boundaries ~cfg ~boundary ~torn
           (materialize cur state))
   in
-  let verdicts = Array.to_list verdicts in
   let count p = List.length (List.filter p verdicts) in
   let nsum f =
     List.fold_left
@@ -330,24 +402,18 @@ let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested
   in
   {
     s_scheme = cfg.Fs.scheme;
-    s_workload = workload;
+    s_workload = wl.wl_name;
     s_writes = Array.length r.rec_deltas;
     s_states = List.length verdicts;
     s_torn_states = count (fun v -> v.v_torn <> None);
     s_dirty_states = count (fun v -> v.v_pre_violations > 0);
     s_unrepaired = count (fun v -> v.v_post_violations > 0);
-    s_unconverged = count (fun v -> not v.v_repair_converged);
     s_remount_failures = count (fun v -> not v.v_remount_ok);
     s_nested_states = nsum (fun n -> n.n_states);
     s_nested_unrecovered = nsum (fun n -> n.n_unrecovered);
     s_nested_unsettled = nsum (fun n -> n.n_unsettled);
     s_verdicts = verdicts;
   }
-
-let sweep ?torn ?jobs ?max_boundaries ?nested ?nested_max_boundaries ~cfg wl =
-  let r = record ~cfg wl in
-  sweep_recording ?torn ?jobs ?max_boundaries ?nested ?nested_max_boundaries
-    ~cfg ~workload:wl.wl_name r
 
 (* --- fault shakedown -------------------------------------------------- *)
 
@@ -365,33 +431,24 @@ type shakedown = {
    absorbs the faults with retries, and the final image is clean. *)
 let fault_shakedown ~cfg wl =
   let w = Fs.make cfg in
-  let completed = ref false in
-  let controller () =
-    let h = Proc.spawn w.Fs.engine ~name:"workload" (fun () -> wl.wl_run w.Fs.st) in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    completed := true;
-    Engine.stop w.Fs.engine
+  let completed =
+    Option.is_none (run ~child:true w (fun w -> wl.wl_run w.Fs.st))
   in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
   let tr = Su_driver.Driver.trace w.Fs.driver in
   let consistent =
-    if not !completed then false
-    else begin
-      let image = Su_disk.Disk.image_snapshot w.Fs.disk in
-      Fs.recover_image cfg image;
-      Fsck.ok
-        (Fsck.check ~geom:cfg.Fs.geom ~image
-           ~check_exposure:(Fs.check_exposure cfg))
-    end
+    completed
+    &&
+    let image = Su_disk.Disk.image_snapshot w.Fs.disk in
+    Fs.recover_image cfg image;
+    Fsck.ok
+      (Fsck.check ~geom:cfg.Fs.geom ~image
+         ~check_exposure:(Fs.check_exposure cfg))
   in
   {
     f_injected = Su_disk.Disk.faults_injected w.Fs.disk;
     f_retries = Su_driver.Trace.io_retries tr;
     f_failures = Su_driver.Trace.io_failures tr;
     f_cache_failures = Su_cache.Bcache.io_failures w.Fs.cache;
-    f_completed = !completed;
+    f_completed = completed;
     f_consistent = consistent;
   }

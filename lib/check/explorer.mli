@@ -39,6 +39,45 @@ val builtin_workloads : workload list
 
 val find_workload : string -> workload option
 
+(** {1 The sweep engine}
+
+    Shared by crash sweeps, {!Campaign}s and fuzz cases. *)
+
+val sweep_cfg : Su_fs.Fs.scheme_kind -> Su_fs.Fs.config
+(** The compact volume every sweep runs on: 32 MB, 16 MB cylinder
+    groups, 1,024 inodes per group, a 4 MB cache and a 2 MB journal. *)
+
+val cap : int option -> int -> int
+(** [cap limit n]: [n], or at most [limit] of it (smoke-run caps). *)
+
+exception Hang  (** the event queue drained before the body finished *)
+
+val run :
+  ?child:bool ->
+  ?wind_down:(exn -> unit) ->
+  Su_fs.Fs.world ->
+  (Su_fs.Fs.world -> unit) ->
+  exn option
+(** [run w body] runs [body w] in a controller process (in a child it
+    joins, with [child]), then [Fs.stop], [Driver.quiesce] and
+    [Engine.stop], and runs the engine out. Returns [body]'s exception,
+    replaced by any escaping a process later, or {!Hang}. [wind_down]
+    gets an exception from stopping the world (default: re-raise). *)
+
+val fan_out :
+  ?jobs:int ->
+  fail_fast:bool ->
+  clean:('a -> bool) ->
+  init:(unit -> 's) ->
+  int ->
+  ('s -> int -> 'a) ->
+  'a list
+(** [[f s 0; ...; f s (n-1)]] over a {!Su_util.Pool} of [jobs]
+    domains, each worker threading its own [s = init ()] through the
+    indices it claims, ascending. With [fail_fast], indices run in
+    chunks of 8 ([init] per worker and chunk) and the list ends at the
+    first result [clean] rejects — the same list at any [jobs]. *)
+
 type recording = {
   rec_initial : Types.cell array;  (** image as formatted, pre-run *)
   rec_deltas : Delta.t array;
@@ -46,10 +85,6 @@ type recording = {
           post-images: the write-delta log crash states are
           materialized from *)
 }
-
-val rec_writes : recording -> (int * Types.cell array) array
-(** The applied extents as (start lbn, cells landed) — the post-image
-    view of the delta log, for consumers that only replay forward. *)
 
 val record : cfg:Su_fs.Fs.config -> workload -> recording
 (** Run the workload once (no faults) and log every write the disk
@@ -110,7 +145,6 @@ type summary = {
   s_torn_states : int;
   s_dirty_states : int;  (** states with pre-repair violations *)
   s_unrepaired : int;  (** states still violated after repair *)
-  s_unconverged : int;  (** states where repair hit its round limit *)
   s_remount_failures : int;
   s_nested_states : int;  (** crash-during-recovery states verified *)
   s_nested_unrecovered : int;  (** nested states recovery failed to settle *)
@@ -118,15 +152,26 @@ type summary = {
   s_verdicts : verdict list;  (** per-state detail, crash order *)
 }
 
-val consistent : summary -> bool
-(** Zero violations at every explored state (the ordered-scheme
-    promise: nothing for fsck to fix beyond leaks), and — when the
-    nested sweep ran — every crash-during-recovery state settled too. *)
+(** {1 The promise} *)
 
-val repairable : summary -> bool
-(** Possibly violated, but every state repaired, remounted and stayed
-    clean (the promise fsck makes even for No Order — when it holds),
-    including every nested crash-during-recovery state. *)
+(** How a crash state came through recovery, best first: no violations
+    (nothing for fsck to fix beyond leaks); violated, but repaired,
+    remounted and clean; neither. Nested states count too. *)
+type level = Consistent | Repairable | Broken
+
+val state_level : verdict -> level
+
+val level : summary -> level
+(** The worst state's ([Consistent] for an empty sweep). *)
+
+val level_name : level -> string
+(** ["consistent"], ["repairable"] or ["BROKEN"]. *)
+
+type demand = [ `Default | `Consistent ]
+
+val keeps : ?demand:demand -> Su_fs.Fs.scheme_kind -> level -> bool
+(** [`Default]: No Order must be repairable, every other scheme
+    consistent. [`Consistent]: every scheme consistent. *)
 
 val crash_states :
   ?torn:bool -> ?max_boundaries:int -> recording -> (int * int option) array
@@ -145,35 +190,27 @@ val materialize : Delta.cursor -> int * int option -> Types.cell array
     a caller may replace the image's slots, and may mutate nothing else
     (every recovery write is copy-on-write). *)
 
-val sweep_recording :
-  ?torn:bool ->
-  ?jobs:int ->
-  ?max_boundaries:int ->
-  ?nested:bool ->
-  ?nested_max_boundaries:int ->
-  cfg:Su_fs.Fs.config ->
-  workload:string ->
-  recording ->
-  summary
-(** Verify every crash state of an existing recording. [jobs] > 1
-    fans the per-state verification out over a {!Su_util.Pool} of
-    that many domains ([0] = all cores); verdict order and all counts
-    are identical at any [jobs] value. [nested] re-crashes the
-    recovery pipeline at every one of its own write boundaries for
-    every outer crash state (see {!verify_state}). *)
-
 val sweep :
   ?torn:bool ->
   ?jobs:int ->
   ?max_boundaries:int ->
   ?nested:bool ->
   ?nested_max_boundaries:int ->
+  ?fail_fast:bool ->
+  ?demand:demand ->
+  ?recording:recording ->
   cfg:Su_fs.Fs.config ->
   workload ->
   summary
-(** Record once, then verify every crash state. [torn] (default true)
-    includes the torn-write intermediate states; [jobs], [nested] as
-    in {!sweep_recording}. *)
+(** Verify every {!crash_states} state of [recording] (default: a
+    fresh {!record} of the workload) through {!fan_out}: [jobs] > 1
+    spreads the per-state verification over that many domains ([0] =
+    all cores); verdict order and all counts are identical at any
+    [jobs] value. [nested] re-crashes the recovery pipeline at every
+    one of its own write boundaries for every outer crash state (see
+    {!verify_state}). [fail_fast] (default false) ends the sweep at the
+    first state whose {!state_level} the scheme does not {!keeps} under
+    [demand]. *)
 
 type shakedown = {
   f_injected : int;  (** faults the disk injected *)

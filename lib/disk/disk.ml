@@ -60,13 +60,6 @@ type t = {
   mutable on_idle : unit -> unit;
       (* lets the layer above re-dispatch when a background destage
          finishes (it gets no request completion to react to) *)
-  mutable inflight_lbn : int;
-  mutable inflight_payload : Types.cell array option;
-      (* mechanical write being serviced right now: its payload has not
-         reached the media yet, so a crash may tear it (the pair is
-         split into two fields so the hot write path stores immediates
-         instead of allocating a tuple option per operation) *)
-  mutable write_observer : (lbn:int -> Types.cell array -> unit) option;
   mutable delta_observer :
     (lbn:int -> pre:Types.cell array -> post:Types.cell array -> unit) option;
   (* The operation being serviced, stashed here so its completion is a
@@ -130,11 +123,6 @@ let expected_digest t lbn =
   | Some ca when lbn >= 0 && lbn < t.media -> Some ca.(lbn)
   | Some _ | None -> None
 
-let inflight_write t =
-  match t.inflight_payload with
-  | Some p -> Some (t.inflight_lbn, p)
-  | None -> None
-let set_write_observer t f = t.write_observer <- Some f
 let set_delta_observer t f = t.delta_observer <- Some f
 
 let cyl_of_lbn t lbn = lbn / Disk_params.frags_per_cyl t.params
@@ -263,10 +251,6 @@ let apply_phys_run t ~phys ~src ~len cells =
   for i = 0 to len - 1 do
     Volume.set t.image (phys + i) cells.(src + i)
   done;
-  (match t.write_observer with
-   | Some f when len > 0 ->
-     f ~lbn:phys (Array.init len (fun i -> Types.copy_cell cells.(src + i)))
-   | Some _ | None -> ());
   match t.delta_observer, pre with
   | Some f, Some pre ->
     f ~lbn:phys ~pre
@@ -295,10 +279,6 @@ let apply_write t ~lbn ~nfrags cells =
     done;
     (* a write invalidates overlapping cached streams *)
     invalidate_streams t ~lbn ~nfrags;
-    (match t.write_observer with
-     | Some f when nfrags > 0 ->
-       f ~lbn (Array.init nfrags (fun i -> Types.copy_cell cells.(i)))
-     | Some _ | None -> ());
     match t.delta_observer, pre with
     | Some f, Some pre ->
       f ~lbn ~pre
@@ -350,7 +330,6 @@ let complete_op t =
   t.p_on_done <- no_done;
   t.p_payload <- None;
   t.busy <- false;
-  t.inflight_payload <- None;
   if not nvram_hit then t.cur_cyl <- cyl_of_lbn t (lbn + nfrags - 1);
   t.serviced <- t.serviced + 1;
   Float.Array.set t.fl 0 (Float.Array.get t.fl 0 +. svc);
@@ -487,10 +466,6 @@ let submit t ~lbn ~nfrags ~op ~payload ~on_done =
       Hashtbl.replace t.nv_resident lbn nfrags;
       Queue.add { d_lbn = lbn; d_nfrags = nfrags } t.nv_queue
     end
-  end
-  else if is_write then begin
-    t.inflight_lbn <- lbn;
-    t.inflight_payload <- payload
   end;
   t.p_lbn <- lbn;
   t.p_nfrags <- nfrags;
@@ -543,9 +518,6 @@ let create ~engine ~params ~nfrags ?(nvram_frags = 0) ?(fault = Fault.none)
       nv_resident = Hashtbl.create 64;
       ndestages = 0;
       on_idle = (fun () -> ());
-      inflight_lbn = -1;
-      inflight_payload = None;
-      write_observer = None;
       delta_observer = None;
       done_h = Su_sim.Engine.null;
       destage_h = Su_sim.Engine.null;
@@ -663,9 +635,6 @@ let persist_remap t r =
     | None -> None
   in
   Volume.set t.image slot cell;
-  (match t.write_observer with
-   | Some f -> f ~lbn:slot [| Types.copy_cell cell |]
-   | None -> ());
   match t.delta_observer, pre with
   | Some f, Some pre -> f ~lbn:slot ~pre ~post:[| Types.copy_cell cell |]
   | (Some _ | None), _ -> ()

@@ -11,8 +11,8 @@
     per fragment. A successful write's payload is applied to the image
     atomically at completion time — stopping the engine mid-request
     therefore models a crash with the in-flight request lost (the
-    paper's sector-atomicity assumption); {!inflight_write} lets a
-    crash harness additionally tear the in-flight write. With a
+    paper's sector-atomicity assumption); {!set_delta_observer} lets a
+    crash harness log every applied extent and tear any of them. With a
     {!Fault} model attached, attempts may fail with a typed error, and
     a failed multi-fragment write may apply only a prefix of its
     payload. *)
@@ -205,20 +205,6 @@ val faults_injected : t -> int
 val silent_faults : t -> int
 (** Silent faults injected so far (included in {!faults_injected}). *)
 
-val inflight_write : t -> (int * Su_fstypes.Types.cell array) option
-(** The mechanical write being serviced right now, if any, as
-    [(lbn, payload)]: its payload has {e not} reached the media, so a
-    crash at this instant may apply any strict prefix of it. [None]
-    while idle, reading, destaging, or accepting into NVRAM. *)
-
-val set_write_observer : t -> (lbn:int -> Su_fstypes.Types.cell array -> unit) -> unit
-(** [f ~lbn cells] is invoked (with a private copy of the applied
-    cells) every time payload fragments reach durable storage: at
-    completion of a successful mechanical write, at NVRAM acceptance,
-    and — with only the surviving prefix — when a write fails torn.
-    The crash-state explorer uses this to rebuild the image at every
-    write boundary without re-running the workload. *)
-
 val set_delta_observer :
   t ->
   (lbn:int ->
@@ -226,11 +212,12 @@ val set_delta_observer :
   post:Su_fstypes.Types.cell array ->
   unit) ->
   unit
-(** [f ~lbn ~pre ~post] fires at the same instants as the write
-    observer, but additionally captures the cells the write replaced:
-    [pre] is the image content of [lbn ..] immediately before the
-    payload landed, [post] the content after (both private deep
-    copies, same length). A log of these deltas can materialize the
-    durable image at {e any} write boundary by replaying forward or
-    undoing backward from a single base image in O(cells touched) per
-    step — see {!Su_check.Delta}. *)
+(** [f ~lbn ~pre ~post] fires every time payload fragments reach
+    durable storage: at completion of a successful mechanical write,
+    at NVRAM acceptance, and — with only the surviving prefix — when a
+    write fails torn. [pre] is the image content of [lbn ..]
+    immediately before the payload landed, [post] the content after
+    (both private deep copies, same length). A log of these deltas can
+    materialize the durable image at {e any} write boundary by
+    replaying forward or undoing backward from a single base image in
+    O(cells touched) per step — see {!Su_check.Delta}. *)

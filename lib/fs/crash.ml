@@ -3,29 +3,6 @@ let crash_at (w : Fs.world) time =
   Su_sim.Engine.stop w.Fs.engine;
   Su_disk.Disk.image_snapshot w.Fs.disk
 
-let crash_points trace =
-  List.sort_uniq Float.compare
-    (List.filter_map
-       (fun (r : Su_driver.Trace.record) ->
-         match r.Su_driver.Trace.r_kind with
-         | Su_driver.Request.Write -> Some r.Su_driver.Trace.r_complete
-         | Su_driver.Request.Read -> None)
-       (Su_driver.Trace.records trace))
-
-let torn_variants (w : Fs.world) image =
-  match Su_disk.Disk.inflight_write w.Fs.disk with
-  | None -> []
-  | Some (lbn, payload) ->
-    let n = Array.length payload in
-    (* applied = 1 .. n-1: prefix landed, tail lost. 0 applied is the
-       snapshot itself and n applied is the next crash point. *)
-    List.init (max 0 (n - 1)) (fun k ->
-        let img = Su_fstypes.Types.copy_image image in
-        for i = 0 to k do
-          img.(lbn + i) <- Su_fstypes.Types.copy_cell payload.(i)
-        done;
-        img)
-
 let fsck_image (w : Fs.world) image =
   (* journaled configurations replay their log first, exactly as the
      recovery procedure would after a real crash *)

@@ -2,27 +2,14 @@
     in-flight disk request, if any, is lost — the sector-atomicity
     failure model of the paper) and check the surviving image.
 
-    The torn-write refinement: a crash may also leave a {e prefix} of
-    the in-flight multi-fragment write on the media
-    ({!torn_variants}), which is strictly weaker than the paper's
-    assumption that an interrupted write applies nothing. *)
+    Exhaustive crash states — every write boundary, and the torn
+    refinement where a {e prefix} of a multi-fragment write lands —
+    are enumerated from a recorded delta log by {!Su_check.Explorer},
+    not here. *)
 
 val crash_at : Fs.world -> float -> Su_fstypes.Types.cell array
 (** Run the engine until the given virtual time, stop it, and return a
     snapshot of the on-disk image. *)
-
-val crash_points : Su_driver.Trace.t -> float list
-(** Every distinct write-completion time in the trace, ascending: the
-    complete set of instants at which the durable image changes, i.e.
-    the interesting crash boundaries. The trace must have been created
-    with [keep_records]. *)
-
-val torn_variants :
-  Fs.world -> Su_fstypes.Types.cell array -> Su_fstypes.Types.cell array list
-(** Given a crashed world (after {!crash_at}) and its image snapshot,
-    the additional images a torn in-flight write could leave: one per
-    proper non-empty prefix of the write being serviced at crash time
-    (empty if the device was idle or the write was single-fragment). *)
 
 val fsck_image : Fs.world -> Su_fstypes.Types.cell array -> Fsck.report
 (** Check an image against the mounted configuration's promises

@@ -372,7 +372,7 @@ let check_final_image ~cfg image ops =
   let bad fmt = Printf.ksprintf (fun s -> mismatches := s :: !mismatches) fmt in
   (try
      let w = Su_fs.Fs.mount_image cfg image in
-     let controller () =
+     let walk w =
        List.iter
          (fun (path, names, subdirs) ->
            match Fsops.readdir w.Su_fs.Fs.st path with
@@ -423,13 +423,11 @@ let check_final_image ~cfg image ops =
                      s.Fsops.st_inum first.Fsops.st_inum)
                rest
            | [] -> ())
-         files;
-       Su_fs.Fs.stop w;
-       Su_driver.Driver.quiesce w.Su_fs.Fs.driver;
-       Su_sim.Engine.stop w.Su_fs.Fs.engine
+         files
      in
-     ignore (Su_sim.Proc.spawn w.Su_fs.Fs.engine ~name:"oracle" controller);
-     Su_sim.Engine.run w.Su_fs.Fs.engine
+     Option.iter
+       (fun e -> bad "mount: %s" (Printexc.to_string e))
+       (Su_check.Explorer.run w walk)
    with e -> bad "mount: %s" (Printexc.to_string e));
   List.rev !mismatches
 
@@ -445,8 +443,8 @@ let run_case ?(nested = true) ?torn ?jobs ?max_boundaries
   let wl = workload_of_ops ~name ops in
   let recording = Su_check.Explorer.record ~cfg wl in
   let summary =
-    Su_check.Explorer.sweep_recording ?torn ?jobs ?max_boundaries ~nested
-      ?nested_max_boundaries ~cfg ~workload:name recording
+    Su_check.Explorer.sweep ?torn ?jobs ?max_boundaries ~nested
+      ?nested_max_boundaries ~recording ~cfg wl
   in
   let n = Array.length recording.Su_check.Explorer.rec_deltas in
   let cur =
@@ -459,27 +457,16 @@ let run_case ?(nested = true) ?torn ?jobs ?max_boundaries
   let mismatches = check_final_image ~cfg final ops in
   { cr_summary = summary; cr_mismatches = mismatches }
 
-(* The scheme's promise for a fuzz case: ordered schemes and the
-   journal must be consistent at every crash state; No Order must at
-   least repair everywhere; and the fault-free run must match the
-   model exactly. *)
+(* A fuzz case passes if its sweep keeps the scheme's promise and the
+   fault-free run matches the model exactly. *)
 let failure r =
-  let s = r.cr_summary in
-  let sweep_failure =
-    match s.Su_check.Explorer.s_scheme with
-    | Su_fs.Fs.No_order ->
-      if Su_check.Explorer.repairable s then None
-      else Some "crash state unrepairable"
-    | _ ->
-      if Su_check.Explorer.consistent s then None
-      else if Su_check.Explorer.repairable s then
-        Some "crash state violated (repairable)"
-      else Some "crash state unrepairable"
-  in
-  match (sweep_failure, r.cr_mismatches) with
-  | Some f, _ -> Some f
-  | None, m :: _ -> Some (Printf.sprintf "oracle: %s" m)
-  | None, [] -> None
+  let module E = Su_check.Explorer in
+  let level = E.level r.cr_summary in
+  if not (E.keeps r.cr_summary.E.s_scheme level) then
+    Some
+      (if level = E.Repairable then "crash state violated (repairable)"
+       else "crash state unrepairable")
+  else Option.map (( ^ ) "oracle: ") (List.nth_opt r.cr_mismatches 0)
 
 (* ---------- shrinking ------------------------------------------------- *)
 

@@ -92,10 +92,11 @@ val run_case :
     the fault-free final image against the model. *)
 
 val failure : case_result -> string option
-(** The scheme's promise, as a pass/fail: ordered schemes and the
-    journal must be consistent at every crash state, No Order must
-    repair everywhere, and the final image must match the model.
-    [None] = the case passes. *)
+(** The case as a pass/fail: the sweep must keep the scheme's promise
+    ({!Su_check.Explorer.keeps}: ordered schemes and the journal
+    consistent at every crash state, No Order repaired everywhere),
+    and the final image must match the model. [None] = the case
+    passes. *)
 
 val shrink : still_fails:(op list -> bool) -> op list -> op list
 (** Greedy delta-debugging: drop chunks (halving downwards), then

@@ -1,5 +1,5 @@
 (* The crash-state explorer: exhaustive write-boundary + torn-state
-   sweeps, the crash_points/torn_variants helpers, fsck repair
+   sweeps, the sweep promise and fail-fast, fsck repair
    convergence under random corruption, and crash safety with NVRAM
    destaging in flight. *)
 open Su_sim
@@ -7,23 +7,10 @@ open Su_fstypes
 open Su_fs
 open Su_check
 
-let sweep_cfg scheme =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
-
 let show_failures s =
   List.iter
     (fun (v : Explorer.verdict) ->
-      if
-        v.Explorer.v_pre_violations > 0
-        || v.Explorer.v_post_violations > 0
-        || (not v.Explorer.v_repair_converged)
-        || not v.Explorer.v_remount_ok
-      then
+      if Explorer.state_level v <> Explorer.Consistent then
         Printf.eprintf
           "[%s/%s] k=%d torn=%s pre=%d post=%d converged=%b remount=%b\n%!"
           (Fs.scheme_kind_name s.Explorer.s_scheme)
@@ -35,111 +22,132 @@ let show_failures s =
           v.Explorer.v_repair_converged v.Explorer.v_remount_ok)
     s.Explorer.s_verdicts
 
+let level =
+  Alcotest.testable
+    (fun ppf l -> Format.pp_print_string ppf (Explorer.level_name l))
+    ( = )
+
+(* Check a sweep's level, listing the states that fell short. *)
+let check_level name expected s =
+  if Explorer.level s <> expected then show_failures s;
+  Alcotest.check level name expected (Explorer.level s)
+
 let test_sweep_consistent scheme wl () =
-  let s = Explorer.sweep ~cfg:(sweep_cfg scheme) wl in
-  if not (Explorer.consistent s) then show_failures s;
+  let s = Explorer.sweep ~cfg:(Explorer.sweep_cfg scheme) wl in
   Alcotest.(check bool)
     (Printf.sprintf "%s/%s states explored" (Fs.scheme_kind_name scheme)
        wl.Explorer.wl_name)
     true
     (s.Explorer.s_states > s.Explorer.s_writes && s.Explorer.s_torn_states > 0);
-  Alcotest.(check bool)
+  check_level
     (Printf.sprintf "%s/%s consistent at every crash state"
        (Fs.scheme_kind_name scheme) wl.Explorer.wl_name)
-    true (Explorer.consistent s)
+    Explorer.Consistent s
 
 let test_no_order_violates_but_repairs () =
-  let s = Explorer.sweep ~cfg:(sweep_cfg Fs.No_order) Explorer.smallfiles in
+  let s =
+    Explorer.sweep ~cfg:(Explorer.sweep_cfg Fs.No_order) Explorer.smallfiles
+  in
   Alcotest.(check bool) "violations found" true (s.Explorer.s_dirty_states > 0);
-  if not (Explorer.repairable s) then show_failures s;
-  Alcotest.(check bool) "every state repaired, remounted, stayed clean" true
-    (Explorer.repairable s)
+  check_level "every state repaired, remounted, stayed clean"
+    Explorer.Repairable s
 
-(* --- crash_points / torn_variants helpers ------------------------------ *)
+(* --- the promise and fail-fast ------------------------------------------ *)
 
-let traced_world () =
-  let cfg =
-    { (sweep_cfg Fs.Soft_updates) with Fs.keep_trace_records = true }
+let test_promise_table () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (demand, demand_name) ->
+          List.iter
+            (fun l ->
+              let expected =
+                match l with
+                | Explorer.Consistent -> true
+                | Explorer.Repairable ->
+                  demand = `Default && scheme = Fs.No_order
+                | Explorer.Broken -> false
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, demand %s, %s" (Fs.scheme_kind_name scheme)
+                   demand_name (Explorer.level_name l))
+                expected
+                (Explorer.keeps ~demand scheme l))
+            [ Explorer.Consistent; Explorer.Repairable; Explorer.Broken ])
+        [ (`Default, "default"); (`Consistent, "consistent") ])
+    (Fs.all_schemes @ [ Fs.Journaled { group_commit = true } ]);
+  Alcotest.(check bool) "the default demand is the scheme's own" true
+    (Explorer.keeps Fs.No_order Explorer.Repairable
+     && not (Explorer.keeps Fs.Soft_updates Explorer.Repairable));
+  let clean =
+    {
+      Explorer.v_boundary = 3;
+      v_torn = None;
+      v_pre_violations = 0;
+      v_repair_converged = true;
+      v_post_violations = 0;
+      v_remount_ok = true;
+      v_nested = None;
+    }
   in
-  let w = Fs.make cfg in
-  (cfg, w)
-
-let run_recorded () =
-  let _cfg, w = traced_world () in
-  ignore
-    (Proc.spawn w.Fs.engine ~name:"controller" (fun () ->
-         let h =
-           Proc.spawn w.Fs.engine ~name:"wl" (fun () ->
-               Explorer.smallfiles.Explorer.wl_run w.Fs.st)
-         in
-         Proc.join_all w.Fs.engine [ h ];
-         Fs.stop w;
-         Su_driver.Driver.quiesce w.Fs.driver;
-         Engine.stop w.Fs.engine));
-  Engine.run w.Fs.engine;
-  Su_driver.Driver.trace w.Fs.driver
-
-let test_crash_points_enumerates_completions () =
-  let tr = run_recorded () in
-  let pts = Crash.crash_points tr in
-  Alcotest.(check bool) "non-empty" true (pts <> []);
-  Alcotest.(check bool) "ascending and distinct" true
-    (List.for_all2 (fun a b -> a < b)
-       (List.filteri (fun i _ -> i < List.length pts - 1) pts)
-       (List.tl pts));
-  let writes =
-    List.filter
-      (fun (r : Su_driver.Trace.record) -> r.Su_driver.Trace.r_kind = Su_driver.Request.Write)
-      (Su_driver.Trace.records tr)
+  let nested n_unrecovered n_unsettled =
+    Some { Explorer.n_writes = 4; n_states = 5; n_unrecovered; n_unsettled }
   in
-  Alcotest.(check bool) "no more points than writes" true
-    (List.length pts <= List.length writes)
+  List.iter
+    (fun (name, v, expected) ->
+      Alcotest.check level name expected (Explorer.state_level v))
+    [
+      ("clean", clean, Explorer.Consistent);
+      ("clean nested", { clean with v_nested = nested 0 0 }, Consistent);
+      ("violated, repaired", { clean with v_pre_violations = 2 }, Repairable);
+      ( "violations survive repair",
+        { clean with v_pre_violations = 2; v_post_violations = 1 },
+        Broken );
+      ("repair diverged", { clean with v_repair_converged = false }, Broken);
+      ("remount failed", { clean with v_remount_ok = false }, Broken);
+      ("nested unrecovered", { clean with v_nested = nested 1 0 }, Broken);
+      ("nested unsettled", { clean with v_nested = nested 0 1 }, Broken);
+    ]
 
-let test_torn_variants_mid_write () =
-  (* find a multi-fragment write in a recorded twin run, then crash a
-     fresh world in the middle of that write: every proper prefix of
-     the in-flight payload is a reachable torn state, and soft updates
-     must keep all of them violation-free *)
-  let tr = run_recorded () in
-  let mid =
-    let rec pick = function
-      | [] -> Alcotest.fail "no multi-fragment write in the trace"
-      | (r : Su_driver.Trace.record) :: rest ->
-        if
-          r.Su_driver.Trace.r_kind = Su_driver.Request.Write
-          && r.Su_driver.Trace.r_nfrags > 1
-          && r.Su_driver.Trace.r_complete > r.Su_driver.Trace.r_start
-        then (r.Su_driver.Trace.r_start +. r.Su_driver.Trace.r_complete) /. 2.0
-        else pick rest
-    in
-    pick (Su_driver.Trace.records tr)
+(* No Order under demand consistent: fail-fast ends the sweep at its
+   first violated state, identically at any --jobs, while the default
+   demand (which No Order keeps) sweeps every state. *)
+let test_fail_fast_sweep () =
+  let cfg = Explorer.sweep_cfg Fs.No_order in
+  let r = Explorer.record ~cfg Explorer.smallfiles in
+  let sweep ?fail_fast ?demand jobs =
+    Explorer.sweep ~jobs ?fail_fast ?demand ~recording:r ~cfg
+      Explorer.smallfiles
   in
-  let _cfg, w = traced_world () in
-  ignore
-    (Proc.spawn w.Fs.engine ~name:"wl" (fun () ->
-         Explorer.smallfiles.Explorer.wl_run w.Fs.st));
-  let base = Crash.crash_at w mid in
-  (match Su_disk.Disk.inflight_write w.Fs.disk with
-   | None -> Alcotest.fail "expected a write in flight at the crash instant"
-   | Some (_, payload) ->
-     let variants = Crash.torn_variants w base in
-     Alcotest.(check int) "one variant per proper prefix"
-       (Array.length payload - 1)
-       (List.length variants);
-     List.iter
-       (fun img ->
-         let r = Crash.fsck_image w img in
-         if not (Fsck.ok r) then
-           List.iter
-             (fun v -> Format.eprintf "torn: %a@." Fsck.pp_violation v)
-             r.Fsck.violations;
-         Alcotest.(check bool) "torn state consistent" true (Fsck.ok r))
-       variants)
+  let full = sweep 1 in
+  let cut1 = sweep ~fail_fast:true ~demand:`Consistent 1 in
+  let cut2 = sweep ~fail_fast:true ~demand:`Consistent 2 in
+  Alcotest.(check bool) "identical summaries at --jobs 1 and 2" true
+    (cut1 = cut2);
+  let rec first_dirty i = function
+    | [] -> Alcotest.fail "the full sweep has no violated state"
+    | v :: rest ->
+      if v.Explorer.v_pre_violations > 0 then i else first_dirty (i + 1) rest
+  in
+  let first = first_dirty 0 full.Explorer.s_verdicts in
+  Alcotest.(check bool) "the first violated state lies past the first chunk"
+    true (first >= 8);
+  Alcotest.(check bool) "the cut is the full sweep up to that state" true
+    (cut1.Explorer.s_verdicts
+     = List.filteri (fun i _ -> i <= first) full.Explorer.s_verdicts);
+  Alcotest.(check int) "one violated state swept" 1
+    cut1.Explorer.s_dirty_states;
+  Alcotest.check level "the cut keeps No Order's level" Explorer.Repairable
+    (Explorer.level cut1);
+  Alcotest.(check bool) "default demand: fail-fast sweeps every state" true
+    (sweep ~fail_fast:true 2 = full)
 
 (* --- delta-log crash-state materialization ----------------------------- *)
 
 let smallfiles_recording =
-  lazy (Explorer.record ~cfg:(sweep_cfg Fs.Soft_updates) Explorer.smallfiles)
+  lazy
+    (Explorer.record ~cfg:(Explorer.sweep_cfg Fs.Soft_updates)
+       Explorer.smallfiles)
 
 (* The reference reconstruction the delta log replaced: replay the
    post-images forward into a private base and take a full deep copy
@@ -254,13 +262,13 @@ let prop_delta_apply_undo =
 let test_sweep_jobs_deterministic () =
   (* the same recording swept serially and over the pool yields the
      same verdicts in the same order *)
-  let cfg = sweep_cfg Fs.Soft_updates in
+  let cfg = Explorer.sweep_cfg Fs.Soft_updates in
   let r = Lazy.force smallfiles_recording in
   let s1 =
-    Explorer.sweep_recording ~jobs:1 ~cfg ~workload:"smallfiles" r
+    Explorer.sweep ~jobs:1 ~recording:r ~cfg Explorer.smallfiles
   in
   let s2 =
-    Explorer.sweep_recording ~jobs:2 ~cfg ~workload:"smallfiles" r
+    Explorer.sweep ~jobs:2 ~recording:r ~cfg Explorer.smallfiles
   in
   Alcotest.(check bool) "identical summaries" true (s1 = s2);
   Alcotest.(check int) "verdict count" s1.Explorer.s_states
@@ -270,7 +278,7 @@ let test_sweep_jobs_deterministic () =
 
 let base_image =
   lazy
-    (let cfg = sweep_cfg Fs.Soft_updates in
+    (let cfg = Explorer.sweep_cfg Fs.Soft_updates in
      let r = Explorer.record ~cfg Explorer.smallfiles in
      let cur =
        Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
@@ -324,7 +332,7 @@ let test_crash_during_nvram_destage () =
      leave a consistent image (acceptance made the data durable) *)
   List.iter
     (fun t ->
-      let cfg = { (sweep_cfg Fs.Soft_updates) with Fs.nvram_mb = 1 } in
+      let cfg = { (Explorer.sweep_cfg Fs.Soft_updates) with Fs.nvram_mb = 1 } in
       let w = Fs.make cfg in
       ignore
         (Proc.spawn w.Fs.engine ~name:"wl" (fun () ->
@@ -344,7 +352,7 @@ let test_crash_during_nvram_destage () =
 let test_shakedown_rides_out_transients () =
   let cfg =
     {
-      (sweep_cfg Fs.Soft_updates) with
+      (Explorer.sweep_cfg Fs.Soft_updates) with
       Fs.fault = Su_disk.Fault.transient ~seed:97 ~rate:0.1 ();
     }
   in
@@ -384,28 +392,27 @@ let rename_sweep_cases =
 (* --- the nested, crash-during-recovery sweep ---------------------------- *)
 
 let test_nested_consistent scheme wl () =
-  let s = Explorer.sweep ~jobs:0 ~nested:true ~cfg:(sweep_cfg scheme) wl in
-  if not (Explorer.consistent s) then show_failures s;
+  let s =
+    Explorer.sweep ~jobs:0 ~nested:true ~cfg:(Explorer.sweep_cfg scheme) wl
+  in
   Alcotest.(check bool) "nested states explored" true
     (s.Explorer.s_nested_states > s.Explorer.s_states);
   Alcotest.(check int) "recovery settles at every nested state" 0
     s.Explorer.s_nested_unrecovered;
   Alcotest.(check int) "second recovery round is write-free" 0
     s.Explorer.s_nested_unsettled;
-  Alcotest.(check bool) "consistent including nested states" true
-    (Explorer.consistent s)
+  check_level "consistent including nested states" Explorer.Consistent s
 
 let test_no_order_nested_repairs () =
   let s =
-    Explorer.sweep ~jobs:0 ~nested:true ~cfg:(sweep_cfg Fs.No_order)
+    Explorer.sweep ~jobs:0 ~nested:true ~cfg:(Explorer.sweep_cfg Fs.No_order)
       Explorer.smallfiles
   in
   Alcotest.(check bool) "violations found" true (s.Explorer.s_dirty_states > 0);
   Alcotest.(check bool) "nested states explored" true
     (s.Explorer.s_nested_states > 0);
-  if not (Explorer.repairable s) then show_failures s;
-  Alcotest.(check bool) "repairable including crashes during recovery" true
-    (Explorer.repairable s)
+  check_level "repairable including crashes during recovery"
+    Explorer.Repairable s
 
 (* A deliberately non-idempotent repair: each invocation inspects the
    image and writes something different from what it finds, so a
@@ -425,7 +432,7 @@ let test_hook_catches_nonidempotent_repair () =
     (fun () ->
       let s =
         Explorer.sweep ~torn:false ~max_boundaries:4 ~jobs:0 ~nested:true
-          ~cfg:(sweep_cfg Fs.Soft_updates)
+          ~cfg:(Explorer.sweep_cfg Fs.Soft_updates)
           Explorer.smallfiles
       in
       Alcotest.(check bool) "non-idempotent repair caught as unsettled" true
@@ -456,19 +463,20 @@ let test_oracle_builtin_sweeps () =
       List.iter
         (fun wl ->
           let s, _, _ =
-            with_walk_oracle (fun () -> Explorer.sweep ~cfg:(sweep_cfg scheme) wl)
+            with_walk_oracle (fun () ->
+                Explorer.sweep ~cfg:(Explorer.sweep_cfg scheme) wl)
           in
-          if not (Explorer.consistent s) then show_failures s;
-          Alcotest.(check bool)
+          check_level
             (Printf.sprintf "%s/%s consistent" (Fs.scheme_kind_name scheme)
                wl.Explorer.wl_name)
-            true (Explorer.consistent s))
+            Explorer.Consistent s)
         Explorer.builtin_workloads)
     [ Fs.Soft_updates; Fs.Journaled { group_commit = false } ];
   (* soft updates leaves leaks behind, so its repairs write and converge *)
   let _, _, reused =
     with_walk_oracle (fun () ->
-        Explorer.sweep ~cfg:(sweep_cfg Fs.Soft_updates) Explorer.smallfiles)
+        Explorer.sweep ~cfg:(Explorer.sweep_cfg Fs.Soft_updates)
+          Explorer.smallfiles)
   in
   Alcotest.(check bool) "reused walks were compared" true (reused > 0)
 
@@ -476,7 +484,8 @@ let test_oracle_corrupt_campaign () =
   let ops = Option.get (Su_workload.Fuzz.find_case "renamefile") in
   let s, repairs, reused =
     with_walk_oracle (fun () ->
-        Campaign.sweep ~jobs:1 ~cfg:(sweep_cfg Fs.Soft_updates) Campaign.Silent
+        Campaign.sweep ~jobs:1 ~cfg:(Explorer.sweep_cfg Fs.Soft_updates)
+          Campaign.Silent
           (Su_workload.Fuzz.workload_of_ops ~name:"renamefile" ops))
   in
   Alcotest.(check bool) "campaign passes" true (Campaign.ok s);
@@ -488,7 +497,8 @@ let test_oracle_fuzz_seeds () =
     (fun seed ->
       let r, _, reused =
         with_walk_oracle (fun () ->
-            Su_workload.Fuzz.run_case ~jobs:1 ~cfg:(sweep_cfg Fs.Soft_updates)
+            Su_workload.Fuzz.run_case ~jobs:1
+              ~cfg:(Explorer.sweep_cfg Fs.Soft_updates)
               ~name:(Printf.sprintf "fuzz-%d" seed)
               (Su_workload.Fuzz.gen ~seed ~ops:6))
       in
@@ -551,9 +561,9 @@ let test_shallow_materialize_safe () =
             true
             (r.Explorer.rec_deltas = log))
         Explorer.builtin_workloads)
-    [ (sweep_cfg Fs.Soft_updates, false);
-      (sweep_cfg journal, false);
-      ({ (sweep_cfg journal) with Fs.checksums = true }, true) ]
+    [ (Explorer.sweep_cfg Fs.Soft_updates, false);
+      (Explorer.sweep_cfg journal, false);
+      ({ (Explorer.sweep_cfg journal) with Fs.checksums = true }, true) ]
 
 let suite =
   [
@@ -570,6 +580,10 @@ let suite =
          Explorer.smallfiles);
     Alcotest.test_case "sweep: no order violates but repairs" `Quick
       test_no_order_violates_but_repairs;
+    Alcotest.test_case "promise: scheme x demand x level" `Quick
+      test_promise_table;
+    Alcotest.test_case "fail-fast sweep: no order under demand consistent"
+      `Quick test_fail_fast_sweep;
     Alcotest.test_case "delta materialization matches deep copy" `Quick
       test_materialize_matches_deepcopy;
     Alcotest.test_case "crash_states respects max_boundaries" `Quick
@@ -577,10 +591,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_apply_undo;
     Alcotest.test_case "sweep deterministic across jobs" `Quick
       test_sweep_jobs_deterministic;
-    Alcotest.test_case "crash_points enumerates completions" `Quick
-      test_crash_points_enumerates_completions;
-    Alcotest.test_case "torn variants mid-write" `Quick
-      test_torn_variants_mid_write;
     QCheck_alcotest.to_alcotest prop_repair_converges;
     Alcotest.test_case "crash during NVRAM destage" `Quick
       test_crash_during_nvram_destage;

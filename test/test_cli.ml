@@ -54,11 +54,37 @@ let test_crashsweep_demand_consistent () =
        "%s crashsweep --schemes none --demand consistent -w smallfiles \
         --max-boundaries 20 >/dev/null 2>&1"
        metasim);
-  check_exit "default demand accepts repairable no-order" 0
-    (sh
-       "%s crashsweep --schemes none -w smallfiles --max-boundaries 20 \
-        >/dev/null 2>&1"
-       metasim)
+  (* the exit code and the single JSON row of a no-order sweep *)
+  let row flags =
+    let out = Filename.temp_file "crashsweep" ".json" in
+    let code =
+      sh "%s crashsweep --schemes none -w smallfiles --max-boundaries 20 %s \
+          --json %s >/dev/null 2>&1"
+        metasim flags (Filename.quote out)
+    in
+    let doc = Json.parse (read_file out) in
+    Sys.remove out;
+    let row =
+      match Result.map (fun d -> Json.member "sweeps" d) doc with
+      | Ok (Some (Json.List [ row ])) -> row
+      | Ok _ | Error _ -> Alcotest.failf "crashsweep %s: not one JSON row" flags
+    in
+    let field name =
+      match Option.bind (Json.member name row) Json.to_int with
+      | Some n -> n
+      | None -> Alcotest.failf "crashsweep %s: no %s" flags name
+    in
+    (code, field)
+  in
+  let code, full = row "" in
+  check_exit "default demand accepts repairable no-order" 0 code;
+  (* --fail-fast stops inside the row, at its first violated state *)
+  let code, cut = row "--demand consistent --fail-fast" in
+  check_exit "fail-fast under demand consistent fails no-order" 1 code;
+  Alcotest.(check int) "the cut row ends at its first violated state" 1
+    (cut "dirty_states");
+  Alcotest.(check bool) "the cut row stopped early" true
+    (cut "states" < full "states" && full "dirty_states" > 1)
 
 let test_bench_unknown_experiment () =
   check_exit "bench unknown id exits non-zero" 2

@@ -167,15 +167,10 @@ let flavour_name = function
 
 let probe_config = function
   | Logged_journal ->
-    { (Fs.config ~scheme:(Fs.Journaled { group_commit = false }) ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2 }
+    Su_check.Explorer.sweep_cfg (Fs.Journaled { group_commit = false })
   | (Plain | Checksums | Live_remap | Damaged_replica) as f ->
-    { (Fs.config ~scheme:Fs.Soft_updates ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      checksums = f = Checksums;
+    { (Su_check.Explorer.sweep_cfg Fs.Soft_updates) with
+      Fs.checksums = f = Checksums;
       spare_frags = (if f = Live_remap then 16 else 0) }
 
 (* A short random mix of namespace and data operations under [/r];

@@ -67,8 +67,10 @@ let test_torn_write_applies_prefix () =
 let test_write_observer_sees_applied_extents () =
   let e, d = mk_disk () in
   let log = ref [] in
-  Disk.set_write_observer d (fun ~lbn cells ->
-      log := (lbn, Array.length cells) :: !log);
+  Disk.set_delta_observer d (fun ~lbn ~pre ~post ->
+      Alcotest.(check int) "pre/post lengths" (Array.length post)
+        (Array.length pre);
+      log := (lbn, Array.length post) :: !log);
   Disk.submit d ~lbn:40 ~nfrags:2 ~op:Disk.Write ~payload:(Some (payload 2))
     ~on_done:(fun _ _ -> ());
   Engine.run e;

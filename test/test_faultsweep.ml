@@ -10,39 +10,41 @@ module Campaign = Su_check.Campaign
 module Explorer = Su_check.Explorer
 module Fuzz = Su_workload.Fuzz
 
-let compact_geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ()
-
-let compact_cfg ?(scheme = Fs.Soft_updates) () =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = compact_geom;
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let soft_cfg = Explorer.sweep_cfg Fs.Soft_updates
 
 (* Run [body] against a fresh world, catching whatever it raises, then
-   wind the world down cleanly. *)
+   wind the world down, ignoring what that raises. *)
 let run_world ~cfg body =
   let w = Fs.make cfg in
-  let failed = ref None in
-  let controller () =
-    (try body w with e -> failed := Some e);
-    (try
-       Fs.stop w;
-       Su_driver.Driver.quiesce w.Fs.driver
-     with _ -> ());
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
-  (w, !failed)
+  (w, Explorer.run ~wind_down:ignore w body)
+
+(* The one runner: a clean body, a body's exception inline or in a
+   child, and an engine that ends before the body does. *)
+let test_runner_outcomes () =
+  let run ?child body = Explorer.run ?child (Fs.make soft_cfg) body in
+  Alcotest.(check bool) "a clean body escapes nothing" true
+    (Option.is_none (run (fun w -> Fsops.mkdir w.Fs.st "/d")));
+  List.iter
+    (fun child ->
+      match run ~child (fun _ -> failwith "boom") with
+      | Some (Failure msg) ->
+        Alcotest.(check string) "the body's exception" "boom" msg
+      | Some _ | None -> Alcotest.fail "expected the body's exception")
+    [ false; true ];
+  match
+    run (fun w ->
+        Engine.stop w.Fs.engine;
+        Proc.suspend ignore)
+  with
+  | Some Explorer.Hang -> ()
+  | Some _ | None -> Alcotest.fail "expected Hang"
 
 (* --- the campaign ----------------------------------------------------- *)
 
 let test_sweep_survives_or_fails_clean () =
   let wl = Option.get (Explorer.find_workload "renamefile") in
   let s =
-    Campaign.sweep ~jobs:1 ~spares:8 ~max_injections:10 ~cfg:(compact_cfg ())
+    Campaign.sweep ~jobs:1 ~spares:8 ~max_injections:10 ~cfg:soft_cfg
       Campaign.Permanent wl
   in
   Alcotest.(check bool) "campaign passes" true (Campaign.ok s);
@@ -57,7 +59,7 @@ let test_sweep_survives_or_fails_clean () =
 let test_sweep_deterministic_across_jobs () =
   let wl = Option.get (Explorer.find_workload "renamefile") in
   let sweep jobs =
-    Campaign.sweep ~jobs ~spares:8 ~max_injections:8 ~cfg:(compact_cfg ())
+    Campaign.sweep ~jobs ~spares:8 ~max_injections:8 ~cfg:soft_cfg
       Campaign.Permanent wl
   in
   let s1 = sweep 1 and s2 = sweep 2 in
@@ -74,10 +76,10 @@ let test_fan_out_fail_fast () =
         if i > h && not (Atomic.compare_and_set highest h i) then raise_to i
       in
       let got =
-        Campaign.fan_out ~jobs ~fail_fast:true
+        Explorer.fan_out ~jobs ~fail_fast:true
           ~clean:(fun i -> i < 11)
-          40
-          (fun i ->
+          ~init:ignore 40
+          (fun () i ->
             raise_to i;
             i)
       in
@@ -91,15 +93,32 @@ let test_fan_out_fail_fast () =
       Alcotest.(check (list int))
         (Printf.sprintf "without fail-fast, every index at jobs %d" jobs)
         (List.init 40 Fun.id)
-        (Campaign.fan_out ~jobs ~fail_fast:false
+        (Explorer.fan_out ~jobs ~fail_fast:false
            ~clean:(fun i -> i < 11)
-           40 Fun.id))
+           ~init:ignore 40
+           (fun () i -> i));
+      (* each worker threads its own state through ascending indices,
+         in every chunk *)
+      List.iter
+        (fun fail_fast ->
+          Alcotest.(check bool)
+            (Printf.sprintf "per-worker state ascends at jobs %d" jobs)
+            true
+            (List.for_all Fun.id
+               (Explorer.fan_out ~jobs ~fail_fast ~clean:Fun.id
+                  ~init:(fun () -> ref (-1))
+                  40
+                  (fun last i ->
+                    let ascending = i > !last in
+                    last := i;
+                    ascending))))
+        [ false; true ])
     [ 1; 2 ]
 
 (* --- remap-heavy run: completes with zero model divergence ------------ *)
 
 let test_remap_heavy_zero_divergence () =
-  let cfg = compact_cfg () in
+  let cfg = soft_cfg in
   let ops = Fuzz.gen ~seed:5 ~ops:14 in
   let wl = Fuzz.workload_of_ops ~name:"remapheavy" ops in
   (* data fragments are write-first (allocation initialisation), so
@@ -108,15 +127,15 @@ let test_remap_heavy_zero_divergence () =
   let data_lbns =
     let seen = Hashtbl.create 16 in
     Array.iter
-      (fun (lbn, cells) ->
+      (fun d ->
         Array.iteri
           (fun i c ->
             match c with
             | Types.Frag _ when Hashtbl.length seen < 4 ->
-              Hashtbl.replace seen (lbn + i) ()
+              Hashtbl.replace seen (d.Su_check.Delta.d_lbn + i) ()
             | _ -> ())
-          cells)
-      (Explorer.rec_writes recording);
+          d.Su_check.Delta.d_post)
+      recording.Explorer.rec_deltas;
     Hashtbl.fold (fun k () acc -> k :: acc) seen []
   in
   Alcotest.(check bool) "found data fragments to fault" true
@@ -150,7 +169,7 @@ let test_remap_heavy_zero_divergence () =
 (* --- the typed syscall boundary --------------------------------------- *)
 
 let test_readonly_refuses_mutation () =
-  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let cfg = { soft_cfg with Fs.geom = Geom.small } in
   let _w, failed =
     run_world ~cfg (fun w ->
         Fsops.create w.Fs.st "/before";
@@ -167,7 +186,7 @@ let test_readonly_refuses_mutation () =
   | None -> Alcotest.fail "mutation succeeded on a read-only volume"
 
 let test_unreadable_metadata_raises_eio () =
-  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let cfg = { soft_cfg with Fs.geom = Geom.small } in
   let root_block = fst (Geom.cg_data_area cfg.Fs.geom 0) in
   let cfg =
     { cfg with
@@ -192,7 +211,7 @@ let is_superblock = function
   | _ -> false
 
 let test_mount_restores_corrupt_replica () =
-  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let cfg = { soft_cfg with Fs.geom = Geom.small } in
   let w0 = Fs.make cfg in
   let image = Su_disk.Disk.image_snapshot w0.Fs.disk in
   let victim = Geom.cg_sb_frag cfg.Fs.geom 1 in
@@ -206,7 +225,7 @@ let test_mount_restores_corrupt_replica () =
     (is_superblock (Su_disk.Disk.peek w.Fs.disk victim))
 
 let test_mount_fails_clean_without_replicas () =
-  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let cfg = { soft_cfg with Fs.geom = Geom.small } in
   let w0 = Fs.make cfg in
   let image = Su_disk.Disk.image_snapshot w0.Fs.disk in
   for c = 0 to Geom.cg_count cfg.Fs.geom - 1 do
@@ -218,7 +237,7 @@ let test_mount_fails_clean_without_replicas () =
 
 (* The shared remount probe says why it failed instead of a bare false. *)
 let test_remount_probe_reports_mount_failure () =
-  let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
+  let cfg = { soft_cfg with Fs.geom = Geom.small } in
   let w0 = Fs.make cfg in
   let image = Su_disk.Disk.image_snapshot w0.Fs.disk in
   Alcotest.(check bool) "the intact image passes the probe" true
@@ -243,7 +262,7 @@ let test_scrub_repairs_latent_sb_fault () =
      reads it at runtime, so only the scrubber can find it — and must
      heal it from a sister copy via a remapping rewrite *)
   let cfg =
-    { (compact_cfg ()) with
+    { soft_cfg with
       Fs.geom = Geom.small;
       fault = { Su_disk.Fault.none with bad_sectors = [ 0 ] };
       spare_frags = 8;
@@ -269,7 +288,7 @@ let test_scrub_repairs_latent_sb_fault () =
     (is_superblock (Su_disk.Disk.peek w.Fs.disk 0))
 
 let test_no_scrubber_by_default () =
-  let w = Fs.make (compact_cfg ()) in
+  let w = Fs.make soft_cfg in
   Alcotest.(check bool) "scrub off unless configured" true (w.Fs.scrub = None)
 
 let suite =
@@ -280,6 +299,7 @@ let suite =
       test_sweep_deterministic_across_jobs;
     Alcotest.test_case "fail-fast fan-out truncates" `Quick
       test_fan_out_fail_fast;
+    Alcotest.test_case "runner: escapes and hangs" `Quick test_runner_outcomes;
     Alcotest.test_case "remap-heavy run, zero model divergence" `Quick
       test_remap_heavy_zero_divergence;
     Alcotest.test_case "read-only volume refuses mutation" `Quick

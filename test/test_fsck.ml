@@ -527,14 +527,7 @@ let test_verify_state_pre_matches_check () =
   let dirty = ref 0 in
   List.iter
     (fun scheme ->
-      let cfg =
-        {
-          (Fs.config ~scheme ()) with
-          Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-          cache_mb = 4;
-          journal_mb = 2;
-        }
-      in
+      let cfg = Su_check.Explorer.sweep_cfg scheme in
       let check_exposure = Fs.check_exposure cfg in
       List.iter
         (fun wl ->

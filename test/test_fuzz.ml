@@ -6,14 +6,6 @@ open Su_fstypes
 open Su_fs
 open Su_workload
 
-let fuzz_cfg scheme =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
-
 let test_gen_deterministic () =
   let a = Fuzz.gen ~seed:42 ~ops:20 and b = Fuzz.gen ~seed:42 ~ops:20 in
   Alcotest.(check bool) "same seed, same ops" true (a = b);
@@ -38,7 +30,7 @@ let run_seed ?torn ?max_boundaries ?nested_max_boundaries scheme seed ops_n =
   let ops = Fuzz.gen ~seed ~ops:ops_n in
   let r =
     Fuzz.run_case ?torn ?max_boundaries ?nested_max_boundaries ~jobs:0
-      ~cfg:(fuzz_cfg scheme)
+      ~cfg:(Su_check.Explorer.sweep_cfg scheme)
       ~name:(Printf.sprintf "fuzz-%d" seed)
       ops
   in
@@ -94,7 +86,7 @@ let test_violation_shrinks () =
   Fun.protect
     ~finally:(fun () -> Fsck.repair_test_hook := None)
     (fun () ->
-      let cfg = fuzz_cfg Fs.Soft_updates in
+      let cfg = Su_check.Explorer.sweep_cfg Fs.Soft_updates in
       let case ops =
         Fuzz.run_case ~torn:false ~jobs:0 ~max_boundaries:3
           ~nested_max_boundaries:4 ~cfg ~name:"chaos" ops

@@ -100,10 +100,8 @@ let small_world_image () =
   (* a tiny checksummed volume with a handful of files, cleanly synced *)
   let cfg =
     {
-      (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
-      Su_fs.Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      checksums = true;
+      (Su_check.Explorer.sweep_cfg Su_fs.Fs.Soft_updates) with
+      Su_fs.Fs.checksums = true;
     }
   in
   let w = Su_fs.Fs.make cfg in
@@ -166,10 +164,8 @@ let test_fsck_flags_and_resyncs_csum_mismatch () =
 let test_checksummed_mount_verifies () =
   let cfg =
     {
-      (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
-      Su_fs.Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      checksums = true;
+      (Su_check.Explorer.sweep_cfg Su_fs.Fs.Soft_updates) with
+      Su_fs.Fs.checksums = true;
       spare_frags = 64;
     }
   in
@@ -200,21 +196,13 @@ let test_checksummed_mount_verifies () =
 
 (* --- the campaign ------------------------------------------------------ *)
 
-let sweep_cfg scheme =
-  {
-    (Su_fs.Fs.config ~scheme ()) with
-    Su_fs.Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
-
 let run_sweep ~jobs ~scheme ~name ~max_injections =
   let ops =
     match Su_workload.Fuzz.find_case name with
     | Some ops -> ops
     | None -> Alcotest.fail ("unknown built-in case " ^ name)
   in
-  let cfg = sweep_cfg scheme in
+  let cfg = Su_check.Explorer.sweep_cfg scheme in
   let oracle_cfg =
     { cfg with Su_fs.Fs.checksums = true; Su_fs.Fs.spare_frags = 64 }
   in
