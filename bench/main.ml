@@ -440,11 +440,9 @@ let hotpaths ~quick ~jobs:_ =
 (* Per built-in workload:
 
    1. materialization throughput: producing the durable image at every
-      crash state (each write boundary + every torn prefix), comparing
-      the pre-delta approach — a full [Array.map Types.copy_cell] deep
-      copy per state — against the write-delta log, which seeks one
-      reusable base image in O(cells touched) per step. This isolates
-      exactly the cost the delta log removes.
+      crash state (each write boundary + every torn prefix) with
+      [Explorer.materialize] over one delta-log cursor, the code the
+      sweeps run.
 
    2. full-sweep wall clock: Explorer.sweep (fsck + repair + remount +
       continuation per state) at --jobs 1 and --jobs N, pinning the
@@ -457,57 +455,6 @@ module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
 
 let crashsweep_cfg = Explorer.sweep_cfg Su_fs.Fs.Soft_updates
-
-(* The pre-delta materialization: advance a private base incrementally,
-   then take a full deep-copy snapshot per state (plus the torn-prefix
-   overlay), exactly as the seed explorer did. *)
-let materialize_deepcopy (r : Explorer.recording) states =
-  let open Su_fstypes in
-  let cur = Array.map Types.copy_cell r.Explorer.rec_initial in
-  let pos = ref 0 in
-  let live = ref 0 in
-  Array.iter
-    (fun (k, torn) ->
-      while !pos < k do
-        let d = r.Explorer.rec_deltas.(!pos) in
-        Array.iteri
-          (fun i c -> cur.(d.Delta.d_lbn + i) <- Types.copy_cell c)
-          d.Delta.d_post;
-        incr pos
-      done;
-      let img = Array.map Types.copy_cell cur in
-      (match torn with
-       | Some applied ->
-         let d = r.Explorer.rec_deltas.(k) in
-         for i = 0 to applied - 1 do
-           img.(d.Delta.d_lbn + i) <- Types.copy_cell d.Delta.d_post.(i)
-         done
-       | None -> ());
-      ignore (Sys.opaque_identity img);
-      incr live)
-    states;
-  !live
-
-(* The delta-log materialization: one reusable base, O(cells touched)
-   per seek; torn prefixes are applied and immediately undone. *)
-let materialize_delta (r : Explorer.recording) states =
-  let cur = Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas in
-  let base = Delta.image cur in
-  let live = ref 0 in
-  Array.iter
-    (fun (k, torn) ->
-      Delta.seek cur k;
-      (match torn with
-       | Some applied ->
-         let d = (Delta.log cur).(k) in
-         Array.blit d.Delta.d_post 0 base d.Delta.d_lbn applied;
-         (* the state is live here; restore boundary [k] for the next seek *)
-         Array.blit d.Delta.d_pre 0 base d.Delta.d_lbn applied
-       | None -> ());
-      ignore (Sys.opaque_identity base);
-      incr live)
-    states;
-  !live
 
 (* Repeat [f] until ~0.25s of wall clock has accumulated, so per-state
    times in the nanosecond range still measure cleanly. *)
@@ -650,17 +597,24 @@ let crashsweep ~quick ~jobs =
         let row suffix layer run =
           best_of ~reps:1 ~layer ~unit:"state" (name ^ suffix) (fun () -> bracket run)
         in
-        let materialize f = repeat_for_quarter_second (fun () -> f r states) in
+        let cur =
+          Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+        in
+        let materialize () =
+          Array.iter
+            (fun state ->
+              ignore (Sys.opaque_identity (Explorer.materialize cur state)))
+            states;
+          Array.length states
+        in
         let sweep jobs () =
           (Explorer.sweep ~jobs ?max_boundaries ~recording:r ~cfg:crashsweep_cfg
              wl).Explorer.s_states
         in
-        let deep = row "-materialize-deepcopy" "check" (materialize materialize_deepcopy) in
-        let delta = row "-materialize-delta" "check" (materialize materialize_delta) in
-        ( [ deep; delta; row "-sweep-jobs1" "e2e" (sweep 1);
+        ( [ row "-materialize" "check" (repeat_for_quarter_second materialize);
+            row "-sweep-jobs1" "e2e" (sweep 1);
             row "-sweep-jobsN" "e2e" (sweep jobs_n) ],
-          [ (name ^ ".writes", float_of_int (Array.length r.Explorer.rec_deltas));
-            (name ^ ".materialize_speedup", delta.per_sec /. deep.per_sec) ] ))
+          [ (name ^ ".writes", float_of_int (Array.length r.Explorer.rec_deltas)) ] ))
       Explorer.builtin_workloads
   in
   let replay = journal_replay_row ~reps:(if quick then 1 else 3) in

@@ -6,7 +6,8 @@
      crashsweep — re-crash a workload at EVERY write boundary (and torn
                   mid-write states) and verify recovery per scheme
      trace      — run a small workload and dump the I/O trace
-     exp        — run one named experiment (figure/table) at chosen scale *)
+   and the fault, fuzz and load campaigns; the paper's figures and tables
+   run through bench/main.exe. *)
 
 open Cmdliner
 open Su_fs
@@ -603,7 +604,7 @@ let crashsweep_cmd =
   in
   let fault_rate_arg =
     Arg.(
-      value & opt float 0.1
+      value & opt rate_conv 0.1
       & info [ "fault-rate" ] ~doc:"Transient failure probability per request.")
   in
   let nested_arg =
@@ -1006,71 +1007,6 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Dump the I/O trace of a small workload.")
     Term.(const run $ scheme_arg $ count_arg)
 
-let exp_cmd =
-  (* Validated against the experiment registry so an unknown name is a
-     non-zero command-line error, same as [run]'s benchmark arg. *)
-  let names = List.map fst (Su_experiments.Experiments.all `Quick) in
-  let name_conv =
-    let parse s =
-      if List.mem s names then Ok s
-      else
-        Error
-          (`Msg
-            (Printf.sprintf "unknown experiment %S (expected one of %s)" s
-               (String.concat ", " names)))
-    in
-    Arg.conv (parse, Format.pp_print_string)
-  in
-  let names_arg =
-    Arg.(value & pos_all name_conv [ "tab2" ] & info [] ~docv:"EXPERIMENT"
-           ~doc:
-             (String.concat ", " names
-             ^ ". Several may be given; they render in argument order."))
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced workload sizes.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the rendered tables as JSON to $(docv) (the same \
-             document shape bench/main.exe --json emits).")
-  in
-  let run names quick jobs json_path =
-    let scale = if quick then `Quick else `Full in
-    let names = Array.of_list names in
-    let results =
-      Su_util.Pool.map ~jobs (Array.length names) (fun i ->
-          let name = names.(i) in
-          let thunk = List.assoc name (Su_experiments.Experiments.all scale) in
-          let t0 = Unix.gettimeofday () in
-          let tables = thunk () in
-          let wall = Unix.gettimeofday () -. t0 in
-          (name, wall, tables))
-    in
-    Array.iter
-      (fun (_, _, tables) -> List.iter Su_util.Text_table.print tables)
-      results;
-    match json_path with
-    | None -> ()
-    | Some path ->
-      let doc =
-        Su_experiments.Shapes.experiments_json
-          ~scale:(if quick then "quick" else "full")
-          (Array.to_list results)
-      in
-      write_json_file path doc
-  in
-  Cmd.v
-    (Cmd.info "exp"
-       ~doc:
-         "Run one or more named experiments (figures or tables), optionally \
-          fanned out across domains with --jobs.")
-    Term.(const run $ names_arg $ quick_arg $ jobs_arg $ json_arg)
-
 (* --- loadgen: open-loop multi-tenant load engine ------------------------- *)
 
 let loadgen_cmd =
@@ -1339,7 +1275,7 @@ let () =
   let cmds =
     [
       run_cmd; crash_cmd; crashsweep_cmd; faultsweep_cmd; corruptsweep_cmd;
-      fuzz_cmd; trace_cmd; exp_cmd; loadgen_cmd;
+      fuzz_cmd; trace_cmd; loadgen_cmd;
     ]
   in
   match Cmd.eval_value ~catch:false (Cmd.group info cmds) with

@@ -139,7 +139,6 @@ let create ~engine ~driver config =
 let hooks t = t.hooks
 let engine t = t.engine
 let driver t = t.driver
-let cb_enabled t = t.config.cb
 let dirty_count t = t.ndirty
 let used_frags t = t.used
 let io_failures t = t.nio_failures
@@ -147,7 +146,6 @@ let hits t = t.nhits
 let misses t = t.nmisses
 let evictions t = t.nevictions
 let set_io_error_callback t f = t.on_io_error <- f
-let last_io_error t = t.last_io_error
 
 let note_io_error t e =
   t.last_io_error <- Some e;
@@ -508,8 +506,6 @@ let release t (b : Buf.t) =
   b.Buf.refcount <- b.Buf.refcount - 1;
   touch t b;
   if b.Buf.refcount = 0 then Sync.Waitq.signal t.space_waiters
-
-let with_buf t b f = Fun.protect ~finally:(fun () -> release t b) (fun () -> f b)
 
 let set_extent t (b : Buf.t) ~nfrags content =
   t.used <- t.used - b.Buf.nfrags + nfrags;

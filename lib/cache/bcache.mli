@@ -87,7 +87,6 @@ val create : engine:Su_sim.Engine.t -> driver:Su_driver.Driver.t -> config -> t
 val hooks : t -> hooks
 val engine : t -> Su_sim.Engine.t
 val driver : t -> Su_driver.Driver.t
-val cb_enabled : t -> bool
 
 val lookup : t -> int -> Buf.t option
 (** By extent start address; no I/O, no reference taken. *)
@@ -112,9 +111,6 @@ val bread : t -> lbn:int -> nfrags:int -> Buf.t
 
 val release : t -> Buf.t -> unit
 (** Drop a reference taken by [getblk]/[bread]. *)
-
-val with_buf : t -> Buf.t -> (Buf.t -> 'a) -> 'a
-(** Run [f] and release the buffer afterwards (also on exceptions). *)
 
 val prepare_modify : t -> Buf.t -> unit
 (** Block until the buffer may be mutated (write-lock wait unless
@@ -173,9 +169,6 @@ val set_io_error_callback : t -> (Su_disk.Fault.error -> unit) -> unit
     failure the cache observes — failed buffer writes and failed
     reads — after internal accounting, before any exception is
     raised. The FS health monitor hangs off this. *)
-
-val last_io_error : t -> Su_disk.Fault.error option
-(** Most recent definitive device failure, if any. *)
 
 val hits : t -> int
 (** [getblk]/[bread] calls that found their extent cached. *)

@@ -17,9 +17,10 @@
     completes, or it stops with a typed error ({!Su_fs.Fsops.Eio} /
     [Erofs], {!Su_cache.Bcache.Io_error}, {!Su_fs.Fs.Mount_failure})
     and the surviving state repairs, remounts and stays clean. An
-    untyped exception or a hang is always a violation; so is a
-    completed silent run whose image diverges from the model oracle
-    (a {e silent escape}).
+    untyped exception, or an event queue that drains mid-run (see
+    {!Explorer.run}), is always a violation; so is a completed silent
+    run whose image diverges from the model oracle (a {e silent
+    escape}).
 
     Verdict lists are identical at any [jobs] value: results merge by
     index, and fail-fast works in fixed-size chunks. *)
@@ -48,12 +49,6 @@ val name : campaign -> string
 (** ["faultsweep"] or ["corruptsweep"]: the subcommand, and the
     directory [/<name>.d] the remount probe lives in. *)
 
-val touched_sectors :
-  cfg:Su_fs.Fs.config -> Explorer.workload -> int array * int array
-(** [(read_touched, write_touched)], each ascending: the distinct
-    sectors the workload's reads / writes cover on a fault-free run
-    of [cfg]. *)
-
 val plan : campaign -> reads:int array -> writes:int array -> injection array
 (** The deterministic injection plan. [Permanent]: one bad sector per
     sector in [reads] or [writes], ascending. [Silent]: flips over
@@ -67,7 +62,8 @@ type outcome =
       (** the run stopped with a typed error: legal iff the surviving
           state is clean *)
   | Escaped of string
-      (** an untyped exception or a hang: always a violation *)
+      (** an untyped exception or a drained event queue: always a
+          violation *)
 
 val outcome_name : outcome -> string
 
@@ -92,9 +88,6 @@ val clean : verdict -> bool
     silent, its fault must have fired (a plan entry that never
     triggers would make the campaign vacuous). A typed failure must
     repair, remount and stay clean. An escape never passes. *)
-
-val silent_escape : verdict -> bool
-(** Completed, injected, but diverged from the model. *)
 
 val run_one :
   cfg:Su_fs.Fs.config ->

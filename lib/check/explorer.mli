@@ -61,8 +61,11 @@ val run :
 (** [run w body] runs [body w] in a controller process (in a child it
     joins, with [child]), then [Fs.stop], [Driver.quiesce] and
     [Engine.stop], and runs the engine out. Returns [body]'s exception,
-    replaced by any escaping a process later, or {!Hang}. [wind_down]
-    gets an exception from stopping the world (default: re-raise). *)
+    replaced by any escaping a process later, or {!Hang} when the event
+    queue drains with [body] unfinished. A [body] that parks forever
+    does not drain it: the syncer re-arms every second until
+    [Fs.stop], so such a run never returns. [wind_down] gets an
+    exception from stopping the world (default: re-raise). *)
 
 val fan_out :
   ?jobs:int ->

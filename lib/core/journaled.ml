@@ -251,7 +251,10 @@ let recover ?observer ~geom ~log_start ~log_frags image =
 
 (* --- the scheme ----------------------------------------------------------- *)
 
-let make ~cache ~geom ~log_start ~log_frags ~mode ?(group_interval = 0.25) () =
+(* group-commit flush period, seconds *)
+let group_interval = 0.25
+
+let make ~cache ~geom ~log_start ~log_frags ~mode =
   let stats = { txns = 0; records = 0; log_writes = 0; wraps = 0 } in
   let t =
     { cache; geom; log_start; log_frags; mode; stats; cursor = 0; seq = 0;

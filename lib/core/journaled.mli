@@ -9,12 +9,11 @@
       Appends are sequential, so this is far cheaper than the
       conventional scheme's random synchronous writes.
     - [Group_commit]: records accumulate in memory and a background
-      flusher commits them every [group_interval] (default 0.25 s) —
-      the "delayed group commit" the paper says logging needs to
-      match soft updates. The window between an update and its commit
-      is vulnerable to crashes (bounded by the flush interval); the
-      syncer's 1+ second write-back lag keeps in-place writes behind
-      their log records.
+      flusher commits them every 0.25 s — the "delayed group commit"
+      the paper says logging needs to match soft updates. The window
+      between an update and its commit is vulnerable to crashes
+      (bounded by the flush interval); the syncer's 1+ second
+      write-back lag keeps in-place writes behind their log records.
 
     When the log cursor wraps, the cache is flushed (checkpoint) so
     older records become redundant; replay applies the whole log in
@@ -41,8 +40,6 @@ val make :
   log_start:int ->
   log_frags:int ->
   mode:commit_mode ->
-  ?group_interval:float ->
-  unit ->
   Scheme_intf.t * stats * (unit -> unit)
 (** Returns the scheme, its counters, and a stop function that flushes
     any pending records and terminates the group-commit flusher (so

@@ -116,7 +116,6 @@ let set_idle_callback t f = t.on_idle <- f
 let fault t = t.fault
 let faults_injected t = Fault.injected t.fault
 let silent_faults t = Fault.silent_injected t.fault
-let checksums_enabled t = t.csum <> None
 
 let expected_digest t lbn =
   match t.csum with

@@ -146,8 +146,6 @@ val reload_remap : t -> unit
 (** Restore the in-core remap table from the persisted cell (mount
     after {!install}ing a captured image). No-op without spares. *)
 
-val checksums_enabled : t -> bool
-
 val expected_digest : t -> int -> int option
 (** The checksum region's digest for a (logical) media fragment;
     [None] without [checksums] or out of range. *)

@@ -18,17 +18,10 @@ let error_to_string = function
   | Checksum { lbn } ->
     Printf.sprintf "unrepairable checksum mismatch at lbn %d" lbn
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 type silent =
   | Flip_read of { frag : int }
   | Lost_write
   | Misdirect_write of { target : int }
-
-let silent_name = function
-  | Flip_read _ -> "flip"
-  | Lost_write -> "lost"
-  | Misdirect_write _ -> "misdirect"
 
 type config = {
   seed : int;

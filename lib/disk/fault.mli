@@ -35,7 +35,6 @@ type error =
   | Checksum of { lbn : int }
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 (** One injected silent fault. [Flip_read.frag] is the (logical)
     fragment whose returned copy is corrupted; [Misdirect_write.target]
@@ -44,9 +43,6 @@ type silent =
   | Flip_read of { frag : int }
   | Lost_write
   | Misdirect_write of { target : int }
-
-val silent_name : silent -> string
-(** ["flip"], ["lost"] or ["misdirect"]. *)
 
 type config = {
   seed : int;

@@ -20,8 +20,6 @@ let spares_left t = t.nspares - t.next
 let lookup t lbn =
   match Hashtbl.find_opt t.tbl lbn with Some phys -> phys | None -> lbn
 
-let is_mapped t lbn = Hashtbl.mem t.tbl lbn
-
 let entries t = List.rev t.order
 
 let remap t lbn =

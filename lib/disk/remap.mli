@@ -14,13 +14,8 @@ val create : media:int -> nspares:int -> t
 val table_slot : t -> int
 (** Physical index of the persisted-table cell ([media]). *)
 
-val spare_base : t -> int
-(** Physical index of the first spare fragment ([media + 1]). *)
-
 val lookup : t -> int -> int
 (** Physical address of a logical fragment (identity if unmapped). *)
-
-val is_mapped : t -> int -> bool
 
 val remap : t -> int -> int option
 (** Allocate the next spare for a logical fragment and record the

@@ -5,17 +5,6 @@ type mode =
   | Flag of { sem : flag_semantics; nr : bool }
   | Chains of { nr : bool }
 
-let flag_semantics_name = function
-  | Full -> "Full"
-  | Back -> "Back"
-  | Part -> "Part"
-  | Ignore -> "Ignore"
-
-let mode_name = function
-  | Unordered -> "Unordered"
-  | Flag { sem; nr } -> flag_semantics_name sem ^ (if nr then "-NR" else "")
-  | Chains { nr } -> "Chains" ^ (if nr then "-NR" else "")
-
 type ctx = {
   is_outstanding : int -> bool;
   min_outstanding : unit -> int option;

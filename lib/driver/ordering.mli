@@ -30,9 +30,6 @@ type mode =
   | Flag of { sem : flag_semantics; nr : bool }
   | Chains of { nr : bool }
 
-val flag_semantics_name : flag_semantics -> string
-val mode_name : mode -> string
-
 (** Queue-state oracle supplied by the driver. A request is
     {e outstanding} from issue until completion (queued or on the
     device). *)

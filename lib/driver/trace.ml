@@ -22,7 +22,6 @@ type t = {
   mutable nremaps : int;
   access : Hist.t;
   response : Hist.t;
-  queue : Hist.t;
   sync_response : Hist.t;
   qdepth : Hist.t;
 }
@@ -39,7 +38,6 @@ let create ?(keep_records = false) () =
     nremaps = 0;
     access = Hist.create ();
     response = Hist.create ();
-    queue = Hist.create ();
     sync_response = Hist.create ();
     (* Queue-depth samples are small integers; base 1 keeps the low
        buckets meaningful (0..1, 1..2, 2..4, ...). *)
@@ -61,7 +59,6 @@ let note_io t ~id ~kind ~lbn ~nfrags ~sync ~issue ~start ~complete =
    | Request.Write -> t.nwrites <- t.nwrites + 1);
   Hist.add t.access (complete -. start);
   Hist.add t.response (complete -. issue);
-  Hist.add t.queue (start -. issue);
   if sync then Hist.add t.sync_response (complete -. issue);
   if t.keep then begin
     t.recs_rev <-
@@ -93,13 +90,9 @@ let ms h = 1000.0 *. Hist.mean h
 
 let avg_access_ms t = ms t.access
 let avg_response_ms t = ms t.response
-let avg_queue_ms t = ms t.queue
 let sync_avg_response_ms t = ms t.sync_response
 
-let access_hist t = t.access
 let response_hist t = t.response
-let queue_hist t = t.queue
-let sync_response_hist t = t.sync_response
 let qdepth_hist t = t.qdepth
 
 let response_percentile_ms t p = 1000.0 *. Hist.percentile t.response p

@@ -57,21 +57,14 @@ val avg_access_ms : t -> float
 val avg_response_ms : t -> float
 (** Mean driver response time (queue + access), milliseconds. *)
 
-val avg_queue_ms : t -> float
-
 val sync_avg_response_ms : t -> float
 (** Response time averaged over requests a process waited for. *)
 
 val note_qdepth : t -> int -> unit
 (** Sample the dispatch-queue depth (taken at each dispatch decision). *)
 
-val access_hist : t -> Su_obs.Hist.t
-(** Disk service times, seconds. Count/sum/min/max exact, so the
-    [avg_*_ms] accessors are identical to the old bare-mean trace. *)
-
 val response_hist : t -> Su_obs.Hist.t
-val queue_hist : t -> Su_obs.Hist.t
-val sync_response_hist : t -> Su_obs.Hist.t
+(** Driver response times (queue + access), seconds. *)
 
 val qdepth_hist : t -> Su_obs.Hist.t
 (** Queue-depth samples (dimensionless; base-1 buckets). *)

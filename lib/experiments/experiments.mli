@@ -41,39 +41,14 @@ val tab3 : scale -> Su_util.Text_table.t
 val fig6 : scale -> Su_util.Text_table.t
 (** Sdet throughput (scripts/hour) vs script concurrency. *)
 
-val chains_dealloc_ablation : scale -> Su_util.Text_table.t
-(** §3.2: scheduler chains with barrier-based vs specific
-    de-allocation dependencies, 4-user remove. *)
-
-val cb_ablation : scale -> Su_util.Text_table.t
-(** §3.3: the block-copy enhancement for scheduler chains, 4-user
-    copy and remove. *)
-
 val crash_consistency : scale -> Su_util.Text_table.t
 (** Crash-injection sweep: fsck violations and repairable leftovers
     per scheme over a grid of crash points. *)
-
-val soft_updates_ablation : scale -> Su_util.Text_table.t
-(** Sensitivity of soft updates to syncer interval and cache size
-    (4-user copy). *)
-
-val nvram_comparison : scale -> Su_util.Text_table.t
-(** Extension (paper §7 future work): conventional synchronous writes
-    over a battery-backed NVRAM write cache versus soft updates. The
-    paper predicts NVRAM gives slight improvements over soft updates
-    at high hardware cost. *)
 
 val aging : scale -> Su_util.Text_table.t
 (** Extension: age the volume with create/delete churn, then compare a
     tree copy on the aged volume against a fresh one — FFS-style
     allocation degrades as the free space fragments. *)
-
-val journal_comparison : scale -> Su_util.Text_table.t
-(** Extension (paper §7 future work): write-ahead metadata journaling
-    — synchronous commit and delayed group commit — against
-    conventional, soft updates and the no-order bound, on the 4-user
-    copy and remove benchmarks. The paper predicts logging needs
-    group commit to match soft updates. *)
 
 val all : scale -> (string * (unit -> Su_util.Text_table.t list)) list
 (** Every experiment, in paper order, keyed by its identifier; each is

@@ -17,9 +17,8 @@ val experiments_json :
   (string * float * Su_util.Text_table.t list) list ->
   Su_obs.Json.t
 (** [experiments_json ~scale [(id, wall_s, tables); ...]] builds the
-    toplevel document [bench/main.exe --json] and [metasim exp --json]
-    emit: [{"scale": ..., "experiments": [{"id", "wall_s",
-    "tables": [...]}]}]. *)
+    toplevel document [bench/main.exe --json] emits:
+    [{"scale": ..., "experiments": [{"id", "wall_s", "tables": [...]}]}]. *)
 
 val check : Su_obs.Json.t -> (string * bool * string) list
 (** Evaluate every shape claim whose table is present anywhere in the

@@ -57,7 +57,7 @@ let alloc_in_group st c ~count ~aligned =
       end)
 
 let alloc_run st ~cg_hint ~count ~aligned =
-  State.charge st st.State.costs.Costs.alloc_op;
+  State.charge st Costs.alloc_op;
   with_lock st (fun () ->
       let ncg = Geom.cg_count st.State.geom in
       let rec try_group i =
@@ -84,7 +84,7 @@ let try_extend st ~start ~have ~want =
   let fpb = g.Geom.frags_per_block in
   if (start mod fpb) + want > fpb then false
   else begin
-    State.charge st st.State.costs.Costs.alloc_op;
+    State.charge st Costs.alloc_op;
     with_lock st (fun () ->
         let c = Geom.cg_of_frag g start in
         let fm = st.State.freemaps.(c) in
@@ -128,7 +128,7 @@ let free_run st (start, len) =
           cg.Types.nffree <- cg.Types.nffree + len))
 
 let alloc_inode st ~cg_hint ~spread =
-  State.charge st st.State.costs.Costs.alloc_op;
+  State.charge st Costs.alloc_op;
   with_lock st (fun () ->
       let g = st.State.geom in
       let ncg = Geom.cg_count g in

@@ -1,20 +1,27 @@
-type t = {
-  syscall : float;
-  namei_entry : float;
-  dirent_update : float;
-  inode_update : float;
-  alloc_op : float;
-  copy_per_frag : float;
-  data_per_frag : float;
-}
+(* CPU cost model, loosely calibrated to the paper's 33 MHz i486.
 
-let i486_33 =
-  {
-    syscall = 1.2e-3;
-    namei_entry = 4e-6;
-    dirent_update = 300e-6;
-    inode_update = 150e-6;
-    alloc_op = 500e-6;
-    copy_per_frag = 60e-6;
-    data_per_frag = 100e-6;
-  }
+   Only relative magnitudes matter for reproducing the paper's shapes:
+   a syscall costs hundreds of microseconds, a directory scan costs
+   microseconds per entry, block copies cost tens of microseconds per
+   kilobyte. All values are in seconds. *)
+
+(** fixed entry/exit + VFS overhead per operation *)
+let syscall = 1.2e-3
+
+(** per directory entry scanned *)
+let namei_entry = 4e-6
+
+(** insert/remove one entry *)
+let dirent_update = 300e-6
+
+(** copy in-core inode to its buffer *)
+let inode_update = 150e-6
+
+(** one bitmap search/update *)
+let alloc_op = 500e-6
+
+(** memory copy, per 1 KB fragment *)
+let copy_per_frag = 60e-6
+
+(** user/cache data move, per 1 KB fragment *)
+let data_per_frag = 100e-6

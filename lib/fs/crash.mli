@@ -11,13 +11,10 @@ val crash_at : Fs.world -> float -> Su_fstypes.Types.cell array
 (** Run the engine until the given virtual time, stop it, and return a
     snapshot of the on-disk image. *)
 
-val fsck_image : Fs.world -> Su_fstypes.Types.cell array -> Fsck.report
-(** Check an image against the mounted configuration's promises
-    (stale-data exposure is only checked when allocation
-    initialisation was enforced). *)
-
 val crash_and_check : Fs.world -> float -> Fsck.report
-(** [crash_at] followed by [fsck_image]. *)
+(** [crash_at], then fsck of the image against the configuration's
+    promises ({!Fs.check_exposure}), after journal replay when the
+    configuration journals. *)
 
 val remount_probe :
   dir:string ->

@@ -27,7 +27,7 @@ let ensure_index st (dip : State.incore) =
     let inum = dip.State.inum in
     if not (Dir_index.known dx inum) then begin
       let nb = nblocks st dip in
-      let cost = st.State.costs.Costs.namei_entry in
+      let cost = Costs.namei_entry in
       Dir_index.build dx inum ~nblocks:nb;
       for i = 0 to nb - 1 do
         with_dir_block st dip i (fun _ entries ->
@@ -46,7 +46,7 @@ let ensure_index st (dip : State.incore) =
    index. *)
 let find_scan st dip name f =
   let nb = nblocks st dip in
-  let cost = st.State.costs.Costs.namei_entry in
+  let cost = Costs.namei_entry in
   let rec go i =
     if i >= nb then None
     else
@@ -79,7 +79,7 @@ let find st dip name f =
   match ensure_index st dip with
   | None -> find_scan st dip name f
   | Some dx -> (
-    let cost = st.State.costs.Costs.namei_entry in
+    let cost = Costs.namei_entry in
     match Dir_index.lookup dx dip.State.inum name with
     | None ->
       State.charge st cost;
@@ -103,7 +103,7 @@ let insert_prepared ?(link_dep = true) st ~dir ~slot name inum =
    | Buf.Cmeta (Types.Dir entries) ->
      entries.(slot) <- Some { Types.name; inum }
    | Buf.Cmeta _ | Buf.Cdata _ -> failwith "Dir: bad directory block");
-  State.charge st st.State.costs.Costs.dirent_update;
+  State.charge st Costs.dirent_update;
   Bcache.bdwrite st.State.cache dir;
   if link_dep then do_link_add st ~dir ~slot ~inum
 
@@ -118,7 +118,7 @@ let add_in_new_block st dip name inum =
        | Buf.Cmeta (Types.Dir entries) ->
          entries.(0) <- Some { Types.name; inum }
        | Buf.Cmeta _ | Buf.Cdata _ -> failwith "Dir: bad directory block");
-      State.charge st st.State.costs.Costs.dirent_update;
+      State.charge st Costs.dirent_update;
       Bcache.bdwrite st.State.cache buf;
       commit ();
       do_link_add st ~dir:buf ~slot:0 ~inum)
@@ -126,12 +126,12 @@ let add_in_new_block st dip name inum =
 let add_in_slot st buf entries ~slot name inum =
   Bcache.prepare_modify st.State.cache buf;
   entries.(slot) <- Some { Types.name; inum };
-  State.charge st st.State.costs.Costs.dirent_update;
+  State.charge st Costs.dirent_update;
   Bcache.bdwrite st.State.cache buf;
   do_link_add st ~dir:buf ~slot ~inum
 
 let add_entry st dip name inum =
-  let cost = st.State.costs.Costs.namei_entry in
+  let cost = Costs.namei_entry in
   match ensure_index st dip with
   | Some dx -> (
     (* the free-slot map sends us straight to a block with room; one
@@ -182,7 +182,7 @@ let change_entry st dip name new_inum ~decrement =
         else begin
           Bcache.prepare_modify st.State.cache buf;
           entries.(slot) <- Some { Types.name; inum = new_inum };
-          State.charge st st.State.costs.Costs.dirent_update;
+          State.charge st Costs.dirent_update;
           Bcache.bdwrite st.State.cache buf;
           Inode.with_ibuf st new_inum (fun ibuf ->
               Inode.with_ibuf st e.Types.inum (fun old_ibuf ->
@@ -201,7 +201,7 @@ let remove_entry st dip name ~decrement =
         (match st.State.dirx with
          | Some dx -> Dir_index.note_remove dx dip.State.inum ~blk name
          | None -> ());
-        State.charge st st.State.costs.Costs.dirent_update;
+        State.charge st Costs.dirent_update;
         Bcache.bdwrite st.State.cache buf;
         let inum = e.Types.inum in
         let parent_inum = dip.State.inum in
@@ -228,10 +228,8 @@ let entry_capacity st dip = nblocks st dip * st.State.geom.Geom.dir_capacity
 
 let list_names st dip =
   State.charge st
-    (float_of_int (entry_capacity st dip) *. st.State.costs.Costs.namei_entry);
+    (float_of_int (entry_capacity st dip) *. Costs.namei_entry);
   List.rev (fold_entries st dip (fun acc e -> e.Types.name :: acc) [])
-
-let entry_count st dip = fold_entries st dip (fun n _ -> n + 1) 0
 
 let is_empty st dip =
   fold_entries st dip

@@ -51,7 +51,5 @@ val insert_prepared :
 val list_names : State.t -> State.incore -> string list
 (** All entry names, including "." and "..". *)
 
-val entry_count : State.t -> State.incore -> int
-
 val is_empty : State.t -> State.incore -> bool
 (** Only "." and ".." remain. *)

@@ -236,7 +236,7 @@ let fill_stamps st ip ~lbn ~count =
    [old_size]/[new_size] bracket the inode size change. *)
 let grow_block st ip ~lbn ~have ~want ~old_size ~new_size =
   let init_required = st.State.alloc_init in
-  State.charge st (float_of_int (want - have) *. st.State.costs.Costs.data_per_frag);
+  State.charge st (float_of_int (want - have) *. Costs.data_per_frag);
   with_ptr st ip lbn ~alloc:true (fun owner loc get set ->
       let old_ptr = get () in
       let finish ~data ~new_ptr ~freed ~free_moved =
@@ -301,7 +301,7 @@ let grow_block st ip ~lbn ~have ~want ~old_size ~new_size =
         in
         let deps = st.State.scheme.Intf.reuse_frag_deps [ (addr, want) ] in
         State.charge st
-          (float_of_int have *. st.State.costs.Costs.copy_per_frag);
+          (float_of_int have *. Costs.copy_per_frag);
         let old_buf = Bcache.bread st.State.cache ~lbn:old_ptr ~nfrags:have in
         let old_stamps =
           match old_buf.Buf.content with
@@ -408,7 +408,7 @@ let read_all st ip =
     let addr = ptr_at st ip lbn in
     if addr <> 0 && len > 0 then begin
       let buf = Bcache.bread st.State.cache ~lbn:addr ~nfrags:len in
-      State.charge st (float_of_int len *. st.State.costs.Costs.data_per_frag);
+      State.charge st (float_of_int len *. Costs.data_per_frag);
       nread := !nread + len;
       Bcache.release st.State.cache buf
     end

@@ -34,24 +34,17 @@ type config = {
   nr : bool;
   cb : bool;
   policy : Su_driver.Driver.policy;
-  max_concat : int;
   cache_mb : int;
   syncer_interval : float;
-  syncer_passes : int;
   geom : Geom.t;
   disk_params : Su_disk.Disk_params.t;
-  costs : Costs.t;
   keep_trace_records : bool;
   journal_mb : int;
   nvram_mb : int;
   fault : Su_disk.Fault.config;
-  io_max_attempts : int;
-  io_retry_backoff : float;
-  io_request_timeout : float;
   spare_frags : int;
   checksums : bool;
   scrub_interval : float;
-  health_max_lost : int;
   trace_sink : Su_obs.Events.t option;
   dir_index : bool;
 }
@@ -76,24 +69,17 @@ let config ?(scheme = Soft_updates) () =
     nr = true;
     cb;
     policy = Su_driver.Driver.Clook;
-    max_concat = 64;
     cache_mb = 32;
     syncer_interval = 1.0;
-    syncer_passes = 30;
     geom = Geom.default;
     disk_params = Su_disk.Disk_params.hp_c2447;
-    costs = Costs.i486_33;
     keep_trace_records = false;
     journal_mb = 8;
     nvram_mb = 0;
     fault = Su_disk.Fault.none;
-    io_max_attempts = Su_driver.Driver.default_config.max_attempts;
-    io_retry_backoff = Su_driver.Driver.default_config.retry_backoff;
-    io_request_timeout = Su_driver.Driver.default_config.request_timeout;
     spare_frags = 0;
     checksums = false;
     scrub_interval = 0.0;
-    health_max_lost = 8;
     trace_sink = None;
     dir_index = false;
   }
@@ -232,7 +218,7 @@ let build ?image cfg =
       ~fault:cfg.fault ~spare_frags:cfg.spare_frags ~checksums:cfg.checksums ()
   in
   let health =
-    Health.create ~engine ?obs:cfg.trace_sink ~max_lost:cfg.health_max_lost ()
+    Health.create ~engine ?obs:cfg.trace_sink ~max_lost:8 ()
   in
   (* a physical snapshot may carry the spare region, remap-table cell
      and checksum region past the media *)
@@ -260,13 +246,10 @@ let build ?image cfg =
   let driver =
     Su_driver.Driver.create ~engine ~disk
       {
-        Su_driver.Driver.mode = driver_mode cfg;
+        Su_driver.Driver.default_config with
+        mode = driver_mode cfg;
         policy = cfg.policy;
-        max_concat = cfg.max_concat;
         keep_records = cfg.keep_trace_records;
-        max_attempts = cfg.io_max_attempts;
-        retry_backoff = cfg.io_retry_backoff;
-        request_timeout = cfg.io_request_timeout;
         sink = cfg.trace_sink;
       }
   in
@@ -303,13 +286,13 @@ let build ?image cfg =
       in
       let s, stats, stop =
         Su_core.Journaled.make ~cache ~geom:cfg.geom ~log_start ~log_frags
-          ~mode ()
+          ~mode
       in
       (s, None, Some stats, stop)
   in
   let syncer =
     Su_cache.Syncer.start ~engine ~cache ~interval:cfg.syncer_interval
-      ~passes:cfg.syncer_passes ()
+      ~passes:30 ()
   in
   let st =
     {
@@ -320,7 +303,6 @@ let build ?image cfg =
       driver;
       cache;
       scheme;
-      costs = cfg.costs;
       alloc_init = cfg.alloc_init;
       alloc_mutex = Su_sim.Sync.Mutex.create engine;
       icache = Hashtbl.create 1024;
@@ -372,7 +354,7 @@ let build ?image cfg =
          ignore
            (Su_sim.Proc.spawn engine ~name:"copy" (fun () ->
                 Su_sim.Cpu.consume cpu
-                  (float_of_int n *. cfg.costs.Costs.copy_per_frag))));
+                  (float_of_int n *. Costs.copy_per_frag))));
   { cfg; engine; cpu; disk; driver; cache; syncer; scrub; integrity; st;
     extra_stop }
 

@@ -27,13 +27,10 @@ type config = {
   nr : bool;  (** reads bypass ordering-blocked writes *)
   cb : bool;  (** block-copy enhancement (§3.3) *)
   policy : Su_driver.Driver.policy;
-  max_concat : int;
   cache_mb : int;
   syncer_interval : float;
-  syncer_passes : int;
   geom : Geom.t;
   disk_params : Su_disk.Disk_params.t;
-  costs : Costs.t;
   keep_trace_records : bool;
   journal_mb : int;  (** log region size (journaled scheme only) *)
   nvram_mb : int;
@@ -42,9 +39,6 @@ type config = {
           comparison) *)
   fault : Su_disk.Fault.config;
       (** device fault model ({!Su_disk.Fault.none} by default) *)
-  io_max_attempts : int;  (** driver attempts per request (see {!Su_driver.Driver.config}) *)
-  io_retry_backoff : float;  (** base retry delay, seconds *)
-  io_request_timeout : float;  (** per-attempt deadline, 0 = none *)
   spare_frags : int;
       (** spare-sector pool for bad-sector remapping (0 = no fault
           tolerance; the disk image and golden traces are then
@@ -58,9 +52,6 @@ type config = {
   scrub_interval : float;
       (** background scrubber wake-up period in simulated seconds
           (0.0 = no scrubber) *)
-  health_max_lost : int;
-      (** unrecoverable fragments tolerated before the volume flips
-          read-only (see {!Health}) *)
   trace_sink : Su_obs.Events.t option;
       (** when set, the driver, cache and FS operations emit JSONL
           trace events into the sink (default [None]). Observability
@@ -81,7 +72,10 @@ val config : ?scheme:scheme_kind -> unit -> config
     Part-NR with block copying (the best variant, used in §5), chains
     uses specific remove dependencies and block copying, soft updates
     enforces allocation initialisation, conventional does neither.
-    1 GB HP C2447-like disk, 32 MB cache, 1 s syncer. *)
+    1 GB HP C2447-like disk, 32 MB cache, 1 s syncer. Fixed for every
+    configuration: the i486 CPU costs ({!Costs}), the driver's other
+    {!Su_driver.Driver.default_config} settings, 30 syncer passes and
+    a health threshold of 8 lost fragments. *)
 
 type world = {
   cfg : config;
@@ -145,5 +139,3 @@ val check_exposure : config -> bool
     written for it) on this configuration's images: never for the
     journaled scheme, whose log holds metadata only; otherwise exactly
     when [alloc_init] is on. Every recovery check uses it. *)
-
-val driver_mode : config -> Su_driver.Ordering.mode

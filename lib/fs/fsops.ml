@@ -18,7 +18,7 @@ type file_stat = {
 let components path =
   List.filter (fun c -> c <> "" && c <> ".") (String.split_on_char '/' path)
 
-let charge_syscall st = State.charge st st.State.costs.Costs.syscall
+let charge_syscall st = State.charge st Costs.syscall
 
 (* One trace event per operation invocation, at entry (composite ops
    like rename also trace the ops they are built from). Accumulation

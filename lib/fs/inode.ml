@@ -63,7 +63,7 @@ let with_inode st inum f =
       Su_sim.Sync.Mutex.with_lock ip.State.ilock (fun () -> f ip))
 
 let update st ip =
-  State.charge st st.State.costs.Costs.inode_update;
+  State.charge st Costs.inode_update;
   with_ibuf st ip.State.inum (fun buf ->
       Bcache.prepare_modify st.State.cache buf;
       (match buf.Buf.content with

@@ -7,9 +7,6 @@
 
 open Su_fstypes
 
-val ibuf_lbn : State.t -> int -> int
-(** Fragment address of the inode block holding [inum]. *)
-
 val with_ibuf : State.t -> int -> (Su_cache.Buf.t -> 'a) -> 'a
 (** Read (through the cache) the inode block of [inum] and run [f];
     releases the buffer afterwards. *)

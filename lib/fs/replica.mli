@@ -8,9 +8,6 @@
     a surviving sister, remapping a permanently bad home to a spare
     first when possible. *)
 
-val is_valid : geom:Su_fstypes.Geom.t -> Su_fstypes.Types.cell -> bool
-(** Does this cell hold a superblock consistent with the geometry? *)
-
 val copy_frags : Su_fstypes.Geom.t -> int list
 (** Fragment addresses of all superblock copies (one per group). *)
 

@@ -22,7 +22,6 @@ type t = {
   geom : Geom.t;
   integrity : Integrity.t option;
   interval : float;
-  slice : int;
   obs : Su_obs.Events.t option;
   mutable cursor : int;
   mutable stopped : bool;
@@ -189,11 +188,14 @@ let scan_one t frag =
     (* exhausted transient / timeout: not a latent bad sector *)
     Health.note_io_error t.health e
 
+(* fragments probed per wake-up *)
+let slice = 64
+
 let rec loop t () =
   Proc.sleep t.engine t.interval;
   if not t.stopped then begin
     let media = Su_disk.Disk.nfrags t.disk in
-    for i = 0 to t.slice - 1 do
+    for i = 0 to slice - 1 do
       if not t.stopped then begin
         let frag = (t.cursor + i) mod media in
         if frag = 0 && t.cursor + i > 0 then begin
@@ -203,12 +205,12 @@ let rec loop t () =
         scan_one t frag
       end
     done;
-    t.cursor <- (t.cursor + t.slice) mod media;
+    t.cursor <- (t.cursor + slice) mod media;
     loop t ()
   end
 
 let start ~engine ~disk ~driver ~cache ~health ~geom ?integrity ~interval
-    ?(slice = 64) ?obs () =
+    ?obs () =
   let t =
     {
       engine;
@@ -219,7 +221,6 @@ let start ~engine ~disk ~driver ~cache ~health ~geom ?integrity ~interval
       geom;
       integrity;
       interval;
-      slice;
       obs;
       cursor = 0;
       stopped = false;

@@ -1,7 +1,7 @@
 (** Background media scrubber.
 
     A {!Su_sim.Proc} that probes every fragment of the volume with
-    driver reads, a [slice]-fragment batch per [interval]. A latent
+    driver reads, a 64-fragment batch per [interval]. A latent
     bad sector is repaired by rewriting known content through the
     driver (whose retry-exhaustion path remaps the fragment to a
     spare): a sister superblock replica for superblock fragments, a
@@ -23,16 +23,14 @@ val start :
   geom:Su_fstypes.Geom.t ->
   ?integrity:Integrity.t ->
   interval:float ->
-  ?slice:int ->
   ?obs:Su_obs.Events.t ->
   unit ->
   t
-(** Spawn the scrubber process ([slice] default 64 fragments per
-    wake-up). With [integrity], every readable fragment is also
-    verified against the checksum region ({!Integrity.verify_frag}) —
-    a silent corruption the foreground never reads is found and
-    healed (or reported lost) by the sweep; such fragments count in
-    {!found} and {!repaired}/{!lost}. *)
+(** Spawn the scrubber process. With [integrity], every readable
+    fragment is also verified against the checksum region
+    ({!Integrity.verify_frag}) — a silent corruption the foreground
+    never reads is found and healed (or reported lost) by the sweep;
+    such fragments count in {!found} and {!repaired}/{!lost}. *)
 
 val stop : t -> unit
 

@@ -15,7 +15,6 @@ type t = {
   driver : Su_driver.Driver.t;
   cache : Su_cache.Bcache.t;
   scheme : Su_core.Scheme_intf.t;
-  costs : Costs.t;
   alloc_init : bool;
   alloc_mutex : Su_sim.Sync.Mutex.t;
   icache : (int, incore) Hashtbl.t;

@@ -24,7 +24,6 @@ type t = {
   driver : Su_driver.Driver.t;
   cache : Su_cache.Bcache.t;
   scheme : Su_core.Scheme_intf.t;
-  costs : Costs.t;
   alloc_init : bool;  (** enforce allocation initialisation for file data *)
   alloc_mutex : Su_sim.Sync.Mutex.t;
   icache : (int, incore) Hashtbl.t;

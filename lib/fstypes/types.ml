@@ -331,10 +331,6 @@ let pp_stamp ppf = function
   | Zeroed -> Format.fprintf ppf "zeroed"
   | Written w -> Format.fprintf ppf "w(ino=%d,gen=%d,flbn=%d)" w.inum w.gen w.flbn
 
-let pp_ftype ppf t =
-  Format.pp_print_string ppf
-    (match t with F_free -> "free" | F_reg -> "reg" | F_dir -> "dir")
-
 let pp_cell ppf = function
   | Empty -> Format.pp_print_string ppf "empty"
   | Pad -> Format.pp_print_string ppf "pad"

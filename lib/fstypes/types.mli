@@ -107,7 +107,6 @@ val cell_digest : cell -> int
 val fnv_offset : int
 val d_byte : int -> int -> int
 val d_int : int -> int -> int
-val d_bool : int -> bool -> int
 val d_float : int -> float -> int
 val d_string : int -> string -> int
 
@@ -116,11 +115,7 @@ val d_bytes : int -> Bytes.t -> int
     [d_string h (Bytes.to_string b)], without the copy). *)
 
 val d_int_array : int -> int array -> int
-val d_stamp : int -> stamp -> int
 val d_ftype : int -> ftype -> int
-val d_dinode : int -> dinode -> int
-val d_dirent : int -> dirent option -> int
-val d_meta : int -> meta -> int
 
 val free_dinode : Geom.t -> dinode
 (** A zeroed inode slot (freshly allocated: callers may mutate it). *)
@@ -180,6 +175,4 @@ val stamp_matches : stamp -> inum:int -> gen:int -> bool
     file generation ([Zeroed] always matches: initialised storage
     leaks nothing). *)
 
-val pp_stamp : Format.formatter -> stamp -> unit
-val pp_ftype : Format.formatter -> ftype -> unit
 val pp_cell : Format.formatter -> cell -> unit

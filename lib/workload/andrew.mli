@@ -21,5 +21,4 @@ type summary = {
   reps : int;
 }
 
-val run_once : cfg:Su_fs.Fs.config -> seed:int -> result
 val run : cfg:Su_fs.Fs.config -> reps:int -> summary

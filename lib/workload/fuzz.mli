@@ -48,20 +48,15 @@ module Model : sig
       op must be skipped on the file system too. *)
 end
 
-val model_of_ops : op list -> Model.t
-
 val workload_of_ops : name:string -> op list -> Su_check.Explorer.workload
 (** A workload running the model-valid subsequence of [ops], then a
     final [sync] (clean shutdown). *)
 
-val builtin_cases : (string * op list) list
-(** Deterministic op-list editions of the explorer's built-in
-    workloads (smallfiles, dirtree, renamefile, renamedir): the same
-    behavior available simultaneously as a runnable workload
-    ({!workload_of_ops}) and as a model oracle
-    ({!check_final_image}) — what the corruption sweep needs. *)
-
 val find_case : string -> op list option
+(** The op-list edition of a built-in explorer workload (smallfiles,
+    dirtree, renamefile, renamedir): the same behavior as a runnable
+    workload ({!workload_of_ops}) and as a model oracle
+    ({!check_final_image}) — what the corruption sweep needs. *)
 
 val check_final_image :
   cfg:Su_fs.Fs.config ->

@@ -24,9 +24,6 @@ val arrival_name : arrival -> string
 val arrival_of_string : string -> arrival option
 
 val nclasses : int
-val class_name : op_class -> string
-val class_index : op_class -> int
-val class_of_index : int -> op_class
 
 type config = {
   fs_cfg : Su_fs.Fs.config;
@@ -49,7 +46,7 @@ val config : ?scheme:Su_fs.Fs.scheme_kind -> unit -> config
 type report = {
   class_hist : Su_obs.Hist.t array;
       (** measured latency (seconds) per op class, [nclasses] long,
-          indexed by {!class_index} *)
+          in {!op_class} order: create, write, rename, unlink, mkdir *)
   total_hist : Su_obs.Hist.t;
   executed : int;
       (** operations issued in the steady phase, inside the window or

@@ -147,10 +147,8 @@ let drop_caches (w : Fs.world) =
     (Su_cache.Bcache.all_bufs w.Fs.cache);
   Hashtbl.reset w.Fs.st.State.icache
 
-let run ~cfg ?setup ?cold_start ~users body =
-  let cold_start =
-    match cold_start with Some c -> c | None -> setup <> None
-  in
+let run ~cfg ?setup ~users body =
+  let cold_start = setup <> None in
   let setup = match setup with Some f -> f | None -> fun _ -> () in
   let w = Fs.make cfg in
   let result = ref None in

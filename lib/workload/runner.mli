@@ -30,7 +30,6 @@ type measures = {
 val run :
   cfg:Su_fs.Fs.config ->
   ?setup:(Su_fs.State.t -> unit) ->
-  ?cold_start:bool ->
   users:int ->
   (int -> Su_fs.State.t -> unit) ->
   measures
@@ -38,11 +37,10 @@ val run :
     in a process, syncs and resets the trace, then spawns [users]
     processes running [body i st] concurrently and measures them
     (elapsed per user, CPU charged to the users, then the driver is
-    drained for the system-wide I/O statistics). [cold_start] (default
-    true when a [setup] is given) empties the buffer and inode caches
-    after the set-up phase, so the measured phase re-reads its
-    metadata from the disk — the benchmarks model a fresh session over
-    pre-existing trees. *)
+    drained for the system-wide I/O statistics). When a [setup] is
+    given, the buffer and inode caches are emptied after it, so the
+    measured phase re-reads its metadata from the disk — the
+    benchmarks model a fresh session over pre-existing trees. *)
 
 val measures_json : measures -> Su_obs.Json.t
 (** One flat object: scalar fields by name (durations suffixed [_s] or

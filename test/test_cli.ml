@@ -34,10 +34,6 @@ let test_run_unknown_scheme () =
   check_exit "unknown scheme is a CLI error" 124
     (sh "%s run copy --scheme bogus >/dev/null 2>&1" metasim)
 
-let test_exp_unknown_name () =
-  check_exit "unknown experiment is a CLI error" 124
-    (sh "%s exp nosuchexp >/dev/null 2>&1" metasim)
-
 let test_run_known_bench_ok () =
   check_exit "valid run exits 0" 0
     (sh "%s run create --files 100 -u 1 >/dev/null 2>&1" metasim)
@@ -197,6 +193,11 @@ let test_bench_unwritable_json () =
 let test_run_fault_flags_validate () =
   check_exit "out-of-range --fault-rate is a CLI error" 124
     (sh "%s run copy --fault-rate 1.5 >/dev/null 2>&1" metasim);
+  check_exit "out-of-range crashsweep --fault-rate is a CLI error" 124
+    (sh
+       "%s crashsweep --faults --fault-rate 5 -w renamefile --schemes soft \
+        --max-boundaries 1 >/dev/null 2>&1"
+       metasim);
   check_exit "negative --bad-sectors is a CLI error" 124
     (sh "%s run copy --bad-sectors=-3 >/dev/null 2>&1" metasim);
   check_exit "negative --spares is a CLI error" 124
@@ -209,7 +210,7 @@ let test_run_fault_flags_validate () =
         (sh "%s %s >/dev/null 2>&1" metasim args))
     [
       "crashsweep --jobs=-1"; "faultsweep --jobs=-1"; "corruptsweep --jobs=-1";
-      "fuzz --jobs=-1"; "exp --jobs=-1"; "loadgen --jobs=-1";
+      "fuzz --jobs=-1"; "loadgen --jobs=-1";
       "faultsweep --max-sectors=-1"; "corruptsweep --max-injections=-1";
       "crashsweep --max-boundaries=-3"; "fuzz --max-boundaries=-1";
     ]
@@ -335,7 +336,6 @@ let suite =
   [
     Alcotest.test_case "run: unknown benchmark" `Quick test_run_unknown_bench;
     Alcotest.test_case "run: unknown scheme" `Quick test_run_unknown_scheme;
-    Alcotest.test_case "exp: unknown experiment" `Quick test_exp_unknown_name;
     Alcotest.test_case "run: valid benchmark" `Quick test_run_known_bench_ok;
     Alcotest.test_case "crashsweep: no valid workloads" `Quick
       (no_valid_workloads "crashsweep");

@@ -96,8 +96,8 @@ let test_runner_measures () =
   Alcotest.(check bool) "softdep stats present" true (m.Runner.softdep <> None)
 
 let test_runner_cold_start () =
-  (* with cold start (default when setup is given), the measured phase
-     must read metadata back from the disk *)
+  (* a setup means a cold start: the measured phase must read metadata
+     back from the disk *)
   let cfg = small_cfg Fs.No_order in
   let m =
     Runner.run ~cfg ~users:1
