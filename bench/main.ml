@@ -63,16 +63,8 @@ let usage () =
      \                  failure); runs no experiments itself\n\
      \  --help          this text\n"
 
-let write_json path doc =
-  try
-    let oc = open_out path in
-    output_string oc (Json.to_string_pretty doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "# wrote %s\n" path
-  with Sys_error e ->
-    Printf.eprintf "cannot write %s: %s\n" path e;
-    exit 2
+(* the ledger and experiment documents report on stdout *)
+let write_json = Json.write_pretty ~log:stdout
 
 (* --- the perf ledger: one row schema, one measure loop, one gate list -- *)
 

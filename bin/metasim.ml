@@ -70,14 +70,35 @@ let rate_conv =
   in
   Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
 
-let nonneg_conv what =
+(* One conv per kind of number: [int_conv ~min] takes integers from 0
+   or from 1, [float_conv ~zero] finite floats above 0 (or from 0 with
+   [zero]). Absurd load parameters are command-line errors, not hung or
+   meaningless runs. *)
+let int_conv ~min what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ -> Error (`Msg (what ^ " must be non-negative"))
+    | Some n when n >= min -> Ok n
+    | Some _ when min = 0 -> Error (`Msg (what ^ " must be non-negative"))
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be at least %d" what min))
     | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let nonneg_conv = int_conv ~min:0
+let pos_conv = int_conv ~min:1
+
+let float_conv ~zero what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && (v > 0.0 || (zero && v = 0.0)) -> Ok v
+    | Some _ ->
+      Error
+        (`Msg (what ^ if zero then " must be non-negative" else " must be positive"))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
+  in
+  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+
+let posf_conv = float_conv ~zero:false
 
 let fault_seed_arg =
   Arg.(
@@ -159,7 +180,7 @@ let checksums_flag =
 let scrub_arg =
   Arg.(
     value
-    & opt float 0.0
+    & opt (float_conv ~zero:true "scrub interval") 0.0
     & info [ "scrub-interval" ] ~docv:"SECONDS"
         ~doc:
           "Background scrubber wake-up period in simulated seconds \
@@ -181,17 +202,6 @@ let fault_of ?(flip = 0.0) ?(lost = 0.0) ?(misdirect = 0.0) ~seed ~rate
       flip_read = flip;
       lost_write = lost;
       misdirect_write = misdirect }
-
-let write_json_file path doc =
-  try
-    let oc = open_out path in
-    output_string oc (Su_obs.Json.to_string_pretty doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.eprintf "# wrote %s\n" path
-  with Sys_error e ->
-    Printf.eprintf "cannot write %s: %s\n" path e;
-    exit 2
 
 let make_cfg ?sink scheme alloc_init nvram =
   let cfg =
@@ -348,16 +358,10 @@ let run_cmd =
            extra
        end);
     match (trace_out, sink) with
-    | Some path, Some ev -> (
-      try
-        let oc = open_out path in
-        Su_obs.Events.write_jsonl ev oc;
-        close_out oc;
-        Printf.eprintf "# wrote %s (%d events)\n" path
-          (Su_obs.Events.count ev)
-      with Sys_error e ->
-        Printf.eprintf "cannot write %s: %s\n" path e;
-        exit 2)
+    | Some path, Some ev ->
+      Su_obs.Json.write_file ~log:stderr
+        ~note:(Printf.sprintf "%d events" (Su_obs.Events.count ev))
+        path (Su_obs.Events.write_jsonl ev)
     | _ -> ()
   in
   Cmd.v
@@ -578,7 +582,7 @@ let run_sweeps ~cmd ~title ~columns ?(json_verdict = false) ~json_header
          @ (if json_verdict then [ ("verdict", Str verdict) ] else [])
          @ [ ("ok", Bool ok) ])
      in
-     write_json_file path
+     Su_obs.Json.write_pretty ~log:stderr path
        (Obj
           ((("campaign", Str cmd) :: json_header)
           @ [
@@ -1010,26 +1014,6 @@ let trace_cmd =
 (* --- loadgen: open-loop multi-tenant load engine ------------------------- *)
 
 let loadgen_cmd =
-  (* validating convs, like the fault flags: absurd load parameters
-     are command-line errors, not hung or meaningless runs *)
-  let pos_conv what =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg (what ^ " must be at least 1"))
-      | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let posf_conv what =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when v > 0.0 && Float.is_finite v -> Ok v
-      | Some _ -> Error (`Msg (what ^ " must be positive"))
-      | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-    in
-    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-  in
   let shape_conv =
     let parse s =
       match Loadgen.shape_of_string (String.lowercase_ascii s) with

@@ -177,6 +177,19 @@ let touch t (b : Buf.t) =
   end
 
 let lookup t lbn = Hashtbl.find_opt t.tbl lbn
+
+let covering t ~span ?(clean = false) frag =
+  let rec scan k =
+    if k >= span then None
+    else
+      match Hashtbl.find_opt t.tbl (frag - k) with
+      | Some b
+        when b.Buf.valid && k < b.Buf.nfrags && not (clean && b.Buf.dirty) ->
+        Some b
+      | Some _ | None -> scan (k + 1)
+  in
+  scan 0
+
 let buffer_count t = Hashtbl.length t.tbl
 let next_key t k = Su_util.Bitset.next_geq t.keys k
 
@@ -455,22 +468,13 @@ let bread t ~lbn ~nfrags =
   | None ->
     t.nmisses <- t.nmisses + 1;
     ensure_space t nfrags;
-    let iv : (Su_fstypes.Types.cell array, Su_disk.Fault.error) result Proc.Ivar.t
-        =
-      Proc.Ivar.create t.engine
-    in
-    ignore
-      (Su_driver.Driver.submit t.driver ~kind:Su_driver.Request.Read ~lbn
-         ~nfrags ~sync:true
-         ~on_complete:(fun result ->
-           match result with
-           | Ok (Some cells) -> Proc.Ivar.fill iv (Ok cells)
-           | Ok None -> invalid_arg "Bcache.bread: read returned no data"
-           | Error e -> Proc.Ivar.fill iv (Error e))
-         ());
     let cells =
-      match Proc.Ivar.read iv with
-      | Ok cells -> cells
+      match
+        Su_driver.Driver.submit_wait t.driver ~kind:Su_driver.Request.Read ~lbn
+          ~nfrags ~sync:true ()
+      with
+      | Ok (Some cells) -> cells
+      | Ok None -> invalid_arg "Bcache.bread: read returned no data"
       | Error e ->
         note_io_error t e;
         raise (Io_error e)

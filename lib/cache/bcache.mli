@@ -91,6 +91,13 @@ val driver : t -> Su_driver.Driver.t
 val lookup : t -> int -> Buf.t option
 (** By extent start address; no I/O, no reference taken. *)
 
+val covering : t -> span:int -> ?clean:bool -> int -> Buf.t option
+(** [covering t ~span frag]: a valid cached buffer whose extent covers
+    fragment [frag], its start searched from [frag] down to
+    [frag - span + 1] ([span] = the longest extent, a block). With
+    [~clean:true] dirty buffers are stepped over. No I/O, no reference
+    taken. The known-content source of the repair paths. *)
+
 val buffer_count : t -> int
 (** Valid buffers cached. *)
 

@@ -174,7 +174,7 @@ let run_one ~cfg ~spares ?oracle wl inj =
   in
   let outcome =
     match escaped with
-    | Some Explorer.Hang -> Escaped "hang: event queue drained mid-run"
+    | Some Explorer.Hang -> Escaped "hang: the workload never finished"
     | Some e -> outcome_of_exn e
     | None when !unrepaired > 0 ->
       Failed_typed

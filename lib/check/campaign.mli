@@ -17,7 +17,7 @@
     completes, or it stops with a typed error ({!Su_fs.Fsops.Eio} /
     [Erofs], {!Su_cache.Bcache.Io_error}, {!Su_fs.Fs.Mount_failure})
     and the surviving state repairs, remounts and stays clean. An
-    untyped exception, or an event queue that drains mid-run (see
+    untyped exception, or a workload that never finishes (see
     {!Explorer.run}), is always a violation; so is a completed silent
     run whose image diverges from the model oracle (a {e silent
     escape}).
@@ -62,7 +62,7 @@ type outcome =
       (** the run stopped with a typed error: legal iff the surviving
           state is clean *)
   | Escaped of string
-      (** an untyped exception or a drained event queue: always a
+      (** an untyped exception or a hung workload: always a
           violation *)
 
 val outcome_name : outcome -> string

@@ -113,6 +113,12 @@ let cap limit n = match limit with Some m -> min (max m 0) n | None -> n
 
 exception Hang
 
+(* Simulated seconds a run may take before its body counts as hung:
+   far past any sweep or fuzz workload (the builtin sweeps end within
+   a simulated second). The syncer re-arms every second until [Fs.stop],
+   so a body parked forever never drains the queue on its own. *)
+let horizon = 3600.0
+
 (* Spawn order and nesting decide the event order, so each caller
    keeps the schedule its digests were recorded with ([child] or not). *)
 let run ?(child = false) ?(wind_down = raise) w body =
@@ -132,7 +138,7 @@ let run ?(child = false) ?(wind_down = raise) w body =
     Engine.stop w.Fs.engine
   in
   ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  (try Engine.run w.Fs.engine
+  (try Engine.run ~until:horizon w.Fs.engine
    with Proc.Process_failure (_, e) -> escaped := Some e);
   if !body_done || Option.is_some !escaped then !escaped else Some Hang
 

@@ -50,7 +50,9 @@ val sweep_cfg : Su_fs.Fs.scheme_kind -> Su_fs.Fs.config
 val cap : int option -> int -> int
 (** [cap limit n]: [n], or at most [limit] of it (smoke-run caps). *)
 
-exception Hang  (** the event queue drained before the body finished *)
+exception Hang
+(** the body had not finished when the event queue drained or the
+    run reached its simulated-time horizon *)
 
 val run :
   ?child:bool ->
@@ -60,12 +62,13 @@ val run :
   exn option
 (** [run w body] runs [body w] in a controller process (in a child it
     joins, with [child]), then [Fs.stop], [Driver.quiesce] and
-    [Engine.stop], and runs the engine out. Returns [body]'s exception,
-    replaced by any escaping a process later, or {!Hang} when the event
-    queue drains with [body] unfinished. A [body] that parks forever
-    does not drain it: the syncer re-arms every second until
-    [Fs.stop], so such a run never returns. [wind_down] gets an
-    exception from stopping the world (default: re-raise). *)
+    [Engine.stop], and runs the engine for at most one simulated hour,
+    far past any sweep workload. Returns [body]'s exception, replaced
+    by any escaping a process later, or {!Hang} when [body] is still
+    unfinished once the event queue drains or the hour is up (a body
+    parked forever keeps the syncer re-arming, so it ends at the
+    hour). [wind_down] gets an exception from stopping the world
+    (default: re-raise). *)
 
 val fan_out :
   ?jobs:int ->

@@ -27,8 +27,13 @@ type t = {
 
 let recs_per_frag = 24  (* a 1 KB log sector holds about this many records *)
 
-(* Append one committed transaction fragment; optionally wait. *)
-let append_frag t recs ~wait =
+(* Append one committed transaction fragment. [on_durable] runs in
+   completion context when the log write finishes (the pins it releases
+   must drop before the waiter wakes). With [wait] the caller blocks
+   until then, and a write the driver failed after its retries raises
+   [Bcache.Io_error], as [Bcache.bwrite_sync] does: the commit is not
+   durable. *)
+let append_frag ?(on_durable = ignore) t recs ~wait =
   if t.cursor >= t.log_frags then begin
     (* wrap-around checkpoint: flush everything so older records are
        redundant before we overwrite them *)
@@ -41,23 +46,18 @@ let append_frag t recs ~wait =
   let lbn = t.log_start + t.cursor in
   t.cursor <- t.cursor + 1;
   let payload = [| Types.Jlog { seq = t.seq; recs } |] in
-  if wait then begin
-    let iv : unit Su_sim.Proc.Ivar.t =
-      Su_sim.Proc.Ivar.create (Bcache.engine t.cache)
-    in
-    ignore
-      (Su_driver.Driver.submit (Bcache.driver t.cache)
-         ~kind:Su_driver.Request.Write ~lbn ~nfrags:1 ~sync:true ~payload
-         ~on_complete:(fun _ -> Su_sim.Proc.Ivar.fill iv ())
-         ());
-    Su_sim.Proc.Ivar.read iv
-  end
+  let driver = Bcache.driver t.cache in
+  if wait then (
+    match
+      Su_driver.Driver.submit_wait driver ~kind:Su_driver.Request.Write ~lbn
+        ~nfrags:1 ~sync:true ~payload ~on_complete:on_durable ()
+    with
+    | Ok _ -> ()
+    | Error e -> raise (Bcache.Io_error e))
   else
     ignore
-      (Su_driver.Driver.submit (Bcache.driver t.cache)
-         ~kind:Su_driver.Request.Write ~lbn ~nfrags:1 ~payload
-         ~on_complete:(fun _ -> ())
-         ())
+      (Su_driver.Driver.submit driver ~kind:Su_driver.Request.Write ~lbn
+         ~nfrags:1 ~payload ~on_complete:on_durable ())
 
 let rec chunks n = function
   | [] -> []
@@ -90,52 +90,19 @@ let commit t ?(bufs = []) recs =
 let flush_pending t ~wait =
   let guarded = t.guarded in
   t.guarded <- [];
-  match List.rev t.pending with
-  | [] -> List.iter (fun (b : Buf.t) -> b.Buf.sticky <- false) guarded
-  | recs ->
-    t.pending <- [];
-    let groups = chunks recs_per_frag recs in
-    let n = List.length groups in
-    List.iteri
-      (fun i c ->
-        if i = n - 1 then begin
-          (* release the pins once the whole batch is durable *)
-          if t.cursor >= t.log_frags then begin
-            t.stats.wraps <- t.stats.wraps + 1;
-            Bcache.sync_all t.cache;
-            t.cursor <- 0
-          end;
-          t.seq <- t.seq + 1;
-          t.stats.log_writes <- t.stats.log_writes + 1;
-          let lbn = t.log_start + t.cursor in
-          t.cursor <- t.cursor + 1;
-          let payload = [| Types.Jlog { seq = t.seq; recs = c } |] in
-          let finish () =
-            List.iter (fun (b : Buf.t) -> b.Buf.sticky <- false) guarded
-          in
-          if wait then begin
-            let iv : unit Su_sim.Proc.Ivar.t =
-              Su_sim.Proc.Ivar.create (Bcache.engine t.cache)
-            in
-            ignore
-              (Su_driver.Driver.submit (Bcache.driver t.cache)
-                 ~kind:Su_driver.Request.Write ~lbn ~nfrags:1 ~sync:true
-                 ~payload
-                 ~on_complete:(fun _ ->
-                   finish ();
-                   Su_sim.Proc.Ivar.fill iv ())
-                 ());
-            Su_sim.Proc.Ivar.read iv
-          end
-          else
-            ignore
-              (Su_driver.Driver.submit (Bcache.driver t.cache)
-                 ~kind:Su_driver.Request.Write ~lbn ~nfrags:1 ~payload
-                 ~on_complete:(fun _ -> finish ())
-                 ())
-        end
-        else append_frag t c ~wait:false)
-      groups
+  let release _ = List.iter (fun (b : Buf.t) -> b.Buf.sticky <- false) guarded in
+  let rec append = function
+    | [] -> release ()
+    | [ last ] ->
+      (* release the pins once the whole batch is durable *)
+      append_frag t last ~wait ~on_durable:release
+    | c :: rest ->
+      append_frag t c ~wait:false;
+      append rest
+  in
+  let recs = List.rev t.pending in
+  t.pending <- [];
+  append (chunks recs_per_frag recs)
 
 (* --- record extraction -------------------------------------------------- *)
 

@@ -725,6 +725,17 @@ let submit t ~kind ~lbn ~nfrags ?(flagged = false) ?(deps = []) ?(sync = false)
   try_dispatch t;
   id
 
+let submit_wait t ~kind ~lbn ~nfrags ?sync ?payload ?(on_complete = ignore)
+    () =
+  let iv = Su_sim.Proc.Ivar.create t.engine in
+  ignore
+    (submit t ~kind ~lbn ~nfrags ?sync ?payload
+       ~on_complete:(fun r ->
+         on_complete r;
+         Su_sim.Proc.Ivar.fill iv r)
+       ());
+  Su_sim.Proc.Ivar.read iv
+
 let quiesce t =
   if t.n_outstanding > 0 then
     Su_sim.Proc.suspend (fun resume ->

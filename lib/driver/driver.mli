@@ -63,6 +63,23 @@ val submit :
     behaves as completed for ordering purposes (so the queue cannot
     deadlock behind a dead sector). *)
 
+val submit_wait :
+  t ->
+  kind:Request.kind ->
+  lbn:int ->
+  nfrags:int ->
+  ?sync:bool ->
+  ?payload:Su_fstypes.Types.cell array ->
+  ?on_complete:
+    ((Su_fstypes.Types.cell array option, Su_disk.Fault.error) result -> unit) ->
+  unit ->
+  (Su_fstypes.Types.cell array option, Su_disk.Fault.error) result
+(** The blocking form of {!submit}, for process context: enqueue the
+    request, park the calling process until it completes, and return
+    its result (after the same retry budget). [on_complete], if given,
+    still runs in engine-event context at completion, before the
+    caller is woken — for work that must not wait for the wake-up. *)
+
 val completed : t -> int -> bool
 (** Whether the given request id has completed. Ids never issued are
     reported complete (useful for chains bookkeeping across runs). *)

@@ -1,5 +1,4 @@
 open Su_fstypes
-module Proc = Su_sim.Proc
 
 (* End-to-end metadata integrity.
 
@@ -88,77 +87,44 @@ let verify_cells t ~lbn cells =
 (* --- driver I/O (process context) ------------------------------------ *)
 
 let read_cells t ~lbn ~nfrags =
-  let iv :
-      (Types.cell array option, Su_disk.Fault.error) result Proc.Ivar.t =
-    Proc.Ivar.create t.engine
-  in
-  ignore
-    (Su_driver.Driver.submit t.driver ~kind:Su_driver.Request.Read ~lbn ~nfrags
-       ~on_complete:(fun r -> Proc.Ivar.fill iv r)
-       ());
-  match Proc.Ivar.read iv with
+  match
+    Su_driver.Driver.submit_wait t.driver ~kind:Su_driver.Request.Read ~lbn
+      ~nfrags ()
+  with
   | Ok (Some cells) -> Ok cells
   | Ok None -> Error (Su_disk.Fault.Transient { op = `Read; lbn })
   | Error e -> Error e
 
 let write_cells t ~lbn cells =
-  let iv : (unit, Su_disk.Fault.error) result Proc.Ivar.t =
-    Proc.Ivar.create t.engine
-  in
-  ignore
-    (Su_driver.Driver.submit t.driver ~kind:Su_driver.Request.Write ~lbn
+  Result.map ignore
+    (Su_driver.Driver.submit_wait t.driver ~kind:Su_driver.Request.Write ~lbn
        ~nfrags:(Array.length cells)
        ~payload:(Array.map Types.copy_cell cells)
-       ~on_complete:(fun r -> Proc.Ivar.fill iv (Result.map ignore r))
-       ());
-  Proc.Ivar.read iv
+       ())
 
 (* --- the per-fragment rungs ------------------------------------------ *)
 
-(* Sister superblock copy content for [frag] (same layout logic as the
-   scrubber): each copy's block holds identical content, so any
-   readable sister supplies the fragment. *)
+(* Sister superblock copy content for [frag]: the copy the read
+   returned, from the first readable sister. *)
 let replica_content t frag =
-  let fpb = t.geom.Geom.frags_per_block in
-  let off = ref 0 in
-  let home = ref (-1) in
-  List.iter
-    (fun f ->
-      if frag >= f && frag < f + fpb then begin
-        home := f;
-        off := frag - f
-      end)
-    (Replica.copy_frags t.geom);
-  let rec try_sisters = function
-    | [] -> None
-    | f :: rest when f = !home -> try_sisters rest
-    | f :: rest -> (
-      match read_cells t ~lbn:(f + !off) ~nfrags:1 with
+  Replica.sister_content t.geom frag ~read:(fun f ->
+      match read_cells t ~lbn:f ~nfrags:1 with
       | Ok cells -> Some (Types.copy_cell cells.(0))
-      | Error _ -> try_sisters rest)
-  in
-  try_sisters (Replica.copy_frags t.geom)
+      | Error _ -> None)
 
 (* A clean cached buffer covering [frag] holds the last content the
    device acknowledged for it. *)
 let cached_content t frag =
-  let fpb = t.geom.Geom.frags_per_block in
-  let rec scan k =
-    if k >= fpb then None
-    else
-      match Su_cache.Bcache.lookup t.cache (frag - k) with
-      | Some b
-        when b.Su_cache.Buf.valid
-             && (not b.Su_cache.Buf.dirty)
-             && k < b.Su_cache.Buf.nfrags ->
-        let cells =
-          Su_cache.Buf.payload b.Su_cache.Buf.content
-            ~nfrags:b.Su_cache.Buf.nfrags
-        in
-        Some cells.(k)
-      | Some _ | None -> scan (k + 1)
-  in
-  scan 0
+  match
+    Su_cache.Bcache.covering t.cache ~span:t.geom.Geom.frags_per_block
+      ~clean:true frag
+  with
+  | Some b ->
+    let cells =
+      Su_cache.Buf.payload b.Su_cache.Buf.content ~nfrags:b.Su_cache.Buf.nfrags
+    in
+    Some cells.(frag - b.Su_cache.Buf.key)
+  | None -> None
 
 let note_repair t ~frag ~source =
   emit t ~kind:"integrity.repair"
@@ -171,11 +137,7 @@ let note_repair t ~frag ~source =
    authority (their own write acks digested them). *)
 let recover_frag t frag =
   let expected = Su_disk.Disk.expected_digest t.disk frag in
-  let sb_frag = Replica.is_copy_frag t.geom frag in
-  let from_replica =
-    if sb_frag then replica_content t frag else None
-  in
-  match from_replica with
+  match replica_content t frag with
   | Some cell ->
     t.repaired_replica <- t.repaired_replica + 1;
     Health.note_sb_restored t.health;

@@ -16,12 +16,26 @@ let is_valid ~(geom : Geom.t) cell =
     sb.Types.sb_magic = Types.magic && sb.Types.sb_nfrags = geom.Geom.nfrags
   | _ -> false
 
+(* Fragment addresses of all superblock copies (one per group). *)
 let copy_frags geom =
   List.init (Geom.cg_count geom) (fun c -> Geom.cg_sb_frag geom c)
 
-let is_copy_frag geom frag =
+(* The copy whose block holds [frag], if any. *)
+let home_copy geom frag =
   let fpb = geom.Geom.frags_per_block in
-  List.exists (fun f -> frag >= f && frag < f + fpb) (copy_frags geom)
+  List.find_opt (fun f -> frag >= f && frag < f + fpb) (copy_frags geom)
+
+let is_copy_frag geom frag = Option.is_some (home_copy geom frag)
+
+(* Every copy's block holds identical content, so the fragment at the
+   same offset inside any sister copy stands in for [frag]. *)
+let sister_content geom frag ~read =
+  match home_copy geom frag with
+  | None -> None
+  | Some home ->
+    List.find_map
+      (fun f -> if f = home then None else read (f + frag - home))
+      (copy_frags geom)
 
 (* The device cannot read this fragment: it is on the permanent
    bad-sector list and has not been remapped to a spare. *)

@@ -8,11 +8,18 @@
     a surviving sister, remapping a permanently bad home to a spare
     first when possible. *)
 
-val copy_frags : Su_fstypes.Geom.t -> int list
-(** Fragment addresses of all superblock copies (one per group). *)
-
 val is_copy_frag : Su_fstypes.Geom.t -> int -> bool
 (** Does this fragment fall inside a superblock copy's block? *)
+
+val sister_content :
+  Su_fstypes.Geom.t -> int -> read:(int -> 'a option) -> 'a option
+(** [sister_content geom frag ~read]: the replica layout's stand-in
+    for a superblock fragment. [read] is tried, in group order, on the
+    fragment at [frag]'s offset inside every {e other} copy's block
+    (all copies hold identical content); the first [Some] wins. [None]
+    when every sister read fails or [frag] is in no copy's block. The
+    caller supplies the read (the scrubber and the integrity ladder
+    read through the driver, each in its own way). *)
 
 val check_and_restore :
   geom:Su_fstypes.Geom.t -> Su_disk.Disk.t -> (int, string) result

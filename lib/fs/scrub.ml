@@ -42,64 +42,34 @@ let emit t ~kind fields =
       ~kind fields
 
 let read_frag t lbn =
-  let iv : (unit, Su_disk.Fault.error) result Proc.Ivar.t =
-    Proc.Ivar.create t.engine
-  in
-  ignore
-    (Su_driver.Driver.submit t.driver ~kind:Su_driver.Request.Read ~lbn
-       ~nfrags:1
-       ~on_complete:(fun r -> Proc.Ivar.fill iv (Result.map ignore r))
-       ());
-  Proc.Ivar.read iv
+  Result.map ignore
+    (Su_driver.Driver.submit_wait t.driver ~kind:Su_driver.Request.Read ~lbn
+       ~nfrags:1 ())
 
 let write_cells t ~lbn cells =
-  let iv : (unit, Su_disk.Fault.error) result Proc.Ivar.t =
-    Proc.Ivar.create t.engine
-  in
-  ignore
-    (Su_driver.Driver.submit t.driver ~kind:Su_driver.Request.Write ~lbn
-       ~nfrags:(Array.length cells) ~payload:cells
-       ~on_complete:(fun r -> Proc.Ivar.fill iv (Result.map ignore r))
-       ());
-  Proc.Ivar.read iv
+  Result.map ignore
+    (Su_driver.Driver.submit_wait t.driver ~kind:Su_driver.Request.Write ~lbn
+       ~nfrags:(Array.length cells) ~payload:cells ())
 
 (* Sister superblock copy content for [frag], read through the driver
-   (so a dead sister is skipped). [frag] sits at offset [off] inside
-   its copy's block; every copy's block has identical content. *)
+   so a dead sister is skipped. *)
 let replica_content t frag =
-  let fpb = t.geom.Geom.frags_per_block in
-  let off = ref 0 in
-  let home = ref (-1) in
-  List.iter
-    (fun f ->
-      if frag >= f && frag < f + fpb then begin
-        home := f;
-        off := frag - f
-      end)
-    (Replica.copy_frags t.geom);
-  let rec try_sisters = function
-    | [] -> None
-    | f :: rest when f = !home -> try_sisters rest
-    | f :: rest -> (
-      match read_frag t (f + !off) with
+  Replica.sister_content t.geom frag ~read:(fun f ->
+      match read_frag t f with
       (* copy before rewriting elsewhere: superblock replicas are
          boxed, so [peek] returns the live cell *)
-      | Ok () -> Some (Types.copy_cell (Su_disk.Disk.peek t.disk (f + !off)))
-      | Error _ -> try_sisters rest)
-  in
-  try_sisters (Replica.copy_frags t.geom)
+      | Ok () -> Some (Types.copy_cell (Su_disk.Disk.peek t.disk f))
+      | Error _ -> None)
 
-(* A clean cached buffer whose extent covers [frag], if any. *)
-let covering_buf t frag =
-  let fpb = t.geom.Geom.frags_per_block in
-  let rec scan k =
-    if k >= fpb then None
-    else
-      match Su_cache.Bcache.lookup t.cache (frag - k) with
-      | Some b when b.Su_cache.Buf.valid && k < b.Su_cache.Buf.nfrags -> Some b
-      | Some _ | None -> scan (k + 1)
-  in
-  scan 0
+let note_repair t frag ~source =
+  t.repaired <- t.repaired + 1;
+  emit t ~kind:"scrub.repair"
+    [ ("frag", Su_obs.Json.Int frag); ("source", Su_obs.Json.Str source) ]
+
+let note_lost t frag =
+  t.lost <- t.lost + 1;
+  emit t ~kind:"scrub.lost" [ ("frag", Su_obs.Json.Int frag) ];
+  Health.note_lost t.health ~frag
 
 let repair t frag =
   if Replica.is_copy_frag t.geom frag then (
@@ -107,29 +77,21 @@ let repair t frag =
     | Some cell -> (
       match write_cells t ~lbn:frag [| cell |] with
       | Ok () ->
-        t.repaired <- t.repaired + 1;
         Health.note_sb_restored t.health;
-        emit t ~kind:"scrub.repair"
-          [ ("frag", Su_obs.Json.Int frag);
-            ("source", Su_obs.Json.Str "replica") ]
+        note_repair t frag ~source:"replica"
       | Error e -> Health.note_io_error t.health e)
-    | None ->
-      t.lost <- t.lost + 1;
-      emit t ~kind:"scrub.lost" [ ("frag", Su_obs.Json.Int frag) ];
-      Health.note_lost t.health ~frag)
+    | None -> note_lost t frag)
   else
-    match covering_buf t frag with
+    match
+      Su_cache.Bcache.covering t.cache ~span:t.geom.Geom.frags_per_block frag
+    with
     | Some b when not b.Su_cache.Buf.dirty -> (
       let cells =
         Su_cache.Buf.payload b.Su_cache.Buf.content
           ~nfrags:b.Su_cache.Buf.nfrags
       in
       match write_cells t ~lbn:b.Su_cache.Buf.key cells with
-      | Ok () ->
-        t.repaired <- t.repaired + 1;
-        emit t ~kind:"scrub.repair"
-          [ ("frag", Su_obs.Json.Int frag);
-            ("source", Su_obs.Json.Str "cache") ]
+      | Ok () -> note_repair t frag ~source:"cache"
       | Error e -> Health.note_io_error t.health e)
     | Some _ ->
       (* dirty: the pending flush will rewrite the extent and the
@@ -140,24 +102,16 @@ let repair t frag =
       | Types.Empty ->
         (* never written: no content to preserve, just retire the
            sector so a future allocation lands on the spare *)
-        if Su_disk.Disk.try_remap t.disk ~lbn:frag then begin
-          t.repaired <- t.repaired + 1;
-          emit t ~kind:"scrub.repair"
-            [ ("frag", Su_obs.Json.Int frag);
-              ("source", Su_obs.Json.Str "unallocated") ]
-        end
+        if Su_disk.Disk.try_remap t.disk ~lbn:frag then
+          note_repair t frag ~source:"unallocated"
         else begin
           Health.note_spares_exhausted t.health;
-          t.lost <- t.lost + 1;
-          emit t ~kind:"scrub.lost" [ ("frag", Su_obs.Json.Int frag) ];
-          Health.note_lost t.health ~frag
+          note_lost t frag
         end
       | _ ->
         (* content exists only on the failing sector: report, never
            fabricate *)
-        t.lost <- t.lost + 1;
-        emit t ~kind:"scrub.lost" [ ("frag", Su_obs.Json.Int frag) ];
-        Health.note_lost t.health ~frag)
+        note_lost t frag)
 
 let scan_one t frag =
   t.scanned <- t.scanned + 1;

@@ -318,3 +318,22 @@ let rec equal a b =
   | Obj a, Obj b ->
     List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) a b
   | _ -> false
+
+let write_file ~log ?note path write =
+  match
+    let oc = open_out path in
+    write oc;
+    close_out oc
+  with
+  | () -> (
+    match note with
+    | None -> Printf.fprintf log "# wrote %s\n" path
+    | Some n -> Printf.fprintf log "# wrote %s (%s)\n" path n)
+  | exception Sys_error e ->
+    Printf.eprintf "cannot write %s: %s\n" path e;
+    exit 2
+
+let write_pretty ~log path doc =
+  write_file ~log path (fun oc ->
+      output_string oc (to_string_pretty doc);
+      output_char oc '\n')

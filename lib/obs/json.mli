@@ -43,3 +43,14 @@ val to_list : t -> t list option
 val equal : t -> t -> bool
 (** Structural equality; object field order is significant (rendering
     is deterministic, so round-tripping preserves order). *)
+
+val write_file :
+  log:out_channel -> ?note:string -> string -> (out_channel -> unit) -> unit
+(** The command-line tools' one file writer: [write_file ~log path f]
+    writes [path] through [f], then reports [# wrote PATH] (or
+    [# wrote PATH (NOTE)]) on [log]. A path that cannot be written is
+    reported as [cannot write PATH: REASON] on stderr, and the process
+    exits 2. *)
+
+val write_pretty : log:out_channel -> string -> t -> unit
+(** {!write_file} of {!to_string_pretty}, newline-terminated. *)

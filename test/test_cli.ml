@@ -202,6 +202,13 @@ let test_run_fault_flags_validate () =
     (sh "%s run copy --bad-sectors=-3 >/dev/null 2>&1" metasim);
   check_exit "negative --spares is a CLI error" 124
     (sh "%s run copy --spares=-1 >/dev/null 2>&1" metasim);
+  (* a negative or non-finite scrub interval used to run silently
+     without a scrubber *)
+  List.iter
+    (fun v ->
+      check_exit ("--scrub-interval " ^ v ^ " is a CLI error") 124
+        (sh "%s run copy --scrub-interval=%s >/dev/null 2>&1" metasim v))
+    [ "-1"; "nan"; "inf" ];
   (* a negative --jobs or sweep cap used to escape as an untyped
      Invalid_argument, or clamp to an empty, vacuously passing sweep *)
   List.iter
@@ -217,17 +224,24 @@ let test_run_fault_flags_validate () =
 
 let test_run_bad_sector_exits_typed () =
   (* an unreadable metadata sector with no spares must surface as the
-     documented one-line typed failure, exit 3 — never a backtrace *)
-  let err = Filename.temp_file "metasim" ".err" in
-  check_exit "typed I/O failure exits 3" 3
-    (sh "%s run copy -s soft --bad-sectors 16 >/dev/null 2> %s" metasim
-       (Filename.quote err));
-  let msg = read_file err in
-  Sys.remove err;
-  Alcotest.(check bool) "one-line typed message" true
-    (String.length msg > 0
-    && String.sub msg 0 9 = "metasim: "
-    && not (String.exists (fun c -> c = '\n') (String.trim msg)))
+     documented one-line typed failure, exit 3 — never a backtrace. So
+     must a synchronous journal commit whose log write fails (the log
+     starts just past the 1 GB media): it used to count as durable and
+     the run exited 0 *)
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "metasim" ".err" in
+      check_exit (args ^ ": typed I/O failure exits 3") 3
+        (sh "%s %s >/dev/null 2> %s" metasim args (Filename.quote err));
+      let msg = read_file err in
+      Sys.remove err;
+      Alcotest.(check bool) ("one-line typed message: " ^ msg) true
+        (String.starts_with ~prefix:"metasim: I/O error: " msg
+        && not (String.exists (fun c -> c = '\n') (String.trim msg))))
+    [
+      "run copy -s soft --bad-sectors 16";
+      "run -s journal --files 50 -u 1 --bad-sectors 1048576";
+    ]
 
 let test_faultsweep_smoke () =
   check_exit "faultsweep campaign passes" 0

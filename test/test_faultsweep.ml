@@ -19,7 +19,9 @@ let run_world ~cfg body =
   (w, Explorer.run ~wind_down:ignore w body)
 
 (* The one runner: a clean body, a body's exception inline or in a
-   child, and an engine that ends before the body does. *)
+   child, and an engine that ends before the body does — stopped, or
+   at the run's simulated-time horizon when the body parks forever
+   (the syncer keeps re-arming, so the queue never drains). *)
 let test_runner_outcomes () =
   let run ?child body = Explorer.run ?child (Fs.make soft_cfg) body in
   Alcotest.(check bool) "a clean body escapes nothing" true
@@ -31,13 +33,17 @@ let test_runner_outcomes () =
         Alcotest.(check string) "the body's exception" "boom" msg
       | Some _ | None -> Alcotest.fail "expected the body's exception")
     [ false; true ];
-  match
-    run (fun w ->
+  List.iter
+    (fun body ->
+      match run body with
+      | Some Explorer.Hang -> ()
+      | Some _ | None -> Alcotest.fail "expected Hang")
+    [
+      (fun w ->
         Engine.stop w.Fs.engine;
-        Proc.suspend ignore)
-  with
-  | Some Explorer.Hang -> ()
-  | Some _ | None -> Alcotest.fail "expected Hang"
+        Proc.suspend ignore);
+      (fun _ -> Proc.suspend ignore);
+    ]
 
 (* --- the campaign ----------------------------------------------------- *)
 
@@ -287,6 +293,145 @@ let test_scrub_repairs_latent_sb_fault () =
   Alcotest.(check bool) "the copy reads back as a superblock" true
     (is_superblock (Su_disk.Disk.peek w.Fs.disk 0))
 
+(* The rest of the ladder, rung by rung. Each case plants one latent
+   fault in group 0, lets the scrubber's cursor pass it, and checks
+   which rung took it. [setup] runs before the scrubber's first probe. *)
+let scrub_past ?(spares = 8) ?(checksums = false) ?(fault = Su_disk.Fault.none)
+    ?(after = ignore) ~bad ~past setup =
+  let cfg =
+    { soft_cfg with
+      fault = { fault with Su_disk.Fault.bad_sectors = bad };
+      spare_frags = spares;
+      scrub_interval = 0.001;
+      checksums }
+  in
+  let w, failed =
+    run_world ~cfg (fun w ->
+        setup w;
+        let s = Option.get w.Fs.scrub in
+        (* the probe after [past] has started: its rung is done *)
+        while Scrub.scanned s <= past + 1 do
+          Proc.sleep w.Fs.engine 0.01
+        done;
+        after w)
+  in
+  (match failed with
+   | None -> ()
+   | Some e -> Alcotest.fail (Printexc.to_string e));
+  (w, Option.get w.Fs.scrub)
+
+let check_scrub s ~found ~repaired ~deferred ~lost =
+  Alcotest.(check (list int)) "found / repaired / deferred / lost"
+    [ found; repaired; deferred; lost ]
+    [ Scrub.found s; Scrub.repaired s; Scrub.deferred s; Scrub.lost s ]
+
+let geom = soft_cfg.Fs.geom
+let fpb = geom.Geom.frags_per_block
+
+(* group 0's first inode block (the root's): written at mkfs, and an
+   idle world never reads it *)
+let ino_blk = fst (Geom.cg_inode_area geom 0)
+
+(* a never-written data fragment in group 0 *)
+let free_frag = fst (Geom.cg_data_area geom 0) + (8 * fpb)
+
+(* Cache the extent at [lbn] clean, with the content on the media. *)
+let cache_clean w ~lbn ~nfrags =
+  let cells =
+    Array.init nfrags (fun i ->
+        Types.copy_cell (Su_disk.Disk.peek w.Fs.disk (lbn + i)))
+  in
+  Su_cache.Bcache.getblk w.Fs.cache ~lbn ~nfrags ~init:(fun () ->
+      Su_cache.Buf.of_cells cells)
+
+let test_scrub_rewrites_clean_cached_extent () =
+  (* the bad fragment is inside a cached extent: the whole extent is
+     rewritten from the clean copy and the driver remaps the fragment *)
+  let bad = ino_blk + 1 in
+  let w, s =
+    scrub_past ~bad:[ bad ] ~past:bad (fun w ->
+        Su_cache.Bcache.release w.Fs.cache
+          (cache_clean w ~lbn:ino_blk ~nfrags:fpb))
+  in
+  check_scrub s ~found:1 ~repaired:1 ~deferred:0 ~lost:0;
+  Alcotest.(check int) "healed via a remap" 1 (Su_disk.Disk.remaps w.Fs.disk);
+  Alcotest.(check bool) "the extent head reads back" true
+    (match Su_disk.Disk.peek w.Fs.disk ino_blk with
+     | Types.Meta (Types.Inodes _) -> true
+     | _ -> false)
+
+let test_scrub_defers_under_dirty_buffer () =
+  (* a dirty buffer over the bad fragment: its pending flush rewrites
+     (and remaps) the extent, so the scrubber leaves it alone *)
+  let bad = ino_blk + 1 in
+  let w, s =
+    scrub_past ~bad:[ bad ] ~past:bad
+      ~after:(fun w -> Su_cache.Bcache.sync_all w.Fs.cache)
+      (fun w ->
+        let b = cache_clean w ~lbn:ino_blk ~nfrags:fpb in
+        Su_cache.Bcache.bdwrite w.Fs.cache b;
+        Su_cache.Bcache.release w.Fs.cache b)
+  in
+  check_scrub s ~found:1 ~repaired:0 ~deferred:1 ~lost:0;
+  Alcotest.(check int) "the flush remapped it" 1 (Su_disk.Disk.remaps w.Fs.disk)
+
+let test_scrub_remaps_unallocated_fragment () =
+  let w, s = scrub_past ~bad:[ free_frag ] ~past:free_frag ignore in
+  Alcotest.(check bool) "never written" true
+    (Su_disk.Disk.peek w.Fs.disk free_frag = Types.Empty);
+  check_scrub s ~found:1 ~repaired:1 ~deferred:0 ~lost:0;
+  Alcotest.(check int) "retired to a spare" 1 (Su_disk.Disk.remaps w.Fs.disk)
+
+let test_scrub_spares_exhausted_is_lost () =
+  (* one spare for two never-written bad fragments: the second is lost *)
+  let bad = [ free_frag; free_frag + 1 ] in
+  let w, s = scrub_past ~spares:1 ~bad ~past:(free_frag + 1) ignore in
+  check_scrub s ~found:2 ~repaired:1 ~deferred:0 ~lost:1;
+  Alcotest.(check int) "the pool is spent" 0
+    (Su_disk.Disk.spares_left w.Fs.disk);
+  Alcotest.(check int) "health counts the loss" 1
+    (Health.lost w.Fs.st.State.health)
+
+let test_scrub_sole_copy_is_lost () =
+  (* an inode block nobody cached: its content exists only on the
+     failing sector, so it is reported, never fabricated *)
+  let w, s = scrub_past ~bad:[ ino_blk ] ~past:ino_blk ignore in
+  check_scrub s ~found:1 ~repaired:0 ~deferred:0 ~lost:1;
+  Alcotest.(check int) "no remap" 0 (Su_disk.Disk.remaps w.Fs.disk);
+  Alcotest.(check int) "health counts the loss" 1
+    (Health.lost w.Fs.st.State.health)
+
+(* A lost write under checksums: acknowledged (so digested) but never
+   applied, leaving the media at rest disagreeing with its digest. *)
+let lost_write ~keep w =
+  let stamp = Types.Written { inum = 3; gen = 1; flbn = 0 } in
+  let b =
+    Su_cache.Bcache.getblk w.Fs.cache ~lbn:free_frag ~nfrags:1 ~init:(fun () ->
+        Su_cache.Buf.Cdata [| Some stamp |])
+  in
+  Su_cache.Bcache.bwrite_sync w.Fs.cache b;
+  Su_cache.Bcache.release w.Fs.cache b;
+  if not keep then Su_cache.Bcache.invalidate w.Fs.cache b
+
+let test_scrub_verifies_at_rest () =
+  let fault = { Su_disk.Fault.none with lose_at = [ free_frag ] } in
+  let run ~keep =
+    scrub_past ~checksums:true ~fault ~bad:[] ~past:free_frag
+      (lost_write ~keep)
+  in
+  (* the clean cached copy digests to the acknowledged value: healed *)
+  let w, s = run ~keep:true in
+  check_scrub s ~found:1 ~repaired:1 ~deferred:0 ~lost:0;
+  let integ = Option.get w.Fs.integrity in
+  Alcotest.(check int) "from the cached copy" 1 (Integrity.repaired_cache integ);
+  Alcotest.(check bool) "the media now holds the write" true
+    (Su_disk.Disk.peek w.Fs.disk free_frag <> Types.Empty);
+  (* no copy anywhere: lost *)
+  let w, s = run ~keep:false in
+  check_scrub s ~found:1 ~repaired:0 ~deferred:0 ~lost:1;
+  Alcotest.(check int) "unrepairable" 1
+    (Integrity.unrepairable (Option.get w.Fs.integrity))
+
 let test_no_scrubber_by_default () =
   let w = Fs.make soft_cfg in
   Alcotest.(check bool) "scrub off unless configured" true (w.Fs.scrub = None)
@@ -314,6 +459,18 @@ let suite =
       test_remount_probe_reports_mount_failure;
     Alcotest.test_case "scrubber heals a latent superblock fault" `Quick
       test_scrub_repairs_latent_sb_fault;
+    Alcotest.test_case "scrubber rewrites a clean cached extent" `Quick
+      test_scrub_rewrites_clean_cached_extent;
+    Alcotest.test_case "scrubber defers under a dirty buffer" `Quick
+      test_scrub_defers_under_dirty_buffer;
+    Alcotest.test_case "scrubber remaps an unallocated fragment" `Quick
+      test_scrub_remaps_unallocated_fragment;
+    Alcotest.test_case "scrubber: spares exhausted is lost" `Quick
+      test_scrub_spares_exhausted_is_lost;
+    Alcotest.test_case "scrubber: a sole copy is lost" `Quick
+      test_scrub_sole_copy_is_lost;
+    Alcotest.test_case "scrubber verifies checksums at rest" `Quick
+      test_scrub_verifies_at_rest;
     Alcotest.test_case "no scrubber by default" `Quick
       test_no_scrubber_by_default;
   ]
