@@ -33,11 +33,12 @@ let usage () =
      with experiment ids; each prints one row per bench and one line\n\
      per gate, and the run exits 1 if any gate fails):\n\
      \  --hotpaths      driver-dispatch / cache-eviction / write-payload /\n\
-     \                  syncer-sweep hot paths; gates: every driver-burst-*\n\
-     \                  row >= 20000 events/s (a generous anti-regression\n\
-     \                  floor, not a target), write-payload <= 300\n\
-     \                  words/write, syncer-sweep ns/key at 8x the cache\n\
-     \                  within 1.5x, <= 300 words/sweep\n\
+     \                  syncer-sweep / cpu-charge hot paths; gates: every\n\
+     \                  driver-burst-* row >= 20000 events/s (a generous\n\
+     \                  anti-regression floor, not a target), write-payload\n\
+     \                  <= 300 words/write, syncer-sweep ns/key at 8x the\n\
+     \                  cache within 1.5x, <= 300 words/sweep, cpu-charge\n\
+     \                  <= 12 words/charge, cpu-charge-contended <= 48\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy), full-sweep scaling across the pool,\n\
      \                  journal replay (gate: <= 128 words/record) and\n\
@@ -354,6 +355,25 @@ let bench_syncer_sweep ~nbufs sweeps () =
   done;
   sweeps
 
+(* [n] CPU charges of one microsecond, made back to back by [procs]
+   processes on a bare engine: the [Costs] charge every fs op makes.
+   One process charges an idle CPU with nothing else queued, so each
+   charge finishes in place; two alternate on the CPU, so each charge
+   queues behind the other's and completes through a heap event. *)
+let bench_cpu_charge ~procs n () =
+  let e = Su_sim.Engine.create () in
+  let cpu = Su_sim.Cpu.create e in
+  fun () ->
+  for _ = 1 to procs do
+    ignore
+      (Su_sim.Proc.spawn e (fun () ->
+           for _ = 1 to n / procs do
+             Su_sim.Cpu.consume cpu 1e-6
+           done))
+  done;
+  Su_sim.Engine.run e;
+  n
+
 (* The benches run serially: a pool worker's allocation and a
    concurrent full major would leak into another bench's bracket. *)
 let hotpaths ~quick ~jobs:_ =
@@ -378,6 +398,10 @@ let hotpaths ~quick ~jobs:_ =
       row "cache" "cache-sync-all" (bench_cache_sync_all n);
       best_of ~reps ~layer:"cache" ~unit:"write" "write-payload"
         (staged (bench_write_payload n));
+      best_of ~reps ~layer:"engine" ~unit:"charge" "cpu-charge"
+        (staged (bench_cpu_charge ~procs:1 (10 * n)));
+      best_of ~reps ~layer:"engine" ~unit:"charge" "cpu-charge-contended"
+        (staged (bench_cpu_charge ~procs:2 (10 * n)));
     ]
   in
   (* The gate compares two short runs on a possibly shared host: run
@@ -417,6 +441,10 @@ let hotpaths ~quick ~jobs:_ =
       rows
     @ [ at_most "write-payload words_per_unit"
           (find rows "write-payload").words_per_unit 300.0;
+        at_most "cpu-charge words_per_unit"
+          (find rows "cpu-charge").words_per_unit 12.0;
+        at_most "cpu-charge-contended words_per_unit"
+          (find rows "cpu-charge-contended").words_per_unit 48.0;
         at_most "syncer-sweep-8x/syncer-sweep-1x ns_per_key (median pair)"
           sweep_ratio 1.5;
         at_most "syncer-sweep-8x words_per_unit"

@@ -291,6 +291,14 @@ let run_cmd =
         scrub_interval;
         checksums }
     in
+    let write_trace () =
+      match (trace_out, sink) with
+      | Some path, Some ev ->
+        Su_obs.Json.write_file ~log:stderr
+          ~note:(Printf.sprintf "%d events" (Su_obs.Events.count ev))
+          path (Su_obs.Events.write_jsonl ev)
+      | _ -> ()
+    in
     let emit_json fields =
       print_endline
         (Su_obs.Json.to_string_pretty
@@ -299,7 +307,10 @@ let run_cmd =
                :: ("scheme", Su_obs.Json.Str (Fs.scheme_kind_name scheme))
                :: fields)))
     in
-    (match bench with
+    (* the trace is written however the run ends: a run stopped by a
+       typed error is when its events are most wanted *)
+    Fun.protect ~finally:write_trace @@ fun () ->
+    match bench with
      | "andrew" ->
        let s = Andrew.run ~cfg ~reps:3 in
        let floats a = Su_obs.Json.List (Array.to_list (Array.map (fun v -> Su_obs.Json.Float v) a)) in
@@ -356,13 +367,7 @@ let run_cmd =
                  (if bench = "sdet" then "scripts/hour" else "files/s")
              | _ -> ())
            extra
-       end);
-    match (trace_out, sink) with
-    | Some path, Some ev ->
-      Su_obs.Json.write_file ~log:stderr
-        ~note:(Printf.sprintf "%d events" (Su_obs.Events.count ev))
-        path (Su_obs.Events.write_jsonl ev)
-    | _ -> ()
+       end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one benchmark under one ordering scheme.")

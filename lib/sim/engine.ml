@@ -27,6 +27,8 @@ type t = {
   mutable seq : int;
   mutable halted : bool;
   mutable executed : int;
+  (* the [until] of the [run] in progress; [neg_infinity] outside one *)
+  mutable horizon : float;
   (* binary min-heap over (time, seq); [h_slot] names the payload *)
   mutable h_time : floatarray;
   mutable h_seq : int array;
@@ -49,6 +51,7 @@ let create () =
     seq = 0;
     halted = false;
     executed = 0;
+    horizon = neg_infinity;
     h_time = Float.Array.create 0;
     h_seq = [||];
     h_slot = [||];
@@ -174,8 +177,17 @@ let after_handler t dt h arg =
   let dt = if dt < 0.0 then 0.0 else dt in
   at_handler t (t.clock +. dt) h arg
 
-let run ?until t =
-  let limit = match until with None -> infinity | Some u -> u in
+let advance t time =
+  if
+    time <= t.horizon && time >= t.clock && (not t.halted)
+    && (t.h_n = 0 || Float.Array.unsafe_get t.h_time 0 > time)
+  then begin
+    t.clock <- time;
+    true
+  end
+  else false
+
+let dispatch t limit =
   let continue_ = ref true in
   while !continue_ && (not t.halted) && t.h_n > 0 do
     let time = Float.Array.get t.h_time 0 in
@@ -210,3 +222,14 @@ let run ?until t =
       if h >= 0 then t.handlers.(h) arg else closure ()
     end
   done
+
+let run ?until t =
+  let limit = match until with None -> infinity | Some u -> u in
+  let outer = t.horizon in
+  t.horizon <- limit;
+  match dispatch t limit with
+  | () -> t.horizon <- outer
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.horizon <- outer;
+    Printexc.raise_with_backtrace e bt

@@ -73,6 +73,19 @@ val run : ?until:float -> t -> unit
     queued events remain queued; subsequent runs are no-ops.
     Exceptions raised by event callbacks propagate to the caller. *)
 
+val advance : t -> float -> bool
+(** [advance t time] moves the clock forward to [time] in place of an
+    event at [time], and says whether it could. It can only inside a
+    {!run}, with [time] between [now t] and that run's [until], the
+    engine not stopped, and no queued event due at or before [time]
+    (an equal-time event was scheduled earlier, so it must fire
+    first). Then nothing could have fired in between, so the caller
+    may carry on at [time] exactly as if its event had fired there;
+    the event is neither queued nor counted in {!events_executed}. It
+    returns [false], and changes nothing, in every other case —
+    always outside a [run]. {!Cpu} uses it to finish a charge that
+    nothing can interleave with. *)
+
 val events_executed : t -> int
 (** Total callbacks executed so far (for engine health checks). *)
 

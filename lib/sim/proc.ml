@@ -31,6 +31,20 @@ let self () =
   | Some h -> h
   | None -> invalid_arg "Proc.self: not in process context"
 
+(* [f x] with [self] as the current process, restoring the previous
+   one however [f] ends. [f] is a closed function on the resume path,
+   so a resumption allocates nothing here. *)
+let as_current self f x =
+  let cur = current () in
+  let saved = !cur in
+  cur := self;
+  match f x with
+  | () -> cur := saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    cur := saved;
+    Printexc.raise_with_backtrace e bt
+
 (* Only feeds default process names; atomic so concurrent domains can
    spawn without a race (names stay unique, not globally dense). *)
 let counter = Atomic.make 0
@@ -42,6 +56,7 @@ let spawn engine ?name f =
     | None -> Printf.sprintf "proc-%d" (Atomic.fetch_and_add counter 1 + 1)
   in
   let h = { pname; cpu = 0.0; dead = false; waiters = [] } in
+  let self = Some h in
   let finish () =
     h.dead <- true;
     let ws = h.waiters in
@@ -65,22 +80,13 @@ let spawn engine ?name f =
                     if !resumed then
                       invalid_arg "Proc: continuation resumed twice";
                     resumed := true;
-                    let cur = current () in
-                    let saved = !cur in
-                    cur := Some h;
-                    Fun.protect
-                      ~finally:(fun () -> cur := saved)
-                      (fun () -> continue k ())
+                    as_current self (fun k -> continue k ()) k
                   in
                   register resume)
             | _ -> None);
       }
   in
-  Engine.soon engine (fun () ->
-      let cur = current () in
-      let saved = !cur in
-      cur := Some h;
-      Fun.protect ~finally:(fun () -> cur := saved) body);
+  Engine.soon engine (fun () -> as_current self body ());
   h
 
 let suspend register = Effect.perform (Suspend register)

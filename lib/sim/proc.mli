@@ -8,7 +8,9 @@
     well-defined preemption points.
 
     Invariant: wake-ups always go through [Engine.soon]/[Engine.after];
-    a resumption never runs synchronously inside the waker. *)
+    a resumption never runs synchronously inside the waker. A CPU
+    charge that {!Cpu.consume} finishes in place is not a wake-up: the
+    process never parks, and no other process runs in between. *)
 
 type handle
 (** A spawned process. *)

@@ -227,7 +227,9 @@ let test_run_bad_sector_exits_typed () =
      documented one-line typed failure, exit 3 — never a backtrace. So
      must a synchronous journal commit whose log write fails (the log
      starts just past the 1 GB media): it used to count as durable and
-     the run exited 0 *)
+     the run exited 0. Its trace is still written, failed write and all *)
+  let trace = Filename.temp_file "metasim" ".jsonl" in
+  Sys.remove trace;
   List.iter
     (fun args ->
       let err = Filename.temp_file "metasim" ".err" in
@@ -241,7 +243,23 @@ let test_run_bad_sector_exits_typed () =
     [
       "run copy -s soft --bad-sectors 16";
       "run -s journal --files 50 -u 1 --bad-sectors 1048576";
-    ]
+    ];
+  check_exit "typed failure with --trace-out exits 3" 3
+    (sh "%s run -s journal --files 50 -u 1 --bad-sectors 1048576 \
+         --trace-out %s >/dev/null 2>&1"
+       metasim (Filename.quote trace));
+  Alcotest.(check bool) "trace written" true (Sys.file_exists trace);
+  let kinds =
+    String.split_on_char '\n' (read_file trace)
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.map (fun line ->
+           match Json.parse line with
+           | Ok d -> Option.bind (Json.member "kind" d) Json.to_str
+           | Error e -> Alcotest.failf "bad JSONL line %S: %s" line e)
+  in
+  Sys.remove trace;
+  Alcotest.(check bool) "the failed write is traced" true
+    (List.mem (Some "io.fail") kinds)
 
 let test_faultsweep_smoke () =
   check_exit "faultsweep campaign passes" 0

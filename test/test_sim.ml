@@ -162,6 +162,242 @@ let test_cpu_fcfs () =
   Alcotest.(check (float 1e-9)) "b charged" 1.0 (Proc.cpu_time b);
   Alcotest.(check (float 1e-9)) "cpu busy total" 3.0 (Cpu.busy_time cpu)
 
+(* --- CPU charges that finish in place --------------------------------- *)
+
+let test_cpu_charge_in_place () =
+  (* back-to-back charges on an idle CPU with nothing queued never
+     touch the heap: the spawn is the only event *)
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let p = Proc.spawn e (fun () -> for _ = 1 to 3 do Cpu.consume cpu 1.0 done) in
+  Engine.run e;
+  Alcotest.(check int) "only the spawn fired" 1 (Engine.events_executed e);
+  Alcotest.(check (float 1e-9)) "clock advanced" 3.0 (Engine.now e);
+  Alcotest.(check (float 1e-9)) "charged" 3.0 (Proc.cpu_time p);
+  Alcotest.(check (float 1e-9)) "served" 3.0 (Cpu.busy_time cpu)
+
+let test_cpu_charge_ties_queued_event () =
+  (* an event queued for the instant the charge ends was scheduled
+     first, so it fires first and the charge goes through the heap *)
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let log = ref [] in
+  Engine.at e 1.0 (fun () -> log := ("event", Engine.now e) :: !log);
+  ignore
+    (Proc.spawn e (fun () ->
+         Cpu.consume cpu 1.0;
+         log := ("charge", Engine.now e) :: !log));
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 1e-9)))) "event first"
+    [ ("event", 1.0); ("charge", 1.0) ] (List.rev !log);
+  Alcotest.(check int) "spawn, event and completion fired" 3
+    (Engine.events_executed e)
+
+let test_cpu_charge_crosses_until () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let done_at = ref nan in
+  ignore
+    (Proc.spawn e (fun () ->
+         Cpu.consume cpu 2.0;
+         done_at := Engine.now e));
+  Engine.run ~until:1.0 e;
+  Alcotest.(check bool) "still charging" true (Float.is_nan !done_at);
+  Alcotest.(check (float 1e-9)) "clock at horizon" 1.0 (Engine.now e);
+  Alcotest.(check int) "completion pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (float 1e-9)) "completes on the next run" 2.0 !done_at
+
+let test_cpu_charge_after_stop () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let finished = ref false in
+  let p =
+    Proc.spawn e (fun () ->
+        Engine.stop e;
+        Cpu.consume cpu 1.0;
+        finished := true)
+  in
+  Engine.run e;
+  Engine.run e;
+  Alcotest.(check bool) "never completes" false !finished;
+  Alcotest.(check (float 1e-9)) "clock stays" 0.0 (Engine.now e);
+  Alcotest.(check (float 1e-9)) "nothing charged" 0.0 (Proc.cpu_time p)
+
+let test_cpu_consume_outside_process () =
+  (* an idle CPU and an empty queue must not tempt an engine callback
+     into the in-place path: only a process can be charged *)
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  Engine.at e 1.0 (fun () -> Cpu.consume cpu 1.0);
+  match Engine.run e with
+  | () -> Alcotest.fail "consume outside a process returned"
+  | exception Effect.Unhandled _ -> ()
+
+let test_advance_only_inside_run () =
+  let e = Engine.create () in
+  Alcotest.(check bool) "fresh engine" false (Engine.advance e 1.0);
+  let inside = ref [] in
+  Engine.at e 1.0 (fun () ->
+      let a = Engine.advance e 3.0 in
+      let b = Engine.advance e 6.0 in
+      inside := [ a; b; Engine.advance e 2.0 ]);
+  Engine.at e 5.0 (fun () -> ());
+  Engine.run ~until:4.0 e;
+  Alcotest.(check (list bool))
+    "forward within the horizon only, never backwards" [ true; false; false ]
+    !inside;
+  Alcotest.(check (float 1e-9)) "clock at horizon" 4.0 (Engine.now e);
+  Alcotest.(check bool) "after run" false (Engine.advance e 4.5);
+  Engine.at e 4.5 (fun () -> failwith "boom");
+  (match Engine.run e with
+   | () -> Alcotest.fail "callback exception swallowed"
+   | exception Failure _ -> ());
+  Alcotest.(check bool) "after a run that raised" false (Engine.advance e 4.6);
+  Alcotest.(check (float 1e-9)) "clock untouched" 4.5 (Engine.now e)
+
+(* The CPU as it was before charges could finish in place: every
+   charge parks the process and completes through a heap event. The
+   reference model for the equivalence property below. *)
+module Heap_cpu = struct
+  type job = { duration : float; resume : unit -> unit; owner : Proc.handle option }
+  type t = { engine : Engine.t; mutable busy : bool; mutable served : float; queue : job Queue.t }
+
+  let create engine = { engine; busy = false; served = 0.0; queue = Queue.create () }
+
+  let rec start t job =
+    t.busy <- true;
+    Engine.after t.engine job.duration (fun () ->
+        t.served <- t.served +. job.duration;
+        (match job.owner with
+         | Some h -> Proc.charge_cpu h job.duration
+         | None -> ());
+        job.resume ();
+        if Queue.is_empty t.queue then t.busy <- false
+        else start t (Queue.pop t.queue))
+
+  let consume t seconds =
+    if seconds > 0.0 then begin
+      let owner = Proc.self_opt () in
+      Proc.suspend (fun resume ->
+          let job = { duration = seconds; resume; owner } in
+          if t.busy then Queue.add job t.queue else start t job)
+    end
+end
+
+type step = Consume of float | Sleep of float | Wait of int | Fill of int | Yield
+
+type drive = Once | Stepped of float list | Stop_at of float
+
+type world = { procs : step list list; drive : drive }
+
+let print_world w =
+  let step = function
+    | Consume d -> Printf.sprintf "C%g" d
+    | Sleep d -> Printf.sprintf "S%g" d
+    | Wait i -> Printf.sprintf "W%d" i
+    | Fill i -> Printf.sprintf "F%d" i
+    | Yield -> "Y"
+  in
+  let drive =
+    match w.drive with
+    | Once -> "run"
+    | Stepped us ->
+      "until " ^ String.concat "," (List.map (Printf.sprintf "%g") us)
+    | Stop_at t -> Printf.sprintf "stop at %g" t
+  in
+  String.concat " | "
+    (List.map (fun p -> String.concat " " (List.map step p)) w.procs)
+  ^ " / " ^ drive
+
+(* Durations on a quarter-second grid, so that charges end exactly
+   when other events are due. *)
+let gen_world =
+  let open QCheck.Gen in
+  let dur = map (fun k -> 0.25 *. float_of_int k) (0 -- 6) in
+  let step =
+    frequency
+      [
+        (6, map (fun d -> Consume d) dur);
+        (2, map (fun d -> Sleep d) dur);
+        (1, map (fun i -> Wait i) (0 -- 1));
+        (1, map (fun i -> Fill i) (0 -- 1));
+        (1, return Yield);
+      ]
+  in
+  let horizon = map (fun k -> 0.25 *. float_of_int k) (0 -- 40) in
+  let drive =
+    frequency
+      [
+        (1, return Once);
+        (2, map (fun us -> Stepped (List.sort compare us)) (list_size (1 -- 4) horizon));
+        (1, map (fun t -> Stop_at t) horizon);
+      ]
+  in
+  map2 (fun procs drive -> { procs; drive }) (list_size (1 -- 4) (list_size (1 -- 12) step)) drive
+
+(* Run [w] with [consume]; the (process, step, clock, run) log, each
+   process's CPU time and the engine. The run index tells a step done
+   inside a [run ~until] from one left to the next run. *)
+let run_world w ~create_cpu =
+  let e = Engine.create () in
+  let consume = create_cpu e in
+  let ivars = Array.init 2 (fun _ -> Proc.Ivar.create e) in
+  let log = ref [] and stage = ref 0 in
+  let procs =
+    List.mapi
+      (fun pid steps ->
+        Proc.spawn e (fun () ->
+            List.iteri
+              (fun i step ->
+                (match step with
+                 | Consume d -> consume d
+                 | Sleep d -> Proc.sleep e d
+                 | Wait v -> Proc.Ivar.read ivars.(v)
+                 | Fill v ->
+                   if not (Proc.Ivar.is_filled ivars.(v)) then
+                     Proc.Ivar.fill ivars.(v) ()
+                 | Yield -> Proc.suspend (fun resume -> Engine.soon e resume));
+                log := (pid, i, Engine.now e, !stage) :: !log)
+              steps))
+      w.procs
+  in
+  (match w.drive with
+   | Once -> Engine.run e
+   | Stepped us ->
+     List.iter
+       (fun u ->
+         Engine.run ~until:u e;
+         incr stage)
+       us;
+     Engine.run e
+   | Stop_at t ->
+     Engine.at e t (fun () -> Engine.stop e);
+     Engine.run e);
+  (List.rev !log, List.map Proc.cpu_time procs, e)
+
+let prop_cpu_matches_heap_model =
+  QCheck.Test.make ~name:"in-place CPU charges match the heap-only CPU"
+    ~count:500 (QCheck.make ~print:print_world gen_world) (fun w ->
+      let busy = ref (fun () -> nan) in
+      let log, cpu_times, e =
+        run_world w ~create_cpu:(fun e ->
+            let c = Cpu.create e in
+            (busy := fun () -> Cpu.busy_time c);
+            Cpu.consume c)
+      in
+      let ref_busy = ref (fun () -> nan) in
+      let ref_log, ref_cpu_times, ref_e =
+        run_world w ~create_cpu:(fun e ->
+            let c = Heap_cpu.create e in
+            (ref_busy := fun () -> c.Heap_cpu.served);
+            Heap_cpu.consume c)
+      in
+      log = ref_log && cpu_times = ref_cpu_times
+      && !busy () = !ref_busy ()
+      && Engine.now e = Engine.now ref_e
+      && Engine.events_executed e <= Engine.events_executed ref_e)
+
 (* --- run ~until resume semantics (flat event core) ------------------- *)
 
 let test_run_until_resume () =
@@ -371,5 +607,16 @@ let suite =
     Alcotest.test_case "semaphore limits" `Quick test_semaphore_limits;
     Alcotest.test_case "waitq" `Quick test_waitq_signal_broadcast;
     Alcotest.test_case "cpu fcfs" `Quick test_cpu_fcfs;
+    Alcotest.test_case "cpu charge in place" `Quick test_cpu_charge_in_place;
+    Alcotest.test_case "cpu charge ties a queued event" `Quick
+      test_cpu_charge_ties_queued_event;
+    Alcotest.test_case "cpu charge crosses until" `Quick
+      test_cpu_charge_crosses_until;
+    Alcotest.test_case "cpu charge after stop" `Quick test_cpu_charge_after_stop;
+    Alcotest.test_case "cpu consume outside a process" `Quick
+      test_cpu_consume_outside_process;
+    Alcotest.test_case "advance only inside run" `Quick
+      test_advance_only_inside_run;
+    QCheck_alcotest.to_alcotest prop_cpu_matches_heap_model;
     QCheck_alcotest.to_alcotest prop_engine_monotonic_clock;
   ]
