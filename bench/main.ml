@@ -42,8 +42,10 @@ let usage () =
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy), full-sweep scaling across the pool,\n\
      \                  journal replay (gate: <= 128 words/record) and\n\
-     \                  recovery of 1 GB crash states (gates: <= 160000\n\
-     \                  words/state, every state clean)\n\
+     \                  recovery of one workload's crash states on 1 GB\n\
+     \                  and 64 MB volumes (gates: <= 160000 words/state\n\
+     \                  at 1 GB, 1 GB time within 4x of 64 MB, every\n\
+     \                  state clean)\n\
      \  --loadgen       load-engine steady state (gates: zero majors,\n\
      \                  words/op at a doubled window within 1.15x) and\n\
      \                  directory-scale lookups (gate: 10k entries within\n\
@@ -529,17 +531,19 @@ let journal_replay_row ~reps =
              ~log_frags img;
            records))
 
-(* Recovery of sampled crash states of a default-geometry (1 GB) soft
-   updates volume holding 2,000 files, each through
-   [Explorer.verify_state]: fsck check and repair, remount, the
-   continuation and the probe's final check. The states come from a
-   short churn after the population is synced, and are materialized
-   outside the timed region. Words per state price the passes recovery
-   makes over the whole volume rather than over what it holds. Returns
-   the row and the states whose verdict was not clean. *)
-let recover_state_row ~quick ~reps =
+(* Recovery of sampled crash states of a soft updates volume holding
+   2,000 files, each through [Explorer.verify_state]: fsck check and
+   repair, remount, the continuation and the probe's final check. The
+   states come from a short churn after the population is synced, and
+   are materialized outside the timed region. The same workload runs on
+   the default geometry (1 GB, [recover-state]) and on [Geom.small]
+   (64 MB, [recover-state-64mb]): the time ratio between the two prices
+   the passes recovery makes over the whole volume rather than over
+   what the crash left on it, and words per state price them too.
+   Returns a measure of each volume's states and a count of the states
+   whose verdict was not clean. *)
+let recover_state_runs ~quick =
   let open Su_fs in
-  let cfg = Fs.config ~scheme:Fs.Soft_updates () in
   let wl =
     {
       Explorer.wl_name = "recover-state";
@@ -567,43 +571,47 @@ let recover_state_row ~quick ~reps =
           Fsops.sync st);
     }
   in
-  let r = Explorer.record ~cfg wl in
-  let states = Explorer.crash_states ~torn:false r in
   let n = if quick then 4 else 12 in
-  (* evenly over the churn's last 48 boundaries *)
-  let last = Array.length states - 1 in
-  let sample =
-    Array.init n (fun i -> states.(max 0 (last - ((n - 1 - i) * 48 / n))))
-  in
   let unclean = ref 0 in
-  let measure () =
-    let cur =
-      Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+  let runs geom =
+    let cfg = { (Fs.config ~scheme:Fs.Soft_updates ()) with Fs.geom } in
+    let r = Explorer.record ~cfg wl in
+    let states = Explorer.crash_states ~torn:false r in
+    (* evenly over the churn's last 48 boundaries *)
+    let last = Array.length states - 1 in
+    let sample =
+      Array.init n (fun i -> states.(max 0 (last - ((n - 1 - i) * 48 / n))))
     in
-    Array.fold_left
-      (fun acc ((boundary, torn) as state) ->
-        let image = Explorer.materialize cur state in
-        let s =
-          bracket (fun () ->
-              let v = Explorer.verify_state ~cfg ~boundary ~torn image in
-              if
-                v.Explorer.v_pre_violations > 0
-                || v.Explorer.v_post_violations > 0
-                || not v.Explorer.v_remount_ok
-              then incr unclean;
-              1)
-        in
-        {
-          units = acc.units + s.units;
-          wall = acc.wall +. s.wall;
-          words = acc.words +. s.words;
-          major_gcs = acc.major_gcs + s.major_gcs;
-        })
-      { units = 0; wall = 0.0; words = 0.0; major_gcs = 0 }
-      sample
+    fun () ->
+      let cur =
+        Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+      in
+      Array.fold_left
+        (fun acc ((boundary, torn) as state) ->
+          let image = Explorer.materialize cur state in
+          let s =
+            bracket (fun () ->
+                let v = Explorer.verify_state ~cfg ~boundary ~torn image in
+                if
+                  v.Explorer.v_pre_violations > 0
+                  || v.Explorer.v_post_violations > 0
+                  || not v.Explorer.v_remount_ok
+                then incr unclean;
+                1)
+          in
+          {
+            units = acc.units + s.units;
+            wall = acc.wall +. s.wall;
+            words = acc.words +. s.words;
+            major_gcs = acc.major_gcs + s.major_gcs;
+          })
+        { units = 0; wall = 0.0; words = 0.0; major_gcs = 0 }
+        sample
   in
-  let row = best_of ~reps ~layer:"fsck" ~unit:"state" "recover-state" measure in
-  (row, !unclean)
+  let big = runs Su_fstypes.Geom.default and small = runs Su_fstypes.Geom.small in
+  (big, small, unclean)
+
+let recover_ratio_bound = 4.0
 
 let crashsweep ~quick ~jobs =
   let jobs_n = Su_util.Pool.resolve_jobs jobs in
@@ -638,14 +646,33 @@ let crashsweep ~quick ~jobs =
       Explorer.builtin_workloads
   in
   let replay = journal_replay_row ~reps:(if quick then 1 else 3) in
-  let recover, unclean =
-    recover_state_row ~quick ~reps:(if quick then 1 else 3)
+  (* alternating 1 GB and 64 MB runs, each row its fastest, and the
+     median of the per-pair time ratios, as for the syncer sweep *)
+  let big, small, unclean = recover_state_runs ~quick in
+  let pairs =
+    List.init (if quick then 3 else 9) (fun _ ->
+        let b = big () in
+        (b, small ()))
   in
-  ( List.concat_map fst per_workload @ [ replay; recover ],
-    ("jobs", float_of_int jobs_n) :: List.concat_map snd per_workload,
+  let recover_row name pick =
+    row_of ~layer:"fsck" ~unit:"state" name (fastest (List.map pick pairs))
+  in
+  let recover = recover_row "recover-state" fst in
+  let recover_small = recover_row "recover-state-64mb" snd in
+  let recover_ratio =
+    let r = Array.of_list (List.map (fun (b, s) -> b.wall /. s.wall) pairs) in
+    Array.sort compare r;
+    r.(Array.length r / 2)
+  in
+  ( List.concat_map fst per_workload @ [ replay; recover; recover_small ],
+    ("jobs", float_of_int jobs_n)
+    :: ("recover-state/recover-state-64mb", recover_ratio)
+    :: List.concat_map snd per_workload,
     [ at_most "journal-replay words_per_unit" replay.words_per_unit 128.0;
       at_most "recover-state words_per_unit" recover.words_per_unit 160_000.0;
-      at_most "recover-state unclean states" (float_of_int unclean) 0.0 ] )
+      at_most "recover-state/recover-state-64mb wall (median pair)"
+        recover_ratio recover_ratio_bound;
+      at_most "recover-state unclean states" (float_of_int !unclean) 0.0 ] )
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 

@@ -67,3 +67,8 @@ val image : cursor -> Types.cell array
     shared) before handing it to anything that writes. *)
 
 val log : cursor -> t array
+
+val csum_slots : cursor -> int list
+(** The slots of {!image} that hold a [Csum] cell, ascending: kept
+    up to date as {!seek} applies or undoes each write, so finding them
+    costs no scan of the image. *)

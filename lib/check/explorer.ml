@@ -364,21 +364,25 @@ let crash_states ?(torn = true) ?max_boundaries r =
    cursor and the log: recovery writes copy-on-write (journal replay,
    fsck's repairs and map rebuilds, [Imglog.write]) and the remount
    probe writes back into slots, so only the checksum region, which
-   [Fs.recover_image] updates in place, is copied. *)
+   [Fs.recover_image] updates in place, is copied. The cursor knows
+   which slots hold one, so the image is not scanned for them. *)
 let materialize cur (boundary, torn) =
   Delta.seek cur boundary;
   let img = Array.copy (Delta.image cur) in
+  let own i =
+    match img.(i) with
+    | Types.Csum ca -> img.(i) <- Types.Csum (Array.copy ca)
+    | _ -> ()
+  in
+  List.iter own (Delta.csum_slots cur);
   (match torn with
    | None -> ()
    | Some applied ->
      let d = (Delta.log cur).(boundary) in
-     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied);
-  Array.iteri
-    (fun i c ->
-      match c with
-      | Types.Csum ca -> img.(i) <- Types.Csum (Array.copy ca)
-      | _ -> ())
-    img;
+     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied;
+     for i = d.Delta.d_lbn to d.Delta.d_lbn + applied - 1 do
+       own i
+     done);
   img
 
 let sweep ?torn ?jobs ?max_boundaries ?nested ?nested_max_boundaries

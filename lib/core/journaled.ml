@@ -23,6 +23,10 @@ type t = {
   mutable guarded : Buf.t list;
       (* metadata buffers with uncommitted records: pinned so an
          eviction cannot write them ahead of their log records *)
+  mutable failed : Su_disk.Fault.error option;
+      (* a group-commit log write the driver failed after its retries:
+         its batch never became durable, so the next commit or fsync
+         raises it *)
 }
 
 let recs_per_frag = 24  (* a 1 KB log sector holds about this many records *)
@@ -69,7 +73,16 @@ let rec chunks n = function
     let c, rest = take n [] l in
     c :: chunks n rest
 
+(* Raise a failed group-commit batch's error, once. *)
+let raise_failed t =
+  match t.failed with
+  | Some e ->
+    t.failed <- None;
+    raise (Bcache.Io_error e)
+  | None -> ()
+
 let commit t ?(bufs = []) recs =
+  raise_failed t;
   if recs <> [] then begin
     t.stats.txns <- t.stats.txns + 1;
     t.stats.records <- t.stats.records + List.length recs;
@@ -87,22 +100,39 @@ let commit t ?(bufs = []) recs =
         bufs
   end
 
+(* Write the pending records as one batch. A batch write that fails
+   keeps the batch's buffers pinned. Unless the caller waits for the
+   batch, the error is held for the next commit or fsync to raise: the
+   flusher that issued it has no caller to tell. *)
 let flush_pending t ~wait =
   let guarded = t.guarded in
   t.guarded <- [];
-  let release _ = List.iter (fun (b : Buf.t) -> b.Buf.sticky <- false) guarded in
+  let ok = ref true in
+  let note = function
+    | Ok _ -> ()
+    | Error e ->
+      ok := false;
+      if t.failed = None then t.failed <- Some e
+  in
+  let release () = List.iter (fun (b : Buf.t) -> b.Buf.sticky <- false) guarded in
   let rec append = function
     | [] -> release ()
     | [ last ] ->
       (* release the pins once the whole batch is durable *)
-      append_frag t last ~wait ~on_durable:release
+      append_frag t last ~wait ~on_durable:(fun r ->
+          note r;
+          if !ok then release ())
     | c :: rest ->
-      append_frag t c ~wait:false;
+      append_frag t c ~wait:false ~on_durable:note;
       append rest
   in
   let recs = List.rev t.pending in
   t.pending <- [];
-  append (chunks recs_per_frag recs)
+  try append (chunks recs_per_frag recs)
+  with Bcache.Io_error _ as e when wait ->
+    (* the waiting caller has the error already *)
+    t.failed <- None;
+    raise e
 
 (* --- record extraction -------------------------------------------------- *)
 
@@ -225,7 +255,7 @@ let make ~cache ~geom ~log_start ~log_frags ~mode =
   let stats = { txns = 0; records = 0; log_writes = 0; wraps = 0 } in
   let t =
     { cache; geom; log_start; log_frags; mode; stats; cursor = 0; seq = 0;
-      pending = []; guarded = [] }
+      pending = []; guarded = []; failed = None }
   in
   let stopped = ref false in
   (match mode with
@@ -356,7 +386,9 @@ let make ~cache ~geom ~log_start ~log_frags ~mode =
              enough to make the file durable *)
           match t.mode with
           | Sync_commit -> ()
-          | Group_commit -> flush_pending t ~wait:true);
+          | Group_commit ->
+            raise_failed t;
+            flush_pending t ~wait:true);
     }
   in
   (scheme, stats, stop)

@@ -568,22 +568,26 @@ let install_csum t cell =
    source layout's slot may differ from ours), so the cell it sat in
    keeps what it held. [Empty] media cells leave their digest alone:
    the fresh region starts at the [Empty] digest, so mount cost follows
-   the cells in use. *)
+   the cells in use. Without a region only [Csum] cells need acting on,
+   and those sit at or past the media (no producer writes one below it:
+   the cache never hands the device one, and the remap table, the
+   checksum region and their captures all live past the media), so only
+   the reserved slots are visited. *)
 let install_image t cells =
   if Array.length cells > Volume.length t.image then
     invalid_arg "Disk.install_image: image larger than the device";
   if has_remaps t then invalid_arg "Disk.install_image: device already remapped";
   let kept = ref [] in
-  Array.iteri
-    (fun i c ->
-      match c, t.csum with
-      | Types.Empty, _ -> ()
-      | Types.Csum _, _ ->
-        kept := (i, Volume.peek t.image i) :: !kept;
-        install_csum t c
-      | _, Some ca when i < t.media -> ca.(i) <- Types.cell_digest c
-      | _, (Some _ | None) -> ())
-    cells;
+  let from = match t.csum with Some _ -> 0 | None -> t.media in
+  for i = from to Array.length cells - 1 do
+    match cells.(i), t.csum with
+    | Types.Empty, _ -> ()
+    | (Types.Csum _ as c), _ ->
+      kept := (i, Volume.peek t.image i) :: !kept;
+      install_csum t c
+    | c, Some ca when i < t.media -> ca.(i) <- Types.cell_digest c
+    | _, (Some _ | None) -> ()
+  done;
   Volume.mount t.image cells;
   List.iter (fun (i, c) -> Volume.set t.image i c) !kept;
   t.mounted <- Some cells

@@ -96,9 +96,11 @@ val install_image : t -> Su_fstypes.Types.cell array -> unit
     incarnation) is not mounted positionally: it is loaded over the
     live region, replacing the digests of the other cells, so
     corruption that predates the mount stays detectable, and its slot
-    keeps what the device held there. The caller must neither mutate
-    [cells]' cells in place nor replace its slots while the device
-    lives, until {!take_image} hands the array back.
+    keeps what the device held there. [Csum] cells must sit at or
+    past the media, where every producer puts them: without a checksum
+    region the mount visits no slot below the media. The caller must
+    neither mutate [cells]' cells in place nor replace its slots while
+    the device lives, until {!take_image} hands the array back.
     @raise Invalid_argument if [cells] is larger than the device or
     the device already holds remap entries. *)
 

@@ -65,9 +65,11 @@ let pp_violation ppf = function
 module A1 = Bigarray.Array1
 
 type bytemap = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
+type statemap = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
 
 (* 8 bytes of a byte map at once, in native order *)
 external get64 : bytemap -> int -> int64 = "%caml_bigstring_get64"
+external get64_states : statemap -> int -> int64 = "%caml_bigstring_get64"
 
 type tables = {
   owner : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
@@ -79,10 +81,16 @@ type tables = {
          and the map rebuild copies whole words *)
   refs : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
       (* per inode slot: the entries naming it *)
-  state : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t;
+  state : statemap;
       (* per inode slot: [unseen], [queued] or [live] *)
   parent : (int, int) Hashtbl.t;
       (* reachable directory -> the directory whose entry reached it *)
+  frag_pages : Bytes.t;
+  inode_pages : Bytes.t;
+      (* one byte per [page] fragments or inode slots: non-zero where
+         a walk may have written [owner]/[claimed] or [refs]/[state]
+         since the last [reset], so a reset clears what the walk
+         reached rather than the whole volume *)
 }
 
 (* inode slot states: a directory is [queued] when first named and
@@ -91,18 +99,25 @@ let unseen = 0
 let queued = 1
 let live = 2
 
+let page_bits = 12
+let page = 1 lsl page_bits
+
 (* The flat tables live outside the OCaml heap: allocated as major-heap
    [Bytes] on every walk (5 MB at the default geometry), they raised
    the heap's high-water mark by about half on the crash-recovery
-   benchmark, far beyond the tables' own size. *)
+   benchmark, far beyond the tables' own size. [A1.create] leaves them
+   uninitialised, so a fresh set has every page marked. *)
 let tables geom =
   let ninodes = Geom.total_inodes geom in
+  let pages n = Bytes.make ((n + page - 1) / page) '\001' in
   {
     owner = A1.create Bigarray.int32 Bigarray.c_layout geom.Geom.nfrags;
     claimed = A1.create Bigarray.char Bigarray.c_layout geom.Geom.nfrags;
     refs = A1.create Bigarray.int32 Bigarray.c_layout ninodes;
     state = A1.create Bigarray.int8_unsigned Bigarray.c_layout ninodes;
     parent = Hashtbl.create 64;
+    frag_pages = pages geom.Geom.nfrags;
+    inode_pages = pages ninodes;
   }
 
 (* The domain's spare set: taken for the length of one call, so a
@@ -126,18 +141,71 @@ let with_tables geom f =
   slot := Some t;
   r
 
+(* Only the marked pages are cleared, each by a plain loop: a Bigarray
+   sub-view per page would allocate a proxy every time. *)
 let reset t =
-  A1.fill t.owner 0l;
-  A1.fill t.claimed '\000';
-  A1.fill t.refs 0l;
-  A1.fill t.state unseen;
+  let nfrags = A1.dim t.owner and ninodes = A1.dim t.refs in
+  for p = 0 to Bytes.length t.frag_pages - 1 do
+    if Bytes.get t.frag_pages p <> '\000' then begin
+      for f = p * page to min nfrags ((p + 1) * page) - 1 do
+        A1.unsafe_set t.owner f 0l;
+        A1.unsafe_set t.claimed f '\000'
+      done;
+      Bytes.set t.frag_pages p '\000'
+    end
+  done;
+  for p = 0 to Bytes.length t.inode_pages - 1 do
+    if Bytes.get t.inode_pages p <> '\000' then begin
+      for i = p * page to min ninodes ((p + 1) * page) - 1 do
+        A1.unsafe_set t.refs i 0l;
+        A1.unsafe_set t.state i unseen
+      done;
+      Bytes.set t.inode_pages p '\000'
+    end
+  done;
   Hashtbl.reset t.parent
 
 let owner t frag = Int32.to_int (A1.get t.owner frag)
 let slot inum = inum - Geom.root_inum
 let state t inum = A1.get t.state (slot inum)
-let set_state t inum s = A1.set t.state (slot inum) s
+
+let set_state t inum s =
+  A1.set t.state (slot inum) s;
+  Bytes.unsafe_set t.inode_pages (slot inum lsr page_bits) '\001'
+
 let refs t inum = Int32.to_int (A1.get t.refs (slot inum))
+
+(* [f inum] for every [live] slot, in ascending order. The state table
+   is read 8 slots at a time: a walk reaches a few of a volume's inodes,
+   and a word of [unseen] slots (all zero) is skipped whole. *)
+let iter_live t f =
+  let n = A1.dim t.state in
+  let visit i = if A1.unsafe_get t.state i = live then f (i + Geom.root_inum) in
+  let k = ref 0 in
+  while !k + 8 <= n do
+    if get64_states t.state !k <> 0L then
+      for i = !k to !k + 7 do
+        visit i
+      done;
+    k := !k + 8
+  done;
+  for i = !k to n - 1 do
+    visit i
+  done
+
+(* Byte [j] is 1 where slot [i + j] is [live], else 0: the states are
+   0, 1 and 2, so bit 1 of each byte marks [live]. This is the word an
+   inode map holds for the same 8 slots. *)
+let live_word t i =
+  Int64.logand
+    (Int64.shift_right_logical (get64_states t.state i) 1)
+    0x0101010101010101L
+
+(* The number of 1 bytes in a word whose bytes are all 0 or 1: the byte
+   sum lands in the top byte when multiplied by 0x0101...01 (at most 8,
+   so no byte carries). *)
+let ones w =
+  Int64.to_int (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56)
 
 type ctx = {
   geom : Geom.t;
@@ -161,7 +229,8 @@ let claim_frags ctx ~inum ~start ~len =
       let other = owner ctx.t f in
       if other = 0 then begin
         A1.set ctx.t.owner f (Int32.of_int inum);
-        A1.set ctx.t.claimed f '\001'
+        A1.set ctx.t.claimed f '\001';
+        Bytes.unsafe_set ctx.t.frag_pages (f lsr page_bits) '\001'
       end
       else if other <> inum then
         viol ctx (Cross_allocated { frag = f; owners = (other, inum) })
@@ -284,8 +353,10 @@ let dir_blocks ctx inum (din : Types.dinode) =
   List.rev !out
 
 let add_ref ctx inum =
-  if Geom.valid_inum ctx.geom inum then
-    A1.set ctx.t.refs (slot inum) (Int32.succ (A1.get ctx.t.refs (slot inum)))
+  if Geom.valid_inum ctx.geom inum then begin
+    A1.set ctx.t.refs (slot inum) (Int32.succ (A1.get ctx.t.refs (slot inum)));
+    Bytes.unsafe_set ctx.t.inode_pages (slot inum lsr page_bits) '\001'
+  end
 
 (* Breadth-first walk of the directory tree. Besides the violations it
    leaves in the tables who owns each fragment, how many entries name
@@ -346,17 +417,14 @@ let walk ctx =
 let audit ctx =
   let g = ctx.geom and t = ctx.t in
   let nlink_high = ref 0 in
-  for i = 0 to Geom.total_inodes g - 1 do
-    let inum = i + Geom.root_inum in
-    if state t inum = live then
+  iter_live t (fun inum ->
       match read_dinode ctx inum with
       | Some din ->
         let refs = refs t inum in
         if din.Types.nlink < refs then
           viol ctx (Nlink_low { inum; nlink = din.Types.nlink; refs })
         else if din.Types.nlink > refs then incr nlink_high
-      | None -> ()
-  done;
+      | None -> ());
   let leaked_frags = ref 0 and leaked_inodes = ref 0 and stale_free = ref 0 in
   for c = 0 to Geom.cg_count g - 1 do
     match ctx.image.(Geom.cg_header_frag g c) with
@@ -388,11 +456,24 @@ let audit ctx =
         frag f
       done;
       let first_inum = Geom.first_inum_of_cg g c in
-      for j = 0 to g.Geom.inodes_per_cg - 1 do
-        let marked_used = Bytes.get cg.Types.inode_map j <> '\000' in
-        let live = state t (first_inum + j) = live in
-        if live && not marked_used then incr stale_free
-        else if (not live) && marked_used then incr leaked_inodes
+      let ipc = g.Geom.inodes_per_cg in
+      (* as for the fragments: a map word equal to the walk's live word
+         agrees on all 8 inodes *)
+      let j = ref 0 in
+      while !j < ipc do
+        if
+          !j land 7 = 0
+          && !j + 8 <= ipc
+          && Bytes.get_int64_ne cg.Types.inode_map !j
+             = live_word t (slot first_inum + !j)
+        then j := !j + 8
+        else begin
+          let marked_used = Bytes.get cg.Types.inode_map !j <> '\000' in
+          let live = state t (first_inum + !j) = live in
+          if live && not marked_used then incr stale_free
+          else if (not live) && marked_used then incr leaked_inodes;
+          incr j
+        end
       done
     | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
       viol ctx (Bad_dir { inum = -c; reason = Unreadable_cg_header })
@@ -447,17 +528,12 @@ let check ~geom ~image ~check_exposure =
   with_tables geom (fun t -> report_of (walk_into t ~geom ~image ~check_exposure))
 
 (* The number of non-zero bytes in [b.{off .. off + len - 1}], whose
-   bytes are all 0 or 1: a word's byte sum lands in its top byte when
-   multiplied by 0x0101...01 (at most 8, so no byte carries). *)
+   bytes are all 0 or 1. *)
 let count_ones b off len =
   let n = ref 0 and k = ref 0 in
   while !k + 8 <= len do
     let w = get64 b (off + !k) in
-    if w <> 0L then
-      n :=
-        !n
-        + Int64.to_int
-            (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56);
+    if w <> 0L then n := !n + ones w;
     k := !k + 8
   done;
   for i = off + !k to off + len - 1 do
@@ -465,37 +541,94 @@ let count_ones b off len =
   done;
   !n
 
-(* Install fresh per-group bitmaps from the walk in [t]: everything
-   before each data area is in use, and a data fragment or inode is in
-   use exactly when the walk claimed or reached it. Headers are written
-   in group order; one that comes out identical is dropped by
-   [Imglog.write]. *)
+(* [b.[off .. off + len - 1]] all equal [ch] *)
+let all_bytes b off len ch =
+  let i = ref 0 in
+  while !i < len && Bytes.get b (off + !i) = ch do
+    incr i
+  done;
+  !i >= len
+
+(* Whether [cg] equals [build_header t ~geom c], field for field, without
+   building it. Loops, not local closures: this runs for every group of
+   every map rebuild. *)
+let header_current t ~geom c (cg : Types.cg) =
+  let base = Geom.cg_base geom c in
+  let data_first, data_count = Geom.cg_data_area geom c in
+  let fm = cg.Types.frag_map and im = cg.Types.inode_map in
+  let ipc = geom.Geom.inodes_per_cg in
+  let prefix = data_first - base in
+  let tail = prefix + data_count in
+  Bytes.length fm = geom.Geom.cg_frags
+  && Bytes.length im = ipc
+  && all_bytes fm 0 prefix '\001'
+  && all_bytes fm tail (Bytes.length fm - tail) '\000'
+  && cg.Types.nffree = data_count - count_ones t.claimed data_first data_count
+  &&
+  let same = ref true and k = ref 0 in
+  while !same && !k + 8 <= data_count do
+    same := Bytes.get_int64_ne fm (prefix + !k) = get64 t.claimed (data_first + !k);
+    k := !k + 8
+  done;
+  while !same && !k < data_count do
+    same := Bytes.get fm (prefix + !k) = A1.get t.claimed (data_first + !k);
+    incr k
+  done;
+  let first = slot (Geom.first_inum_of_cg geom c) in
+  let nlive = ref 0 and j = ref 0 in
+  while !same && !j + 8 <= ipc do
+    let w = live_word t (first + !j) in
+    same := Bytes.get_int64_ne im !j = w;
+    nlive := !nlive + ones w;
+    j := !j + 8
+  done;
+  while !same && !j < ipc do
+    let is_live = A1.get t.state (first + !j) = live in
+    same := Bytes.get im !j = if is_live then '\001' else '\000';
+    if is_live then incr nlive;
+    incr j
+  done;
+  !same && cg.Types.nifree = ipc - !nlive
+
+(* Group [c]'s header as the walk in [t] has it: everything before the
+   data area is in use, and a data fragment or inode is in use exactly
+   when the walk claimed or reached it. *)
+let build_header t ~geom c =
+  let cg = Types.fresh_cg geom in
+  let base = Geom.cg_base geom c in
+  let data_first, data_count = Geom.cg_data_area geom c in
+  Bytes.fill cg.Types.frag_map 0 (data_first - base) '\001';
+  let k = ref 0 in
+  while !k + 8 <= data_count do
+    Bytes.set_int64_ne cg.Types.frag_map (data_first - base + !k)
+      (get64 t.claimed (data_first + !k));
+    k := !k + 8
+  done;
+  for f = data_first + !k to data_first + data_count - 1 do
+    Bytes.set cg.Types.frag_map (f - base) (A1.get t.claimed f)
+  done;
+  cg.Types.nffree <- data_count - count_ones t.claimed data_first data_count;
+  let first = Geom.first_inum_of_cg geom c in
+  cg.Types.nifree <- geom.Geom.inodes_per_cg;
+  for j = 0 to geom.Geom.inodes_per_cg - 1 do
+    if state t (first + j) = live then begin
+      Bytes.set cg.Types.inode_map j '\001';
+      cg.Types.nifree <- cg.Types.nifree - 1
+    end
+  done;
+  cg
+
+(* Install the walk's maps in every group, in group order. A group whose
+   header already holds them is skipped: [Imglog.write] would drop its
+   identical write, so the observer sees the same writes. *)
 let install_maps ?observer t ~geom ~image =
   for c = 0 to Geom.cg_count geom - 1 do
-    let cg = Types.fresh_cg geom in
-    let base = Geom.cg_base geom c in
-    let data_first, data_count = Geom.cg_data_area geom c in
-    Bytes.fill cg.Types.frag_map 0 (data_first - base) '\001';
-    let k = ref 0 in
-    while !k + 8 <= data_count do
-      Bytes.set_int64_ne cg.Types.frag_map (data_first - base + !k)
-        (get64 t.claimed (data_first + !k));
-      k := !k + 8
-    done;
-    for f = data_first + !k to data_first + data_count - 1 do
-      Bytes.set cg.Types.frag_map (f - base) (A1.get t.claimed f)
-    done;
-    cg.Types.nffree <- data_count - count_ones t.claimed data_first data_count;
-    let first = Geom.first_inum_of_cg geom c in
-    cg.Types.nifree <- geom.Geom.inodes_per_cg;
-    for j = 0 to geom.Geom.inodes_per_cg - 1 do
-      if state t (first + j) = live then begin
-        Bytes.set cg.Types.inode_map j '\001';
-        cg.Types.nifree <- cg.Types.nifree - 1
-      end
-    done;
-    Imglog.write ?observer image (Geom.cg_header_frag geom c)
-      (Types.Meta (Types.Cgroup cg))
+    let hdr = Geom.cg_header_frag geom c in
+    match image.(hdr) with
+    | Types.Meta (Types.Cgroup cg) when header_current t ~geom c cg -> ()
+    | _ ->
+      Imglog.write ?observer image hdr
+        (Types.Meta (Types.Cgroup (build_header t ~geom c)))
   done
 
 (* Recovery needs the walk's claims, not the audit. *)
@@ -754,10 +887,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
   (* the last round's repairs are not in its walk yet *)
   let last = if converged then last else rewalk () in
   (* settle link counts against the observed reference counts *)
-  let ninodes = Geom.total_inodes geom in
-  for i = 0 to ninodes - 1 do
-    let inum = i + Geom.root_inum in
-    if state t inum = live then
+  iter_live t (fun inum ->
       match Types.image_dinode geom image inum with
       | Some din ->
         let want = refs t inum in
@@ -766,25 +896,31 @@ let repair ?observer ~geom ~image ~check_exposure () =
           update_dinode ?observer geom image inum (fun d ->
               d.Types.nlink <- want)
         end
-      | None -> ()
-  done;
+      | None -> ());
   (* unreachable allocated inodes: clear them (their storage is
-     reclaimed by the map rebuild) *)
+     reclaimed by the map rebuild). A block never written as inodes
+     reads back all-free, so only inode blocks are looked into. *)
   let freed = ref 0 in
-  for i = 0 to ninodes - 1 do
-    let inum = i + Geom.root_inum in
-    if state t inum <> live then
-      match Types.image_dinode geom image inum with
-      | Some _ ->
-        update_dinode ?observer geom image inum (fun d ->
-            d.Types.ftype <- Types.F_free;
-            d.Types.nlink <- 0;
-            Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
-            d.Types.ib <- 0;
-            d.Types.ib2 <- 0;
-            d.Types.size <- 0);
-        incr freed
-      | None -> ()
+  let ipb = geom.Geom.inodes_per_block in
+  for b = 0 to (Geom.total_inodes geom / ipb) - 1 do
+    let first = Geom.root_inum + (b * ipb) in
+    match image.(Geom.inode_block_frag geom first) with
+    | Types.Meta (Types.Inodes _) ->
+      for inum = first to first + ipb - 1 do
+        if state t inum <> live then
+          match Types.image_dinode geom image inum with
+          | Some _ ->
+            update_dinode ?observer geom image inum (fun d ->
+                d.Types.ftype <- Types.F_free;
+                d.Types.nlink <- 0;
+                Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
+                d.Types.ib <- 0;
+                d.Types.ib2 <- 0;
+                d.Types.size <- 0);
+            incr freed
+          | None -> ()
+      done
+    | _ -> ()
   done;
   if !freed > 0 then note (Freed_unreachable { inodes = !freed });
   (* neither pass changed what the walk found reachable or claimed *)

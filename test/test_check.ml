@@ -565,6 +565,166 @@ let test_shallow_materialize_safe () =
       (Explorer.sweep_cfg journal, false);
       ({ (Explorer.sweep_cfg journal) with Fs.checksums = true }, true) ]
 
+(* --- checksum-region placement ------------------------------------------ *)
+
+(* The materialize that looked for [Csum] cells in every slot, before
+   the cursor tracked where they sit. *)
+let materialize_by_scan cur (boundary, torn) =
+  Delta.seek cur boundary;
+  let img = Array.copy (Delta.image cur) in
+  (match torn with
+   | None -> ()
+   | Some applied ->
+     let d = (Delta.log cur).(boundary) in
+     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied);
+  Array.iteri
+    (fun i c ->
+      match c with Types.Csum ca -> img.(i) <- Types.Csum (Array.copy ca) | _ -> ())
+    img;
+  img
+
+let is_csum = function Types.Csum _ -> true | _ -> false
+
+(* A recording with a checksum region and spares, and a bad sector under
+   the first data fragment a fault-free run writes, so the run remaps
+   it: the initial image keeps its [Csum] cell, and the log holds spare
+   and remap-table writes past the media. *)
+let csum_recording scheme =
+  let wl = Explorer.smallfiles in
+  let base = { (Explorer.sweep_cfg scheme) with Fs.checksums = true; spare_frags = 8 } in
+  let bad =
+    let r = Explorer.record ~cfg:base wl in
+    match
+      Array.find_opt
+        (fun d -> match d.Delta.d_post.(0) with Types.Frag _ -> true | _ -> false)
+        r.Explorer.rec_deltas
+    with
+    | Some d -> d.Delta.d_lbn
+    | None -> Alcotest.fail "the run writes no data"
+  in
+  let cfg = { base with Fs.fault = { Su_disk.Fault.none with bad_sectors = [ bad ] } } in
+  let w = Fs.make cfg in
+  let initial = Su_disk.Disk.image_snapshot w.Fs.disk in
+  let deltas = ref [] in
+  Su_disk.Disk.set_delta_observer w.Fs.disk (fun ~lbn ~pre ~post ->
+      deltas := Delta.v ~lbn ~pre ~post :: !deltas);
+  Option.iter raise
+    (Explorer.run ~child:true w (fun w -> wl.Explorer.wl_run w.Fs.st));
+  ( cfg,
+    Su_disk.Disk.nfrags w.Fs.disk,
+    { Explorer.rec_initial = initial; rec_deltas = Array.of_list (List.rev !deltas) } )
+
+let test_csum_placement () =
+  List.iter
+    (fun scheme ->
+      let cfg, media, r = csum_recording scheme in
+      let label = Fs.scheme_kind_name scheme in
+      Alcotest.(check bool) (label ^ ": the initial image has a checksum region") true
+        (Array.exists is_csum r.Explorer.rec_initial);
+      Alcotest.(check bool) (label ^ ": the run remapped a sector") true
+        (Array.exists (fun d -> d.Delta.d_lbn >= media) r.Explorer.rec_deltas);
+      (* no recorded write puts a [Csum] cell below the media *)
+      Array.iteri
+        (fun k d ->
+          Array.iteri
+            (fun i c ->
+              if is_csum c && d.Delta.d_lbn + i < media then
+                Alcotest.failf "%s: write %d puts a checksum region at %d" label k
+                  (d.Delta.d_lbn + i))
+            d.Delta.d_post)
+        r.Explorer.rec_deltas;
+      let cur = Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas in
+      let by_scan =
+        Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+      in
+      let check_exposure = Fs.check_exposure cfg in
+      Array.iter
+        (fun ((boundary, torn) as state) ->
+          let name =
+            Printf.sprintf "%s k=%d torn=%s" label boundary
+              (match torn with None -> "-" | Some a -> string_of_int a)
+          in
+          let img = Explorer.materialize cur state in
+          if img <> materialize_by_scan by_scan state then
+            Alcotest.failf "%s: materialize differs from the scan" name;
+          (* the region is the image's own: recovery's in-place digest
+             refresh must not reach the cursor *)
+          Array.iteri
+            (fun i c ->
+              match (c, (Delta.image cur).(i)) with
+              | Types.Csum a, Types.Csum b when a == b ->
+                Alcotest.failf "%s: slot %d shares the cursor's region" name i
+              | _ -> ())
+            img;
+          (* recovery's own writes keep the region past the media too *)
+          let events = Imglog.recorder () in
+          let observer = Imglog.observe events in
+          Fs.recover_image ~observer cfg img;
+          ignore (Fsck.repair ~observer ~geom:cfg.Fs.geom ~image:img ~check_exposure ());
+          Array.iter
+            (fun (lbn, _, post) ->
+              if is_csum post && lbn < media then
+                Alcotest.failf "%s: recovery puts a checksum region at %d" name lbn)
+            (Imglog.events events))
+        (Explorer.crash_states ~max_boundaries:40 r);
+      (* mounting that image and taking it back gives its cells (after
+         the journal's replay, which the mount runs first), with the
+         region loaded when the device keeps one and its slot left as the
+         device held it (empty) when the device keeps none *)
+      Delta.seek cur (Array.length r.Explorer.rec_deltas);
+      let image = Types.copy_image (Delta.image cur) in
+      Fs.recover_image cfg image;
+      let n = Array.length image in
+      let slot = n - 1 in
+      Alcotest.(check bool) (label ^ ": the region is the last slot") true
+        (is_csum image.(slot));
+      let take cfg image =
+        Su_disk.Disk.take_image (Fs.mount_image cfg image).Fs.disk
+      in
+      let with_region = take cfg (Array.copy image) in
+      let bare = Array.sub image 0 slot in
+      (* without a region, a [Csum] cell past the media is still
+         dropped, as before the mount skipped the media *)
+      let stray = Array.copy bare in
+      stray.(slot - 1) <- image.(slot);
+      let without = take { cfg with Fs.checksums = false } stray in
+      Alcotest.(check bool) (label ^ ": with a region") true (with_region = image);
+      Alcotest.(check bool) (label ^ ": without one") true
+        (without = Array.append (Array.sub bare 0 (slot - 1)) [| Types.Empty |]);
+      Alcotest.(check bool) (label ^ ": the same media cells") true
+        (Array.sub with_region 0 media = Array.sub without 0 media))
+    [ Fs.Soft_updates; Fs.Journaled { group_commit = false } ]
+
+(* The cursor tracks [Csum] cells wherever writes put them, forward and
+   back: a log that installs one, moves it and removes it again. *)
+let test_cursor_tracks_csum () =
+  let n = 16 in
+  let initial = Array.make n Types.Empty in
+  initial.(3) <- Types.Csum [| 1 |];
+  let log =
+    [| Delta.v ~lbn:10 ~pre:[| Types.Empty; Types.Empty |]
+         ~post:[| Types.Csum [| 2 |]; Types.Pad |];
+       Delta.v ~lbn:3 ~pre:[| Types.Csum [| 1 |] |] ~post:[| Types.Pad |];
+       Delta.v ~lbn:10 ~pre:[| Types.Csum [| 2 |] |] ~post:[| Types.Empty |];
+       Delta.v ~lbn:14 ~pre:[| Types.Empty; Types.Empty |]
+         ~post:[| Types.Pad; Types.Csum [| 3 |] |] |]
+  in
+  let expect = [| [ 3 ]; [ 3; 10 ]; [ 10 ]; []; [ 15 ] |] in
+  let cur = Delta.cursor ~initial ~log in
+  let scan = Delta.cursor ~initial ~log in
+  List.iter
+    (fun k ->
+      Delta.seek cur k;
+      Alcotest.(check (list int)) (Printf.sprintf "slots at %d" k) expect.(k)
+        (Delta.csum_slots cur);
+      List.iter
+        (fun torn ->
+          let state = (k, torn) in
+          Alcotest.(check bool) (Printf.sprintf "state %d" k) true
+            (Explorer.materialize cur state = materialize_by_scan scan state))
+        (if k = 3 then [ None; Some 1 ] else [ None ]))
+    [ 0; 1; 2; 3; 4; 2; 0; 4; 3 ]
+
 let suite =
   [
     Alcotest.test_case "sweep: soft updates / smallfiles" `Quick
@@ -588,6 +748,10 @@ let suite =
       test_materialize_matches_deepcopy;
     Alcotest.test_case "crash_states respects max_boundaries" `Quick
       test_crash_states_cap;
+    Alcotest.test_case "checksum region stays past the media" `Quick
+      test_csum_placement;
+    Alcotest.test_case "cursor tracks checksum-region slots" `Quick
+      test_cursor_tracks_csum;
     QCheck_alcotest.to_alcotest prop_delta_apply_undo;
     Alcotest.test_case "sweep deterministic across jobs" `Quick
       test_sweep_jobs_deterministic;

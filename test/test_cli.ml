@@ -225,9 +225,10 @@ let test_run_fault_flags_validate () =
 let test_run_bad_sector_exits_typed () =
   (* an unreadable metadata sector with no spares must surface as the
      documented one-line typed failure, exit 3 — never a backtrace. So
-     must a synchronous journal commit whose log write fails (the log
-     starts just past the 1 GB media): it used to count as durable and
-     the run exited 0. Its trace is still written, failed write and all *)
+     must a journal commit whose log write fails (the log starts just
+     past the 1 GB media), synchronous or in a group commit's batch: it
+     used to count as durable and the run exited 0. Its trace is still
+     written, failed write and all *)
   let trace = Filename.temp_file "metasim" ".jsonl" in
   Sys.remove trace;
   List.iter
@@ -243,6 +244,7 @@ let test_run_bad_sector_exits_typed () =
     [
       "run copy -s soft --bad-sectors 16";
       "run -s journal --files 50 -u 1 --bad-sectors 1048576";
+      "run -s journal-group --files 50 -u 1 --bad-sectors 1048576";
     ];
   check_exit "typed failure with --trace-out exits 3" 3
     (sh "%s run -s journal --files 50 -u 1 --bad-sectors 1048576 \

@@ -605,26 +605,32 @@ let run_call (g, image) = function
     Fsck.rebuild_maps g image;
     Rebuilt image
 
-let test_table_reuse () =
-  let small = dirty_image Geom.small and big = dirty_image Geom.default in
-  (match run_call small `Check with
-   | Checked r -> Alcotest.(check bool) "the small image is dirty" false (Fsck.ok r)
-   | _ -> assert false);
-  let fresh img call = Domain.join (Domain.spawn (fun () -> run_call img call)) in
+let fresh img call = Domain.join (Domain.spawn (fun () -> run_call img call))
+
+let call_name = function
+  | `Check -> "check"
+  | `Repair -> "repair"
+  | `Rebuild -> "rebuild_maps"
+
+(* Every call on each image, the images taken in each listed order and
+   the calls in the order given with them, equals the same call on
+   fresh tables: those of a newly spawned domain. Then again with the
+   oracle checking inside each repair, while the repair holds the
+   domain's tables. *)
+let check_reuse imgs orders =
   let expected =
     List.map
-      (fun img -> List.map (fun call -> (call, fresh img call)) [ `Check; `Repair; `Rebuild ])
-      [ small; big ]
+      (fun img -> (img, List.map (fun call -> (call, fresh img call)) [ `Check; `Repair; `Rebuild ]))
+      imgs
   in
-  let name = function `Check -> "check" | `Repair -> "repair" | `Rebuild -> "rebuild_maps" in
   let run_sequence ~label imgs calls =
     List.iter
       (fun img ->
-        let want = List.assq img (List.combine [ small; big ] expected) in
+        let want = List.assq img expected in
         List.iter
           (fun call ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s: %s on %d fragments" label (name call)
+              (Printf.sprintf "%s: %s on %d fragments" label (call_name call)
                  (fst img).Geom.nfrags)
               true
               (run_call img call = List.assoc call want))
@@ -634,14 +640,23 @@ let test_table_reuse () =
   List.iter
     (fun (imgs, calls) ->
       run_sequence ~label:"reused" imgs calls;
-      (* the oracle checks inside a repair, while the repair holds the
-         domain's tables *)
       Fsck.repair_final_oracle := Some ignore;
       Fun.protect
         ~finally:(fun () -> Fsck.repair_final_oracle := None)
         (fun () -> run_sequence ~label:"oracle" imgs calls))
-    [ ([ small; big ], [ `Check; `Repair; `Rebuild ]);
-      ([ big; small ], [ `Rebuild; `Repair; `Check ]) ];
+    orders;
+  expected
+
+let test_table_reuse () =
+  let small = dirty_image Geom.small and big = dirty_image Geom.default in
+  (match run_call small `Check with
+   | Checked r -> Alcotest.(check bool) "the small image is dirty" false (Fsck.ok r)
+   | _ -> assert false);
+  let expected =
+    check_reuse [ small; big ]
+      [ ([ small; big ], [ `Check; `Repair; `Rebuild ]);
+        ([ big; small ], [ `Rebuild; `Repair; `Check ]) ]
+  in
   (* a check nested inside a repair (here from its write observer)
      takes tables of its own: both match their fresh results *)
   let g, image = small in
@@ -655,10 +670,80 @@ let test_table_reuse () =
   let o = Fsck.repair ~observer ~geom:g ~image:repaired ~check_exposure:true () in
   Alcotest.(check bool) "the observer ran" true (!nested <> []);
   Alcotest.(check bool) "repair beside nested checks" true
-    (Repaired (o, repaired) = List.assoc `Repair (List.hd expected));
-  let want = fresh (g, other) `Check in
+    (Repaired (o, repaired) = List.assoc `Repair (List.assq small expected));
   Alcotest.(check bool) "nested checks" true
-    (List.for_all (fun r -> Checked r = want) !nested)
+    (let want = fresh (g, other) `Check in
+     List.for_all (fun r -> Checked r = want) !nested)
+
+(* A default-geometry world of [dirs] directories holding two files
+   each. Directories are placed round-robin over the groups, so a walk
+   of a populated image reaches table pages across the whole volume. *)
+let spread_image ~dirs =
+  let g = Geom.default in
+  let cfg = { (Fs.config ~scheme:Fs.No_order ()) with Fs.geom = g; cache_mb = 8 } in
+  let w = Fs.make cfg in
+  ignore
+    (Proc.spawn w.Fs.engine ~name:"setup" (fun () ->
+         let st = w.Fs.st in
+         for d = 0 to dirs - 1 do
+           let dir = Printf.sprintf "/d%d" d in
+           Fsops.mkdir st dir;
+           Fsops.create st (Printf.sprintf "%s/a%d" dir d);
+           Fsops.append st (Printf.sprintf "%s/a%d" dir d) ~bytes:3072;
+           Fsops.create st (Printf.sprintf "%s/b%d" dir d);
+           Fsops.append st (Printf.sprintf "%s/b%d" dir d) ~bytes:10240
+         done;
+         Fsops.sync st;
+         Fs.stop w));
+  Engine.run w.Fs.engine;
+  (g, Su_disk.Disk.image_snapshot w.Fs.disk)
+
+(* fsck clears only the table pages its last walk marked. A populated
+   image, dirty in every way the walk records and with pointers past
+   the volume end and entries naming inode numbers that do not exist,
+   is checked, repaired and rebuilt before and after a near-empty image
+   of the same geometry: each call must still equal a fresh-table call,
+   so whatever the populated walk left must be gone. *)
+let test_page_reset () =
+  let ((g, image) as populated) = spread_image ~dirs:40 in
+  let dinode name = dinode_of_g g image (inum_of image name) in
+  let groups =
+    List.sort_uniq compare
+      (List.init 40 (fun d -> Geom.cg_of_inode g (inum_of image (Printf.sprintf "a%d" d))))
+  in
+  Alcotest.(check bool) "files in many groups" true (List.length groups >= 32);
+  (dinode "a3").Types.nlink <- 0;
+  (dinode "b7").Types.db.(0) <- (dinode "a7").Types.db.(0);
+  (dinode "b20").Types.db.(1) <- g.Geom.nfrags + 100;
+  (dinode "a31").Types.db.(0) <- g.Geom.nfrags + 3;
+  let _, entries = find_dir_entries image "a39" in
+  List.iter
+    (fun (name, inum) ->
+      match Types.dir_free_slot entries with
+      | Some s -> entries.(s) <- Some { Types.name; inum }
+      | None -> Alcotest.fail "directory full")
+    [ ("ghost", 77);
+      ("past", Geom.root_inum + Geom.total_inodes g + 5);
+      ("zero", 0);
+      ("negative", -4) ];
+  (match run_call populated `Check with
+   | Checked r ->
+     Alcotest.(check bool) "a bad pointer past the end" true
+       (List.exists
+          (function Fsck.Bad_pointer { ptr; _ } -> ptr >= g.Geom.nfrags | _ -> false)
+          r.Fsck.violations);
+     Alcotest.(check int) "dangling entries" 4
+       (List.length
+          (List.filter
+             (function Fsck.Dangling_entry _ -> true | _ -> false)
+             r.Fsck.violations))
+   | _ -> assert false);
+  let near_empty = spread_image ~dirs:1 in
+  ignore
+    (check_reuse [ populated; near_empty ]
+       [ ([ populated; near_empty ], [ `Check; `Repair; `Rebuild ]);
+         ([ near_empty; populated ], [ `Rebuild; `Repair; `Check ]);
+         ([ populated; near_empty; populated ], [ `Repair ]) ])
 
 let suite =
   [
@@ -686,4 +771,6 @@ let suite =
       test_verify_state_pre_matches_check;
     Alcotest.test_case "tables reused across calls and geometries" `Quick
       test_table_reuse;
+    Alcotest.test_case "table reset clears what the last walk reached" `Quick
+      test_page_reset;
   ]

@@ -118,6 +118,45 @@ let test_journal_group_commit_window () =
   let r = Crash.crash_and_check w 0.5 in
   Alcotest.(check bool) "consistent" true (Fsck.ok r)
 
+(* A group-commit batch whose log write the driver fails after its
+   retries was never durable: its buffers stay pinned, and the next
+   commit raises the error, typed at the syscall, as a failed
+   synchronous commit does. *)
+let test_group_commit_failed_batch () =
+  let cfg = small_config jgroup in
+  let log_start = cfg.Fs.geom.Su_fstypes.Geom.nfrags in
+  let cfg =
+    { cfg with
+      Fs.fault =
+        { Su_disk.Fault.none with
+          bad_sectors = List.init 16 (fun i -> log_start + i) } }
+  in
+  let w = Fs.make cfg in
+  let pinned, next =
+    run_world w (fun () ->
+        let st = w.Fs.st in
+        Fsops.mkdir st "/d";
+        Fsops.create st "/d/a";
+        (* the flusher writes the batch, and the write fails *)
+        Proc.sleep w.Fs.engine 5.0;
+        ( List.exists
+            (fun (b : Su_cache.Buf.t) -> b.Su_cache.Buf.sticky)
+            (Su_cache.Bcache.all_bufs w.Fs.cache),
+          match Fsops.create st "/d/b" with
+          | () -> None
+          | exception Fsops.Eio msg -> Some msg ))
+  in
+  Alcotest.(check bool) "the failed batch keeps its pins" true pinned;
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  match next with
+  | Some msg ->
+    Alcotest.(check bool) ("a bad-sector error: " ^ msg) true (contains msg "bad sector")
+  | None -> Alcotest.fail "the next commit succeeded"
+
 let test_repair_no_order_crash () =
   (* the unsafe baseline leaves violations; repair must clean them and
      the repaired image must be remountable *)
@@ -333,6 +372,8 @@ let suite =
       test_journal_metadata_durability;
     Alcotest.test_case "journal group-commit window" `Quick
       test_journal_group_commit_window;
+    Alcotest.test_case "group commit: a failed batch raises at the next commit"
+      `Quick test_group_commit_failed_batch;
     Alcotest.test_case "repair no-order crash" `Quick test_repair_no_order_crash;
     Alcotest.test_case "repair idempotent on clean" `Quick
       test_repair_idempotent_on_clean;
