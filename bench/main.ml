@@ -39,13 +39,16 @@ let usage () =
      \                  <= 300 words/write, syncer-sweep ns/key at 8x the\n\
      \                  cache within 1.5x, <= 300 words/sweep, cpu-charge\n\
      \                  <= 12 words/charge, cpu-charge-contended <= 48\n\
-     \  --crashsweep    crash-state materialization (delta log vs deep\n\
-     \                  copy), full-sweep scaling across the pool,\n\
-     \                  journal replay (gate: <= 128 words/record) and\n\
-     \                  recovery of one workload's crash states on 1 GB\n\
-     \                  and 64 MB volumes (gates: <= 160000 words/state\n\
-     \                  at 1 GB, 1 GB time within 4x of 64 MB, every\n\
-     \                  state clean)\n\
+     \  --crashsweep    per built-in workload, <workload>-materialize\n\
+     \                  (every crash state off one delta-log cursor) and\n\
+     \                  <workload>-sweep-jobs1/-sweep-jobsN (the full\n\
+     \                  sweep, serial and across the pool); then\n\
+     \                  journal-replay (gate: <= 128 words/record), and\n\
+     \                  recover-state and recover-state-64mb, one\n\
+     \                  workload's crash states recovered on 1 GB and\n\
+     \                  64 MB volumes (gates: <= 160000 words/state at\n\
+     \                  1 GB, 1 GB time within 4x of 64 MB, every state\n\
+     \                  clean)\n\
      \  --loadgen       load-engine steady state (gates: zero majors,\n\
      \                  words/op at a doubled window within 1.15x) and\n\
      \                  directory-scale lookups (gate: 10k entries within\n\

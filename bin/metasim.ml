@@ -186,22 +186,46 @@ let scrub_arg =
           "Background scrubber wake-up period in simulated seconds \
            (0 = no scrubber).")
 
-let fault_of ?(flip = 0.0) ?(lost = 0.0) ?(misdirect = 0.0) ~seed ~rate
-    ~bad_sectors () =
-  let base =
-    if rate = 0.0 && bad_sectors = [] then Su_disk.Fault.none
-    else if rate > 0.0 then
-      { (Su_disk.Fault.transient ~seed ~rate ()) with
-        Su_disk.Fault.bad_sectors }
-    else { Su_disk.Fault.none with Su_disk.Fault.seed; bad_sectors }
+(* The device flags as one update of an [Fs.config]: fuzz takes the six
+   of [fault_flags]; run and loadgen take all nine of [device_flags]. The
+   fault model is rebuilt from the flags, keeping the bad sectors the
+   config already lists. *)
+let fault_flags =
+  let update seed rate flip lost misdirect checksums (cfg : Fs.config) =
+    let bad_sectors = cfg.Fs.fault.Su_disk.Fault.bad_sectors in
+    let base =
+      if rate = 0.0 && bad_sectors = [] then Su_disk.Fault.none
+      else if rate > 0.0 then
+        { (Su_disk.Fault.transient ~seed ~rate ()) with
+          Su_disk.Fault.bad_sectors }
+      else { Su_disk.Fault.none with Su_disk.Fault.seed; bad_sectors }
+    in
+    let fault =
+      if flip = 0.0 && lost = 0.0 && misdirect = 0.0 then base
+      else
+        { base with
+          Su_disk.Fault.seed;
+          flip_read = flip;
+          lost_write = lost;
+          misdirect_write = misdirect }
+    in
+    { cfg with Fs.fault; checksums }
   in
-  if flip = 0.0 && lost = 0.0 && misdirect = 0.0 then base
-  else
-    { base with
-      Su_disk.Fault.seed;
-      flip_read = flip;
-      lost_write = lost;
-      misdirect_write = misdirect }
+  Term.(
+    const update $ fault_seed_arg $ fault_rate_flag $ flip_rate_flag
+    $ lost_rate_flag $ misdirect_rate_flag $ checksums_flag)
+
+let device_flags =
+  let update faults bad_sectors spare_frags scrub_interval (cfg : Fs.config) =
+    faults
+      { cfg with
+        Fs.fault = { cfg.Fs.fault with Su_disk.Fault.bad_sectors };
+        spare_frags;
+        scrub_interval }
+  in
+  Term.(
+    const update $ fault_flags $ bad_sectors_arg $ spares_arg ~default:0
+    $ scrub_arg)
 
 let make_cfg ?sink scheme alloc_init nvram =
   let cfg =
@@ -275,22 +299,13 @@ let run_cmd =
              $(docv).")
   in
   let run bench scheme users seed alloc_init nvram files json trace_out
-      fault_seed fault_rate bad_sectors spares scrub_interval flip lost
-      misdirect checksums =
+      device =
     let sink =
       match trace_out with
       | None -> None
       | Some _ -> Some (Su_obs.Events.create ())
     in
-    let cfg =
-      { (make_cfg ?sink scheme alloc_init nvram) with
-        Fs.fault =
-          fault_of ~flip ~lost ~misdirect ~seed:fault_seed ~rate:fault_rate
-            ~bad_sectors ();
-        spare_frags = spares;
-        scrub_interval;
-        checksums }
-    in
+    let cfg = device (make_cfg ?sink scheme alloc_init nvram) in
     let write_trace () =
       match (trace_out, sink) with
       | Some path, Some ev ->
@@ -374,9 +389,7 @@ let run_cmd =
     Term.(
       const run $ bench_arg $ scheme_arg $ users_arg $ seed_arg
       $ alloc_init_arg $ nvram_arg $ files_arg $ json_arg $ trace_out_arg
-      $ fault_seed_arg $ fault_rate_flag $ bad_sectors_arg
-      $ spares_arg ~default:0 $ scrub_arg $ flip_rate_flag $ lost_rate_flag
-      $ misdirect_rate_flag $ checksums_flag)
+      $ device_flags)
 
 let crash_cmd =
   let time_arg =
@@ -408,7 +421,14 @@ let crash_cmd =
                if Su_util.Rng.bool r then Fsops.unlink w.Fs.st p
              done))
     done;
-    let report = Crash.crash_and_check w time in
+    (* one crashed image: repair's first round is the check *)
+    let image = Crash.crash_at w time in
+    let repaired = if do_repair then Some (Crash.repair cfg image) else None in
+    let report =
+      match repaired with
+      | Some o -> o.Fsck.initial
+      | None -> Crash.check cfg image
+    in
     Printf.printf "# crash at t=%.2fs under %s\n" time (Fs.scheme_kind_name scheme);
     Printf.printf "violations:     %d\n" (List.length report.Fsck.violations);
     List.iter
@@ -420,20 +440,15 @@ let crash_cmd =
       report.Fsck.leaked_frags report.Fsck.leaked_inodes report.Fsck.stale_free;
     Printf.printf "nlink high:     %d\n" report.Fsck.nlink_high;
     Printf.printf "%s\n" (if Fsck.ok report then "CONSISTENT" else "INTEGRITY VIOLATED");
-    if do_repair then begin
-      let image = Su_disk.Disk.image_snapshot w.Fs.disk in
-      Fs.recover_image cfg image;
-      let { Fsck.actions; final; converged; _ } =
-        Fsck.repair ~geom:cfg.Fs.geom ~image
-          ~check_exposure:(Fs.check_exposure cfg) ()
-      in
+    match repaired with
+    | None -> ()
+    | Some { Fsck.actions; final; converged; _ } ->
       Printf.printf "\n# repair\n";
       List.iter (fun a -> Format.printf "  %a@." Fsck.pp_repair_action a) actions;
       Printf.printf "after repair: %s%s (%d files, %d dirs)\n"
         (if Fsck.ok final then "CONSISTENT" else "STILL BROKEN")
         (if converged then "" else " (repair did not converge)")
         final.Fsck.files final.Fsck.dirs
-    end
   in
   Cmd.v
     (Cmd.info "crash" ~doc:"Crash a workload mid-flight, fsck and optionally repair.")
@@ -880,7 +895,7 @@ let fuzz_cmd =
           ~doc:"Skip re-crashing the recovery pipeline inside its own writes.")
   in
   let run seed0 ops_n count schemes jobs max_boundaries no_torn no_nested
-      fail_fast fault_seed fault_rate flip lost misdirect checksums =
+      fail_fast faults =
     let nested = not no_nested in
     let table =
       Su_util.Text_table.create
@@ -899,13 +914,7 @@ let fuzz_cmd =
     (try
        List.iter
          (fun scheme ->
-           let cfg =
-             { (Explorer.sweep_cfg scheme) with
-               Fs.fault =
-                 fault_of ~flip ~lost ~misdirect ~seed:fault_seed
-                   ~rate:fault_rate ~bad_sectors:[] ();
-               checksums }
-           in
+           let cfg = faults (Explorer.sweep_cfg scheme) in
            for k = 0 to count - 1 do
              let seed = seed0 + k in
              let ops = Fuzz.gen ~seed ~ops:ops_n in
@@ -968,8 +977,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ ops_arg $ count_arg $ schemes_arg $ jobs_arg
       $ max_boundaries_arg $ no_torn_arg $ no_nested_arg $ fail_fast_arg
-      $ fault_seed_arg $ fault_rate_flag $ flip_rate_flag $ lost_rate_flag
-      $ misdirect_rate_flag $ checksums_flag)
+      $ fault_flags)
 
 let trace_cmd =
   let count_arg =
@@ -1131,8 +1139,7 @@ let loadgen_cmd =
              BENCH.json.")
   in
   let run scheme clients rate shape arrival duration warmup files shards jobs
-      json seed min_ops volume_mb fault_seed fault_rate bad_sectors spares
-      scrub_interval flip lost misdirect checksums =
+      json seed min_ops volume_mb device =
     if warmup < 0.0 || warmup >= duration then begin
       Printf.eprintf
         "metasim: --warmup (%g) must lie in [0, --duration (%g))\n" warmup
@@ -1190,17 +1197,7 @@ let loadgen_cmd =
       {
         cfg with
         Loadgen.fs_cfg =
-          {
-            cfg.Loadgen.fs_cfg with
-            Fs.geom;
-            disk_params;
-            Fs.fault =
-              fault_of ~flip ~lost ~misdirect ~seed:fault_seed
-                ~rate:fault_rate ~bad_sectors ();
-            spare_frags = spares;
-            scrub_interval;
-            checksums;
-          };
+          device { cfg.Loadgen.fs_cfg with Fs.geom; disk_params };
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -1231,10 +1228,7 @@ let loadgen_cmd =
       const run $ scheme_arg $ clients_arg $ rate_arg $ shape_arg
       $ arrival_arg $ duration_arg $ warmup_arg $ files_arg $ shards_arg
       $ jobs_arg $ json_arg $ seed_arg $ min_ops_arg $ volume_mb_arg
-      $ fault_seed_arg $ fault_rate_flag $ bad_sectors_arg
-      $ spares_arg ~default:0 $ scrub_arg
-      $ flip_rate_flag $ lost_rate_flag $ misdirect_rate_flag
-      $ checksums_flag)
+      $ device_flags)
 
 (* Typed simulation failures must reach the shell as one clean stderr
    line and a distinct exit code (3), not an OCaml backtrace: a run

@@ -189,16 +189,17 @@ let run_one ~cfg ~spares ?oracle wl inj =
   (* the remap table is metadata: verify on the logical view, exactly
      what a replacement drive would be rebuilt with *)
   let image = Su_disk.Disk.logical_snapshot w.Fs.disk in
-  Fs.recover_image run_cfg image;
-  let check_exposure = Fs.check_exposure run_cfg in
-  let pre = Fsck.check ~geom:run_cfg.Fs.geom ~image ~check_exposure in
-  let pre_violations = List.length pre.Fsck.violations in
-  let converged, post =
+  let violations (r : Fsck.report) = List.length r.Fsck.violations in
+  let pre_violations, converged, post =
     match outcome with
-    | Completed -> (true, pre_violations)  (* nothing should need repair *)
+    | Completed ->
+      (* nothing should need repair *)
+      let pre = violations (Crash.check run_cfg image) in
+      (pre, true, pre)
     | Failed_typed _ | Escaped _ ->
-      let o = Fsck.repair ~geom:run_cfg.Fs.geom ~image ~check_exposure () in
-      (o.Fsck.converged, List.length o.Fsck.final.Fsck.violations)
+      (* repair's first round is the pre-repair check *)
+      let o = Crash.repair run_cfg image in
+      (violations o.Fsck.initial, o.Fsck.converged, violations o.Fsck.final)
   in
   let divergences =
     (* the oracle only constrains runs that claim success *)

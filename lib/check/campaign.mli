@@ -99,7 +99,9 @@ val run_one :
 (** Run the workload once under the injection with [spares] spare
     fragments, then verify the surviving state on the {e logical}
     image (remapped content resolved home, as a rebuilt replacement
-    drive would hold it). [oracle] receives the final image of a
+    drive would hold it): {!Su_fs.Crash.check} for a completed run,
+    {!Su_fs.Crash.repair} for any other, whose first round gives the
+    pre-repair count. [oracle] receives the final image of a
     completed run and returns divergence descriptions ([[]] = the
     image matches the model); without one nothing diverges. *)
 

@@ -13,10 +13,10 @@
 
     Sharing discipline: [apply]/[undo] install the log's cell values
     into the target array {e without} copying. This is safe because
-    cells are never mutated in place once recorded — every consumer
-    that needs to mutate (fsck repair, journal replay) works on a
-    {!Su_fstypes.Types.copy_cell} snapshot of the materialized image,
-    exactly as it would on a disk-owned image.
+    cells are never mutated in place once recorded: every consumer
+    that writes (journal replay, the checksum refresh, fsck repair, the
+    remount probe) replaces slots of its own shallow copy of the
+    materialized image and never changes a cell it did not build.
 
     With the slab-backed {!Su_fstypes.Volume} behind the disk, the
     observer's [pre]/[post] extents are {e decoded} cells — private
@@ -62,13 +62,7 @@ val position : cursor -> int
 
 val image : cursor -> Types.cell array
 (** The live base image at the cursor's boundary. Owned by the
-    cursor: callers must not mutate it — take a
-    [Array.map Types.copy_cell] snapshot (cheap: immutable cells are
-    shared) before handing it to anything that writes. *)
+    cursor: callers must not mutate it — take an [Array.copy] of it
+    before handing it to anything that replaces slots. *)
 
 val log : cursor -> t array
-
-val csum_slots : cursor -> int list
-(** The slots of {!image} that hold a [Csum] cell, ascending: kept
-    up to date as {!seek} applies or undoes each write, so finding them
-    costs no scan of the image. *)

@@ -230,21 +230,17 @@ let nested_verify ?max_boundaries ~cfg base events =
   let cur = Delta.cursor ~initial:base ~log in
   let n = Array.length log in
   let last = cap max_boundaries n in
-  let check_exposure = Fs.check_exposure cfg in
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
     Delta.seek cur k;
-    let img = Types.copy_image (Delta.image cur) in
+    let img = Array.copy (Delta.image cur) in
     (* round one: recovery over its own partial effects must settle *)
-    Fs.recover_image cfg img;
-    let outcome = Fsck.repair ~geom:cfg.Fs.geom ~image:img ~check_exposure () in
+    let outcome = Crash.repair cfg img in
     if not (outcome.Fsck.converged && Fsck.ok outcome.Fsck.final) then
       incr unrecovered;
     (* round two: the fixed point — nothing left to change *)
     let r2 = Imglog.recorder () in
-    let observer = Imglog.observe r2 in
-    Fs.recover_image ~observer cfg img;
-    ignore (Fsck.repair ~observer ~geom:cfg.Fs.geom ~image:img ~check_exposure ());
+    ignore (Crash.repair ~observer:(Imglog.observe r2) cfg img);
     if Imglog.count r2 > 0 then incr unsettled
   done;
   {
@@ -256,19 +252,15 @@ let nested_verify ?max_boundaries ~cfg base events =
 
 let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
     image =
-  (* recovery cells are installed copy-on-write (never mutated in
-     place), so a shallow snapshot of the pre-recovery image is enough
-     for the nested sweep to rewind over *)
+  (* recovery only replaces slots (never mutates a cell in place), so a
+     shallow snapshot of the pre-recovery image is enough for the nested
+     sweep to rewind over *)
   let base = if nested then Some (Array.copy image) else None in
   let recovery_log = Imglog.recorder () in
   let observer = if nested then Some (Imglog.observe recovery_log) else None in
-  (* journaled configurations replay the log before checking, exactly
-     as mount-time recovery would *)
-  Fs.recover_image ?observer cfg image;
-  let check_exposure = Fs.check_exposure cfg in
-  (* repair's first round checks the image as handed over: that is the
-     pre-repair verdict *)
-  let outcome = Fsck.repair ?observer ~geom:cfg.Fs.geom ~image ~check_exposure () in
+  (* repair's first round checks the recovered image as handed over:
+     that is the pre-repair verdict *)
+  let outcome = Crash.repair ?observer cfg image in
   let v_nested =
     match base with
     | None -> None
@@ -361,28 +353,17 @@ let crash_states ?(torn = true) ?max_boundaries r =
 (* Materialize one crash state as a private image a verifier may
    recover: seek the cursor to the boundary (O(cells touched)), copy its
    slots, then overlay any torn prefix. Cells are shared with the
-   cursor and the log: recovery writes copy-on-write (journal replay,
-   fsck's repairs and map rebuilds, [Imglog.write]) and the remount
-   probe writes back into slots, so only the checksum region, which
-   [Fs.recover_image] updates in place, is copied. The cursor knows
-   which slots hold one, so the image is not scanned for them. *)
+   cursor and the log: recovery only replaces slots (journal replay,
+   fsck's repairs and map rebuilds, the checksum refresh, the remount
+   probe's write-back), never mutating a cell in place. *)
 let materialize cur (boundary, torn) =
   Delta.seek cur boundary;
   let img = Array.copy (Delta.image cur) in
-  let own i =
-    match img.(i) with
-    | Types.Csum ca -> img.(i) <- Types.Csum (Array.copy ca)
-    | _ -> ()
-  in
-  List.iter own (Delta.csum_slots cur);
   (match torn with
    | None -> ()
    | Some applied ->
      let d = (Delta.log cur).(boundary) in
-     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied;
-     for i = d.Delta.d_lbn to d.Delta.d_lbn + applied - 1 do
-       own i
-     done);
+     Array.blit d.Delta.d_post 0 img d.Delta.d_lbn applied);
   img
 
 let sweep ?torn ?jobs ?max_boundaries ?nested ?nested_max_boundaries
@@ -448,11 +429,7 @@ let fault_shakedown ~cfg wl =
   let consistent =
     completed
     &&
-    let image = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg image;
-    Fsck.ok
-      (Fsck.check ~geom:cfg.Fs.geom ~image
-         ~check_exposure:(Fs.check_exposure cfg))
+    Fsck.ok (Crash.check cfg (Su_disk.Disk.image_snapshot w.Fs.disk))
   in
   {
     f_injected = Su_disk.Disk.faults_injected w.Fs.disk;

@@ -139,8 +139,8 @@ val verify_state :
     re-crashed after every prefix of it: each truncated state must
     recover cleanly in one round and reach the write-free fixed point
     by the second (recovery re-entrancy). [nested_max_boundaries] caps
-    the prefixes explored. Fsck judges exposure by
-    {!Su_fs.Fs.check_exposure}; the remount step is
+    the prefixes explored. Recovery and repair are
+    {!Su_fs.Crash.repair}; the remount step is
     {!Su_fs.Crash.remount_probe}. *)
 
 type summary = {
@@ -191,10 +191,9 @@ val materialize : Delta.cursor -> int * int option -> Types.cell array
 (** Materialize one crash state as an image the verify pipeline may
     recover: seek the cursor, copy its slots, overlay any torn prefix.
     Seeking costs O(cells touched) per boundary crossed. The copy is
-    shallow — cells are shared with the cursor and its log — except
-    for [Csum] cells, which {!Su_fs.Fs.recover_image} updates in place:
-    a caller may replace the image's slots, and may mutate nothing else
-    (every recovery write is copy-on-write). *)
+    shallow — cells are shared with the cursor and its log: a caller
+    may replace the image's slots, and may mutate nothing else (the
+    recovery pipeline only replaces slots). *)
 
 val sweep :
   ?torn:bool ->

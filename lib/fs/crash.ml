@@ -3,14 +3,18 @@ let crash_at (w : Fs.world) time =
   Su_sim.Engine.stop w.Fs.engine;
   Su_disk.Disk.image_snapshot w.Fs.disk
 
-let fsck_image (w : Fs.world) image =
-  (* journaled configurations replay their log first, exactly as the
-     recovery procedure would after a real crash *)
-  Fs.recover_image w.Fs.cfg image;
-  Fsck.check ~geom:w.Fs.cfg.Fs.geom ~image
-    ~check_exposure:(Fs.check_exposure w.Fs.cfg)
+(* Journaled configurations replay their log first, exactly as the
+   recovery procedure would after a real crash. *)
+let check cfg image =
+  Fs.recover_image cfg image;
+  Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure:(Fs.check_exposure cfg)
 
-let crash_and_check w time = fsck_image w (crash_at w time)
+let repair ?observer cfg image =
+  Fs.recover_image ?observer cfg image;
+  Fsck.repair ?observer ~geom:cfg.Fs.geom ~image
+    ~check_exposure:(Fs.check_exposure cfg) ()
+
+let crash_and_check (w : Fs.world) time = check w.Fs.cfg (crash_at w time)
 
 (* Remount the (repaired) image and keep living in it: a directory
    create, file writes, a rename and a sync must all succeed, and the
@@ -36,13 +40,7 @@ let remount_probe ~dir cfg image =
     Su_sim.Engine.run w.Fs.engine;
     if not !finished then Error "continuation did not finish"
     else
-      let final = Su_disk.Disk.take_image w.Fs.disk in
-      Fs.recover_image cfg final;
-      match
-        (Fsck.check ~geom:cfg.Fs.geom ~image:final
-           ~check_exposure:(Fs.check_exposure cfg))
-          .Fsck.violations
-      with
+      match (check cfg (Su_disk.Disk.take_image w.Fs.disk)).Fsck.violations with
       | [] -> Ok ()
       | vs ->
         Error

@@ -11,10 +11,25 @@ val crash_at : Fs.world -> float -> Su_fstypes.Types.cell array
 (** Run the engine until the given virtual time, stop it, and return a
     snapshot of the on-disk image. *)
 
+val check : Fs.config -> Su_fstypes.Types.cell array -> Fsck.report
+(** Recover a crash image as a mount would ({!Fs.recover_image}: journal
+    replay and map rebuild when the configuration journals), then fsck
+    it against the configuration's geometry and promises
+    ({!Fs.check_exposure}). Replaces slots of the image; never mutates
+    a cell in place. *)
+
+val repair :
+  ?observer:Su_fstypes.Imglog.observer ->
+  Fs.config ->
+  Su_fstypes.Types.cell array ->
+  Fsck.repair_outcome
+(** As {!check}, with {!Fsck.repair} in place of the check: its
+    [initial] report is what {!check} returns. [observer] sees every
+    cell recovery and repair change, in order. *)
+
 val crash_and_check : Fs.world -> float -> Fsck.report
-(** [crash_at], then fsck of the image against the configuration's
-    promises ({!Fs.check_exposure}), after journal replay when the
-    configuration journals. *)
+(** [crash_at], then {!check} of the image under the world's
+    configuration. *)
 
 val remount_probe :
   dir:string ->

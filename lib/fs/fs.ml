@@ -95,20 +95,30 @@ let recover_image ?observer cfg image =
   | Some (log_start, log_frags) ->
     (* Replayed cells are acknowledged writes: a captured checksum
        region must follow them, or every fragment recovery touches
-       would read back as corrupt after remount. *)
-    let observer =
-      match Types.image_csum cfg.geom image with
+       would read back as corrupt after remount. Like every recovery
+       write it replaces its slot: the digests go into a copy, installed
+       once the maps are rebuilt. *)
+    let region =
+      Option.map
+        (fun (slot, ca) -> (slot, Array.copy ca))
+        (Types.image_csum cfg.geom image)
+    in
+    let replay_observer =
+      match region with
       | None -> observer
-      | Some (_, ca) ->
-        let lim = Array.length ca in
+      | Some (_, fresh) ->
         Some
           (fun ~lbn ~pre ~post ->
-            if lbn < lim then ca.(lbn) <- Types.cell_digest post;
-            match observer with None -> () | Some f -> f ~lbn ~pre ~post)
+            if lbn < Array.length fresh then
+              fresh.(lbn) <- Types.cell_digest post;
+            Option.iter (fun f -> f ~lbn ~pre ~post) observer)
     in
-    Su_core.Journaled.recover ?observer ~geom:cfg.geom ~log_start ~log_frags
-      image;
-    Fsck.rebuild_maps ?observer cfg.geom image
+    Su_core.Journaled.recover ?observer:replay_observer ~geom:cfg.geom
+      ~log_start ~log_frags image;
+    Fsck.rebuild_maps ?observer:replay_observer cfg.geom image;
+    Option.iter
+      (fun (slot, fresh) -> Imglog.write ?observer image slot (Types.Csum fresh))
+      region
   | None -> ()
 
 (* Metadata journaling does not cover file data, so a journaled crash
@@ -363,9 +373,8 @@ let make cfg = build cfg
 (* A journaled image whose log still holds records is recovered first,
    as a real journaling mount does: the new mount's journal restarts at
    sequence zero, so records left behind would outrank its own at the
-   next recovery and replay over them. Replay is copy-on-write, so a
-   shallow copy keeps the caller's image intact; only the checksum
-   region, which recovery updates in place, is copied too. *)
+   next recovery and replay over them. Recovery only replaces slots, so
+   a shallow copy keeps the caller's image intact. *)
 let mount_image cfg image =
   let holds_log =
     match journal_region cfg with
@@ -380,9 +389,7 @@ let mount_image cfg image =
   let image =
     if not holds_log then image
     else begin
-      let copy =
-        Array.map (function Types.Csum ca -> Types.Csum (Array.copy ca) | c -> c) image
-      in
+      let copy = Array.copy image in
       recover_image cfg copy;
       copy
     end

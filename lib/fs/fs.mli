@@ -130,7 +130,11 @@ val recover_image :
   Su_fstypes.Types.cell array ->
   unit
 (** Journal replay + map rebuild, when the configuration journals;
-    no-op otherwise. [observer] sees every cell the replay changes
+    no-op otherwise. A checksum region in the image is refreshed for
+    every cell the replay changes, through a copy installed at the
+    end. Recovery only replaces slots of [image], never mutating a cell
+    in place, so a shallow copy of an image keeps the original intact.
+    [observer] sees every cell the replay changes
     (see {!Su_fstypes.Imglog}); the crash-state explorer uses it to
     re-crash recovery inside its own write stream. *)
 

@@ -144,11 +144,6 @@ val snapshot_meta : meta -> meta
 
 val copy_cell : cell -> cell
 
-val copy_image : cell array -> cell array
-(** [Array.map copy_cell], except that immutable cells ([Empty],
-    [Pad], [Frag], [Rmap]) are shared instead of re-allocated: only
-    the cells a verifier may mutate in place are deep-copied. *)
-
 val dir_entry_count : dirent option array -> int
 val dir_find : dirent option array -> string -> (int * dirent) option
 (** [(slot, entry)] of the entry named [name], if present. *)

@@ -510,65 +510,10 @@ let test_oracle_fuzz_seeds () =
         true (reused > 0))
     [ 1; 2 ]
 
-(* --- shallow materialization -------------------------------------------- *)
-
-(* A materialized image shares its cells with the cursor and the log,
-   so recovery must never mutate a cell in place: every crash state of
-   every built-in workload, torn and nested, leaves the cursor image and
-   the log structurally equal to deep copies taken before. A journaled
-   run with a checksum region in the cursor image covers the one kind
-   [Fs.recover_image] updates in place, which materialize copies. (The nested
-   rounds recover deep copies of their own; two prefixes each suffice
-   to cover the base they share with the state.) *)
-let test_shallow_materialize_safe () =
-  let deep_log r =
-    Array.map
-      (fun d ->
-        Delta.v ~lbn:d.Delta.d_lbn ~pre:(Types.copy_image d.Delta.d_pre)
-          ~post:(Types.copy_image d.Delta.d_post))
-      r.Explorer.rec_deltas
-  in
-  let journal = Fs.Journaled { group_commit = false } in
-  List.iter
-    (fun (cfg, csum) ->
-      let label = Fs.scheme_kind_name cfg.Fs.scheme ^ if csum then "+csum" else "" in
-      List.iter
-        (fun wl ->
-          let r = Explorer.record ~cfg wl in
-          let log = deep_log r in
-          (* the recording drops the checksum region; put one back, all
-             zero, so replay's in-place digest refresh has cells to
-             change *)
-          let initial = Array.copy r.Explorer.rec_initial in
-          if csum then
-            initial.(Array.length initial - 1) <-
-              Types.Csum (Array.make cfg.Fs.geom.Geom.nfrags 0);
-          let cur = Delta.cursor ~initial ~log:r.Explorer.rec_deltas in
-          Array.iter
-            (fun ((boundary, torn) as state) ->
-              let image = Explorer.materialize cur state in
-              let before = Types.copy_image (Delta.image cur) in
-              ignore
-                (Explorer.verify_state ~nested:true ~nested_max_boundaries:2 ~cfg
-                   ~boundary ~torn image);
-              if Delta.image cur <> before then
-                Alcotest.failf "%s/%s k=%d torn=%s: the cursor image changed" label
-                  wl.Explorer.wl_name boundary
-                  (match torn with None -> "-" | Some a -> string_of_int a))
-            (Explorer.crash_states r);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: the log is unchanged" label wl.Explorer.wl_name)
-            true
-            (r.Explorer.rec_deltas = log))
-        Explorer.builtin_workloads)
-    [ (Explorer.sweep_cfg Fs.Soft_updates, false);
-      (Explorer.sweep_cfg journal, false);
-      ({ (Explorer.sweep_cfg journal) with Fs.checksums = true }, true) ]
-
 (* --- checksum-region placement ------------------------------------------ *)
 
-(* The materialize that looked for [Csum] cells in every slot, before
-   the cursor tracked where they sit. *)
+(* The materialize reference that scans every slot and deep-copies each
+   [Csum] cell it finds: structurally the same image as [materialize]. *)
 let materialize_by_scan cur (boundary, torn) =
   Delta.seek cur boundary;
   let img = Array.copy (Delta.image cur) in
@@ -637,7 +582,6 @@ let test_csum_placement () =
       let by_scan =
         Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
       in
-      let check_exposure = Fs.check_exposure cfg in
       Array.iter
         (fun ((boundary, torn) as state) ->
           let name =
@@ -647,32 +591,26 @@ let test_csum_placement () =
           let img = Explorer.materialize cur state in
           if img <> materialize_by_scan by_scan state then
             Alcotest.failf "%s: materialize differs from the scan" name;
-          (* the region is the image's own: recovery's in-place digest
-             refresh must not reach the cursor *)
-          Array.iteri
-            (fun i c ->
-              match (c, (Delta.image cur).(i)) with
-              | Types.Csum a, Types.Csum b when a == b ->
-                Alcotest.failf "%s: slot %d shares the cursor's region" name i
-              | _ -> ())
-            img;
+          let before = Array.map Types.copy_cell (Delta.image cur) in
           (* recovery's own writes keep the region past the media too *)
           let events = Imglog.recorder () in
-          let observer = Imglog.observe events in
-          Fs.recover_image ~observer cfg img;
-          ignore (Fsck.repair ~observer ~geom:cfg.Fs.geom ~image:img ~check_exposure ());
+          ignore (Crash.repair ~observer:(Imglog.observe events) cfg img);
           Array.iter
             (fun (lbn, _, post) ->
               if is_csum post && lbn < media then
                 Alcotest.failf "%s: recovery puts a checksum region at %d" name lbn)
-            (Imglog.events events))
+            (Imglog.events events);
+          (* the image shares its cells with the cursor: recovery leaves
+             them as they were *)
+          if Delta.image cur <> before then
+            Alcotest.failf "%s: recovery changed the cursor's cells" name)
         (Explorer.crash_states ~max_boundaries:40 r);
       (* mounting that image and taking it back gives its cells (after
          the journal's replay, which the mount runs first), with the
          region loaded when the device keeps one and its slot left as the
          device held it (empty) when the device keeps none *)
       Delta.seek cur (Array.length r.Explorer.rec_deltas);
-      let image = Types.copy_image (Delta.image cur) in
+      let image = Array.map Types.copy_cell (Delta.image cur) in
       Fs.recover_image cfg image;
       let n = Array.length image in
       let slot = n - 1 in
@@ -695,35 +633,110 @@ let test_csum_placement () =
         (Array.sub with_region 0 media = Array.sub without 0 media))
     [ Fs.Soft_updates; Fs.Journaled { group_commit = false } ]
 
-(* The cursor tracks [Csum] cells wherever writes put them, forward and
-   back: a log that installs one, moves it and removes it again. *)
-let test_cursor_tracks_csum () =
-  let n = 16 in
-  let initial = Array.make n Types.Empty in
-  initial.(3) <- Types.Csum [| 1 |];
-  let log =
-    [| Delta.v ~lbn:10 ~pre:[| Types.Empty; Types.Empty |]
-         ~post:[| Types.Csum [| 2 |]; Types.Pad |];
-       Delta.v ~lbn:3 ~pre:[| Types.Csum [| 1 |] |] ~post:[| Types.Pad |];
-       Delta.v ~lbn:10 ~pre:[| Types.Csum [| 2 |] |] ~post:[| Types.Empty |];
-       Delta.v ~lbn:14 ~pre:[| Types.Empty; Types.Empty |]
-         ~post:[| Types.Pad; Types.Csum [| 3 |] |] |]
+(* --- recovery only replaces slots ---------------------------------------- *)
+
+let journal = Fs.Journaled { group_commit = false }
+
+let holds_log cfg image =
+  match Fs.journal_region cfg with
+  | None -> false
+  | Some (start, len) ->
+    Array.exists
+      (function Types.Jlog _ -> true | _ -> false)
+      (Array.sub image start len)
+
+(* A checksummed journaled crash image whose log still holds records,
+   at a boundary where replay writes cells and so refreshes digests:
+   repair and the remount probe over a shallow copy of it replace that
+   copy's slots, the checksum region's among them, and leave every cell
+   of the original as it was. *)
+let test_recovery_replaces_slots () =
+  let cfg, _, r = csum_recording journal in
+  let cur = Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas in
+  let replays image =
+    holds_log cfg image
+    &&
+    let events = Imglog.recorder () in
+    Fs.recover_image ~observer:(Imglog.observe events) cfg
+      (Array.map Types.copy_cell image);
+    Imglog.count events > 0
   in
-  let expect = [| [ 3 ]; [ 3; 10 ]; [ 10 ]; []; [ 15 ] |] in
-  let cur = Delta.cursor ~initial ~log in
-  let scan = Delta.cursor ~initial ~log in
+  let k =
+    match
+      List.find_opt
+        (fun k -> replays (Explorer.materialize cur (k, None)))
+        (List.init (Array.length r.Explorer.rec_deltas + 1) Fun.id)
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "no crash state whose replay writes"
+  in
+  let image = Explorer.materialize cur (k, None) in
+  let pristine = Array.map Types.copy_cell image in
+  let copy = Array.copy image in
+  let outcome = Crash.repair cfg copy in
+  Alcotest.(check bool) "repair converged" true outcome.Fsck.converged;
+  Alcotest.(check bool) "the copy's checksum region was replaced" true
+    (Types.image_csum cfg.Fs.geom copy <> Types.image_csum cfg.Fs.geom image);
+  ignore (Crash.remount_probe ~dir:"/rule.d" cfg copy);
+  Alcotest.(check bool) "the original image is unchanged" true (image = pristine)
+
+(* A materialized image shares its cells with the cursor and the log,
+   so recovery must never mutate a cell in place: every crash state of
+   every built-in workload, torn and nested, leaves the cursor image and
+   the log structurally equal to deep copies taken before. Journaled
+   runs with a checksum region in the cursor image cover the region
+   [Fs.recover_image] refreshes, as do the [csum_recording]s, whose
+   images also carry spares and a remap table. (Two nested prefixes
+   each suffice to cover the base they share with the state.) *)
+let test_shallow_materialize_safe () =
+  let deep_log r =
+    Array.map
+      (fun d ->
+        Delta.v ~lbn:d.Delta.d_lbn ~pre:(Array.map Types.copy_cell d.Delta.d_pre)
+          ~post:(Array.map Types.copy_cell d.Delta.d_post))
+      r.Explorer.rec_deltas
+  in
+  let recorded (cfg, csum) =
+    let label = Fs.scheme_kind_name cfg.Fs.scheme ^ if csum then "+csum" else "" in
+    List.map
+      (fun wl ->
+        let r = Explorer.record ~cfg wl in
+        (* the recording drops the checksum region; put one back, all
+           zero, so replay's digest refresh has cells to change *)
+        let initial = Array.copy r.Explorer.rec_initial in
+        if csum then
+          initial.(Array.length initial - 1) <-
+            Types.Csum (Array.make cfg.Fs.geom.Geom.nfrags 0);
+        (label ^ "/" ^ wl.Explorer.wl_name, cfg, { r with Explorer.rec_initial = initial }))
+      Explorer.builtin_workloads
+  in
+  let with_spares scheme =
+    let cfg, _, r = csum_recording scheme in
+    (Fs.scheme_kind_name scheme ^ "+csum+spares/smallfiles", cfg, r)
+  in
   List.iter
-    (fun k ->
-      Delta.seek cur k;
-      Alcotest.(check (list int)) (Printf.sprintf "slots at %d" k) expect.(k)
-        (Delta.csum_slots cur);
-      List.iter
-        (fun torn ->
-          let state = (k, torn) in
-          Alcotest.(check bool) (Printf.sprintf "state %d" k) true
-            (Explorer.materialize cur state = materialize_by_scan scan state))
-        (if k = 3 then [ None; Some 1 ] else [ None ]))
-    [ 0; 1; 2; 3; 4; 2; 0; 4; 3 ]
+    (fun (label, cfg, r) ->
+      let log = deep_log r in
+      let cur = Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas in
+      Array.iter
+        (fun ((boundary, torn) as state) ->
+          let image = Explorer.materialize cur state in
+          let before = Array.map Types.copy_cell (Delta.image cur) in
+          ignore
+            (Explorer.verify_state ~nested:true ~nested_max_boundaries:2 ~cfg
+               ~boundary ~torn image);
+          if Delta.image cur <> before then
+            Alcotest.failf "%s k=%d torn=%s: the cursor image changed" label
+              boundary
+              (match torn with None -> "-" | Some a -> string_of_int a))
+        (Explorer.crash_states r);
+      Alcotest.(check bool) (label ^ ": the log is unchanged") true
+        (r.Explorer.rec_deltas = log))
+    (List.concat_map recorded
+       [ (Explorer.sweep_cfg Fs.Soft_updates, false);
+         (Explorer.sweep_cfg journal, false);
+         ({ (Explorer.sweep_cfg journal) with Fs.checksums = true }, true) ]
+     @ [ with_spares Fs.Soft_updates; with_spares journal ])
 
 let suite =
   [
@@ -750,8 +763,6 @@ let suite =
       test_crash_states_cap;
     Alcotest.test_case "checksum region stays past the media" `Quick
       test_csum_placement;
-    Alcotest.test_case "cursor tracks checksum-region slots" `Quick
-      test_cursor_tracks_csum;
     QCheck_alcotest.to_alcotest prop_delta_apply_undo;
     Alcotest.test_case "sweep deterministic across jobs" `Quick
       test_sweep_jobs_deterministic;
@@ -781,4 +792,6 @@ let suite =
         test_hook_catches_nonidempotent_repair;
       Alcotest.test_case "shallow materialize: recovery leaves the cursor intact"
         `Slow test_shallow_materialize_safe;
+      Alcotest.test_case "recovery only replaces slots: checksummed journal"
+        `Quick test_recovery_replaces_slots;
     ]

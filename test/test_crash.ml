@@ -239,7 +239,7 @@ let prop_probe_snapshot =
               Su_fstypes.Types.Empty;
           if flavour = Logged_journal && not (holds_log image) then
             QCheck.Test.fail_report "journaled image holds no log records";
-          let before = Su_fstypes.Types.copy_image image in
+          let before = Array.map Su_fstypes.Types.copy_cell image in
           let w2 = Fs.mount_image cfg image in
           if flavour = Damaged_replica
              && Health.sb_restored w2.Fs.st.State.health = 0

@@ -528,7 +528,6 @@ let test_verify_state_pre_matches_check () =
   List.iter
     (fun scheme ->
       let cfg = Su_check.Explorer.sweep_cfg scheme in
-      let check_exposure = Fs.check_exposure cfg in
       List.iter
         (fun wl ->
           let r = Su_check.Explorer.record ~cfg wl in
@@ -538,9 +537,9 @@ let test_verify_state_pre_matches_check () =
           in
           Array.iter
             (fun ((boundary, torn) as state) ->
-              let image = Su_check.Explorer.materialize cur state in
-              Fs.recover_image cfg image;
-              let standalone = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure in
+              let standalone =
+                Crash.check cfg (Su_check.Explorer.materialize cur state)
+              in
               if not (Fsck.ok standalone) then incr dirty;
               let v =
                 Su_check.Explorer.verify_state ~cfg ~boundary ~torn
@@ -598,10 +597,10 @@ type fsck_result =
 let run_call (g, image) = function
   | `Check -> Checked (Fsck.check ~geom:g ~image ~check_exposure:true)
   | `Repair ->
-    let image = Types.copy_image image in
+    let image = Array.map Types.copy_cell image in
     Repaired (Fsck.repair ~geom:g ~image ~check_exposure:true (), image)
   | `Rebuild ->
-    let image = Types.copy_image image in
+    let image = Array.map Types.copy_cell image in
     Fsck.rebuild_maps g image;
     Rebuilt image
 
@@ -666,7 +665,7 @@ let test_table_reuse () =
   let observer ~lbn:_ ~pre:_ ~post:_ =
     nested := Fsck.check ~geom:g ~image:other ~check_exposure:true :: !nested
   in
-  let repaired = Types.copy_image image in
+  let repaired = Array.map Types.copy_cell image in
   let o = Fsck.repair ~observer ~geom:g ~image:repaired ~check_exposure:true () in
   Alcotest.(check bool) "the observer ran" true (!nested <> []);
   Alcotest.(check bool) "repair beside nested checks" true

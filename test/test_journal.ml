@@ -96,8 +96,7 @@ let test_journal_metadata_durability () =
      writes anything in place *)
   let image = Crash.crash_at w 0.5 in
   Alcotest.(check bool) "some creates happened" true (!created > 5);
-  Fs.recover_image w.Fs.cfg image;
-  let r = Fsck.check ~geom:w.Fs.cfg.Fs.geom ~image ~check_exposure:false in
+  let r = Crash.check w.Fs.cfg image in
   Alcotest.(check bool) "consistent" true (Fsck.ok r);
   (* every create whose transaction committed before the crash is
      visible after replay; with sync commit that is all of them *)
@@ -320,11 +319,9 @@ let test_replay_idempotent () =
     (Proc.spawn w.Fs.engine ~name:"w" (crash_workload w.Fs.st (Rng.create 55)));
   let image = Crash.crash_at w 2.0 in
   let once = Array.map Su_fstypes.Types.copy_cell image in
-  Fs.recover_image w.Fs.cfg once;
+  let r1 = Crash.check w.Fs.cfg once in
   let twice = Array.map Su_fstypes.Types.copy_cell once in
-  Fs.recover_image w.Fs.cfg twice;
-  let r1 = Fsck.check ~geom:w.Fs.cfg.Fs.geom ~image:once ~check_exposure:false in
-  let r2 = Fsck.check ~geom:w.Fs.cfg.Fs.geom ~image:twice ~check_exposure:false in
+  let r2 = Crash.check w.Fs.cfg twice in
   Alcotest.(check bool) "once is clean" true (Fsck.ok r1);
   Alcotest.(check bool) "twice is clean" true (Fsck.ok r2);
   Alcotest.(check int) "same files" r1.Fsck.files r2.Fsck.files;

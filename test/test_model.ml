@@ -180,12 +180,7 @@ let run_sequence scheme ~seed ~ops_count =
   match !failure with
   | Some msg -> Error msg
   | None ->
-    let image = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg image;
-    let r =
-      Fsck.check ~geom:cfg.Fs.geom ~image
-        ~check_exposure:(Fs.check_exposure cfg)
-    in
+    let r = Crash.check cfg (Su_disk.Disk.image_snapshot w.Fs.disk) in
     if Fsck.ok r then Ok () else Error "fsck violations after sync"
 
 let schemes_under_test =
